@@ -16,7 +16,6 @@ from .alpha import (
     build_angle_oracle,
     cf_terms,
     convergents,
-    dist_nearest_int,
     find_q_in_window,
     parse_alpha,
 )

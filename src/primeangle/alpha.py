@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
+import numpy as np
+
 __all__ = [
     "AlphaSpec",
     "Convergent",
@@ -34,7 +36,6 @@ __all__ = [
     "bounded_terms_constant",
     "find_q_in_window",
     "build_angle_oracle",
-    "dist_nearest_int",
     "classify_against_threshold",
     "verify_convergent_pair",
     "compare_to_rational",
@@ -44,6 +45,13 @@ __all__ = [
 # like Fibonacci numbers, so this is never reached for sane window/precision
 # requests.
 DEFAULT_CF_ITERATION_CAP = 100_000
+
+# Anchors with Q below this take the int64 residue path: residues are exact
+# in int64 and every m and Q converts to float64 exactly.
+INT64_EXACT_Q = 2 ** 53
+# Distance from a threshold beyond which the float64 classification filter
+# decides; it exceeds the 2^-51 rounding bound of the filter's arithmetic.
+FILTER_MARGIN = 2.0 ** -50
 
 
 class CfIterationCapExceeded(RuntimeError):
@@ -426,6 +434,64 @@ class AngleOracle:
         Q = self.anchor.q
         return ((n % Q) * self.residue % Q) / Q, self.ebound
 
+    def residues(self, ns: np.ndarray) -> np.ndarray:
+        """Exact n*P mod Q for every n of an integer array, |n| <= n_max.
+
+        With Q < 2^53 the product runs in int64: P is split into limbs of
+        63 - Q.bit_length() bits, so no product or shifted partial result
+        reaches 2^63.  Larger Q runs the same arithmetic on an object array
+        of Python integers.
+        """
+        ns = np.asarray(ns)
+        if ns.size and int(np.abs(ns).max()) > self.n_max:
+            raise ValueError(f"|n| exceeds oracle n_max={self.n_max}")
+        Q = self.anchor.q
+        if Q >= INT64_EXACT_Q:
+            return ns.astype(object) % Q * self.residue % Q
+        width = 63 - Q.bit_length()
+        a = ns.astype(np.int64) % Q
+        t = np.zeros_like(a)
+        top = -(-self.residue.bit_length() // width) * width
+        for shift in range(top - width, -1, -width):
+            limb = (self.residue >> shift) & ((1 << width) - 1)
+            t = ((t << width) % Q + a * limb % Q) % Q
+        return t
+
+    def dists(self, ns: np.ndarray):
+        """(m, x): exact m = min(t, Q - t) with t = n*P mod Q, and x = m/Q.
+
+        x is the correctly rounded float64 of m/Q, elementwise equal to
+        dist(n)[0].  m is int64 while Q < 2^53, else Python integers in an
+        object array.
+        """
+        t = self.residues(ns)
+        Q = self.anchor.q
+        m = np.minimum(t, Q - t)
+        if m.dtype == object:
+            return m, (m / Q).astype(np.float64)
+        return m, m.astype(np.float64) / float(Q)
+
+    def classify(self, ns: np.ndarray, delta: float):
+        """(x, below, boundary) for ||n*alpha|| < delta over an integer array.
+
+        The certified verdict for one n is "below" iff m/Q + n_max/Q^2 <
+        delta, "above" iff m/Q - n_max/Q^2 >= delta, else "boundary".  A
+        float64 filter settles every item farther than FILTER_MARGIN from
+        either threshold (x, ebound and their sum or difference carry
+        less than 2^-51 of rounding, all being below 1); the rest are
+        decided exactly in integers by _decide_exactly.
+        """
+        m, x = self.dists(ns)
+        e = self.ebound
+        below = (delta - (x + e)) > FILTER_MARGIN
+        above = ((x - e) - delta) > FILTER_MARGIN
+        unsure = np.flatnonzero(~(below | above))
+        if unsure.size:
+            verdicts = _decide_exactly(m[unsure].tolist(), self.anchor.q, self.n_max, delta)
+            below[unsure] = [v == "below" for v in verdicts]
+            above[unsure] = [v == "above" for v in verdicts]
+        return x, below, ~(below | above)
+
     def residue_walker(self, start: int = 0):
         """Iterator of (n, ||n*P/Q||) for n = start, start+1, ... via residue addition."""
         Q = self.anchor.q
@@ -466,16 +532,34 @@ def build_angle_oracle(alpha: AlphaSpec, n_max: int, err_target: float = 2.0 ** 
                        ebound=n_max / (chosen.q * chosen.q))
 
 
-def dist_nearest_int(oracle: AngleOracle, n: int):
-    """(value in [0, 1/2], certified error) for ||n*alpha||."""
-    return oracle.dist(n)
+def _decide_exactly(ms, Q: int, n_max: int, delta: float) -> list:
+    """Certified verdicts for residues m = min(t, Q - t), in integers only.
+
+    With delta = N/D exactly (a float is a dyadic rational): "below" iff
+    (m*Q + n_max)*D < N*Q^2, "above" iff (m*Q - n_max)*D >= N*Q^2.
+    """
+    frac = Fraction(delta)
+    N, D = frac.numerator, frac.denominator
+    bar = N * Q * Q
+    verdicts = []
+    for m in ms:
+        if (m * Q + n_max) * D < bar:
+            verdicts.append("below")
+        elif (m * Q - n_max) * D >= bar:
+            verdicts.append("above")
+        else:
+            verdicts.append("boundary")
+    return verdicts
 
 
 def classify_against_threshold(value: float, err: float, threshold: float) -> str:
     """Decide value < threshold on the certified interval [value-err, value+err].
 
     Returns "below", "above", or "boundary" (interval straddles the
-    threshold; callers count boundary cases separately).
+    threshold; callers count boundary cases separately).  The comparison
+    is in rounded floats, so a threshold within an ulp of value + err can
+    get the wrong verdict; AngleOracle.classify decides such items
+    exactly.  This scalar form is the reference the tests compare with.
     """
     if value + err < threshold:
         return "below"

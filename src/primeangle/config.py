@@ -131,9 +131,19 @@ _OPTIONAL_KEYS = {"err_target", "q_policy", "budget", "seed", "format"}
 _DERIVED_KEYS = {"U", "V", "L"}
 
 
+def _integral(key: str, value) -> int:
+    """value as an int if it is an integer or an integral float; never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON-shaped dict; unknown keys are rejected.
 
+    X, Y and seed must be integers or integral floats, never booleans.
     Derived keys U, V, L are accepted only if they match their derived
     values (so an echoed report config round-trips).
     """
@@ -147,8 +157,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if isinstance(alpha, str):
         alpha = parse_alpha(alpha)
     kwargs = {
-        "X": int(data["X"]),
-        "Y": int(data["Y"]),
+        "X": _integral("X", data["X"]),
+        "Y": _integral("Y", data["Y"]),
         "delta": float(data["delta"]),
         "eps": float(data["eps"]),
         "alpha": alpha,
@@ -161,7 +171,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "budget" in data:
         kwargs["budget"] = float(data["budget"])
     if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
+        kwargs["seed"] = _integral("seed", data["seed"])
     config = ExperimentConfig(**kwargs)
     for key in _DERIVED_KEYS & set(data):
         derived = getattr(config, key)

@@ -21,8 +21,8 @@ from .config import (
     select_q,
 )
 from .report import SumReport
-from .sieve import primes_with_small_angle, sieve_interval, small_tables
-from .smoothing import f_direct, kernel_for_experiment
+from .sieve import ExactSum, primes_with_small_angle, sieve_segments, small_tables
+from .smoothing import f_direct_array, kernel_for_experiment
 from .vaughan import (
     BudgetExceeded,
     SumContext,
@@ -69,9 +69,12 @@ def _q_flags(config, adm, in_window) -> list:
 def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport:
     """Smoothed count: sum of Lambda(n) F(n alpha) over (X-Y, X] vs delta*Y.
 
-    F is evaluated directly at the certified ||n alpha||; the report also
-    carries the centered error sum  sum Lambda(n) (F(n alpha) - delta)  and
-    its measured decay exponent.
+    Streams the window one sieve segment at a time.  F is evaluated
+    directly at the certified ||n alpha|| of every prime power of the
+    segment at once, and both sums are added exactly (ExactSum), so they
+    are correctly rounded whatever the segment size.  The report also
+    carries the centered error sum  sum Lambda(n) (F(n alpha) - delta)
+    and its measured decay exponent.
     """
     X, Y, delta = config.X, config.Y, config.delta
     if Y == 0:
@@ -81,17 +84,15 @@ def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport
     if Y > config.budget:
         raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")
     conv, in_window = select_q(config)
-    sieve = sieve_interval(X - Y, X)
     oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
-    value_terms = []
-    psi_terms = []
-    for n, p, _ in sieve.prime_powers():
-        angle, _err = oracle.dist(n)
-        logp = math.log(p)
-        value_terms.append(logp * f_direct(angle, delta))
-        psi_terms.append(logp)
-    value = math.fsum(value_terms)
-    psi_window = math.fsum(psi_terms)
+    value_sum, psi_sum = ExactSum(), ExactSum()
+    for segment in sieve_segments(X - Y, X):
+        n, lam = segment.mangoldt_terms()
+        _, angles = oracle.dists(n)
+        value_sum.add(lam * f_direct_array(angles, delta))
+        psi_sum.add(lam)
+    value = value_sum.value()
+    psi_window = psi_sum.value()
     error_sum = value - delta * psi_window
     main = delta * Y
     err_ratio = abs(error_sum) / main if main else None
@@ -116,8 +117,9 @@ def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport
 def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
     """Prime count with small angle: #{p in (X-Y, X]: ||p alpha|| < delta}.
 
-    Main term 2 delta Y / log X; boundary straddles are flagged and
-    reported separately (zero at default precision).
+    Streams the window one sieve segment at a time.  Main term
+    2 delta Y / log X; boundary straddles are flagged and reported
+    separately (zero at default precision).
     """
     X, Y, delta = config.X, config.Y, config.delta
     if Y == 0:
@@ -127,22 +129,26 @@ def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
     if Y > config.budget:
         raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")
     conv, in_window = select_q(config)
-    sieve = sieve_interval(X - Y, X)
     oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
-    res = primes_with_small_angle(sieve, oracle, delta)
+    count = boundary = interval_primes = 0
+    for segment in sieve_segments(X - Y, X):
+        res = primes_with_small_angle(segment, oracle, delta)
+        count += res.count
+        boundary += res.boundary_count
+        interval_primes += segment.prime_count()
     flags = _q_flags(config, adm, in_window)
-    if res.boundary_count:
-        flags.append(f"boundary:{res.boundary_count}")
+    if boundary:
+        flags.append(f"boundary:{boundary}")
     return SumReport(
         kind="prime_count",
-        value=float(res.count),
+        value=float(count),
         main_term=2 * delta * Y / math.log(X),
         q_used=conv.q,
         q_window=config.q_window(),
         q_in_window=in_window,
         bound_terms={
-            "boundary_count": float(res.boundary_count),
-            "interval_primes": float(sieve.prime_count()),
+            "boundary_count": float(boundary),
+            "interval_primes": float(interval_primes),
         },
         flags=flags,
     )

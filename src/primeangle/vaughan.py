@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .alpha import AngleOracle
 from .expsum import MinSumInstance, linear_exp_sum, min_sum, standard_estimate_bound
 from .report import SumReport
-from .sieve import SmallTables
+from .sieve import SmallTables, iroot
 from .smoothing import SmoothingKernel
 
 __all__ = [
@@ -57,20 +57,6 @@ DEFAULT_BUDGET = 1e9
 
 class BudgetExceeded(RuntimeError):
     """Naive cost model of the requested sum exceeds the operation budget."""
-
-
-def iroot(n: int, k: int) -> int:
-    """Exact floor k-th root of n >= 0."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from primeangle.alpha import (
     classify_against_threshold,
     compare_to_rational,
     convergents,
-    dist_nearest_int,
     find_q_in_window,
     parse_alpha,
     surd_period,
@@ -197,7 +196,7 @@ SQRT2_ANGLES = {
 def test_oracle_known_angles():
     oracle = build_angle_oracle(SQRT2, n_max=100)
     for n, expected in SQRT2_ANGLES.items():
-        value, err = dist_nearest_int(oracle, n)
+        value, err = oracle.dist(n)
         assert err <= 2.0 ** -40
         assert abs(value - expected) <= err + 1e-15
 

@@ -125,3 +125,21 @@ def test_config_validation():
         base_config(q_policy="freeform")
     with pytest.raises(ValueError):
         base_config(eps=0.0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("X", 1000.7), ("X", True), ("X", "1000"), ("X", math.inf), ("X", math.nan),
+    ("Y", True), ("Y", 300.5), ("Y", None),
+    ("seed", False), ("seed", 1.5), ("seed", "7"),
+])
+def test_config_rejects_non_integral_fields(key, value):
+    data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": "sqrt:2", key: value}
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        config_from_dict(data)
+
+
+def test_config_accepts_integral_floats():
+    config = config_from_dict({"X": 1000.0, "Y": 3e2, "delta": 0.3, "eps": 0.05,
+                               "alpha": "sqrt:2", "seed": 7.0})
+    assert (config.X, config.Y, config.seed) == (1000, 300, 7)
+    assert all(type(v) is int for v in (config.X, config.Y, config.seed))

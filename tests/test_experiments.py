@@ -119,6 +119,16 @@ def test_sweep_order_and_error_isolation():
     assert rows[2]["error"] == "error"
 
 
+def test_sweep_reports_non_integral_points():
+    # X = 1000.7 used to be truncated to 1000 and run; now the row is an error
+    good = tiny_config().as_dict()
+    rows = sweep([dict(good, X=1000.7), dict(good, Y=True), good],
+                 runs=("prime_count",), force=True)
+    assert rows[0]["error"] == "error" and "X must be an integer" in rows[0]["error_detail"]
+    assert rows[1]["error"] == "error" and "Y must be an integer" in rows[1]["error_detail"]
+    assert "reports" in rows[2]
+
+
 def test_sweep_two_points_trend():
     rows = sweep([
         desk_config(X=10 ** 5, Y=3 * 10 ** 4, delta=0.45, eps=0.01).as_dict(),
