@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from math import gcd
 
 from .alpha import (
@@ -37,7 +38,7 @@ from .vaughan import (
     vaughan_pieces,
 )
 
-__all__ = ["run_acceptance", "CRITERIA", "criterion_names"]
+__all__ = ["run_acceptance", "CRITERIA"]
 
 SQRT2 = AlphaSpec.sqrt(2)
 GOLDEN = AlphaSpec.golden()
@@ -337,14 +338,25 @@ CRITERIA = {
 }
 
 
-def criterion_names() -> dict:
-    return {k: fn.__doc__.splitlines()[0] for k, fn in CRITERIA.items()}
+def run_acceptance(criteria=None, seed: int = DEFAULT_SEED, progress=None) -> dict:
+    """Run the requested criteria (all by default) and collect verdicts.
 
-
-def run_acceptance(criteria=None, seed: int = DEFAULT_SEED) -> dict:
-    """Run the requested criteria (all by default) and collect verdicts."""
-    wanted = sorted(criteria) if criteria else sorted(CRITERIA)
-    results = [CRITERIA[k](seed) for k in wanted]
+    With a ``progress`` stream, each criterion prints a [PASS]/[FAIL] line
+    with its wall time there; the returned record carries no times.
+    """
+    wanted = sorted(set(criteria)) if criteria else sorted(CRITERIA)
+    unknown = [k for k in wanted if k not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criteria: {unknown}")
+    results = []
+    for k in wanted:
+        t0 = time.perf_counter()
+        record = CRITERIA[k](seed)  # looked up per call: tracers swap the entries
+        if progress is not None:
+            status = "PASS" if record["passed"] else "FAIL"
+            print(f"[{status}] criterion {k:2d}: {record['name']} "
+                  f"({time.perf_counter() - t0:.2f}s)", file=progress)
+        results.append(record)
     return {
         "seed": seed,
         "criteria": results,

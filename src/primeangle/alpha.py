@@ -207,27 +207,6 @@ def _surd_term_stream(spec: AlphaSpec) -> Iterator[int]:
         q = (D - m * m) // q
 
 
-def surd_period(spec: AlphaSpec, cap: int = DEFAULT_CF_ITERATION_CAP):
-    """Preperiod and period term tuples of a quadratic surd's expansion."""
-    if spec.kind != "quadratic-surd":
-        return tuple(spec.preperiod), tuple(spec.period)
-    m, D, q = _surd_initial_state(spec)
-    s = isqrt(D)
-    seen: dict = {}
-    history: list = []
-    for _ in range(cap):
-        key = (m, q)
-        if key in seen:
-            j = seen[key]
-            return tuple(history[:j]), tuple(history[j:])
-        seen[key] = len(history)
-        a = _floor_surd(m, s, q)
-        history.append(a)
-        m = a * q - m
-        q = (D - m * m) // q
-    raise CfIterationCapExceeded(f"no period within {cap} terms for {spec.describe()}")
-
-
 def cf_term_stream(alpha: AlphaSpec) -> Iterator[int]:
     """Infinite stream of partial quotients a0, a1, a2, ..."""
     if alpha.kind == "quadratic-surd":

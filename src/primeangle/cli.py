@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from .acceptance import CRITERIA
+from .acceptance import run_acceptance
 from .alpha import build_angle_oracle, cf_terms, convergents, parse_alpha
 from .config import (
     DEFAULT_SEED,
@@ -21,6 +20,7 @@ from .config import (
     check_admissible,
     config_from_dict,
     parse_precision,
+    require_admissible,
     select_q,
 )
 from .experiments import (
@@ -44,24 +44,31 @@ Q_POLICY_ALIASES = {
 }
 
 
-def _common_options(parser):
-    parser.add_argument("--x", type=int, help="right endpoint X of the window (X-Y, X]")
-    parser.add_argument("--y", type=int, help="window length Y")
-    parser.add_argument("--delta", type=float, help="angle threshold in (0, 1/2]")
-    parser.add_argument("--eps", type=float, help="exponent margin epsilon")
-    parser.add_argument("--alpha", type=str,
-                        help="alpha spec: sqrt:<d> | surd:<a>,<b>,<c>,<d> | cf:<a0>;<pre>;<period>")
-    parser.add_argument("--precision", type=str, default=None,
-                        help="certified angle error target, e.g. 2^-40")
-    parser.add_argument("--q-policy", choices=sorted(Q_POLICY_ALIASES), default=None)
-    parser.add_argument("--budget", type=float, default=None, help="operation budget")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded in reports")
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    parser.add_argument("--out", type=str, default=None, help="write output to this path")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON config file; explicit flags override it")
-    parser.add_argument("--force", action="store_true",
-                        help="run even if the configuration is inadmissible")
+OPTIONS = {
+    "--format": dict(choices=["json", "csv"]),
+    "--out": dict(help="write output to this path"),
+    "--x": dict(type=int, help="right endpoint X of the window (X-Y, X]"),
+    "--y": dict(type=int, help="window length Y"),
+    "--delta": dict(type=float, help="angle threshold in (0, 1/2]"),
+    "--eps": dict(type=float, help="exponent margin epsilon"),
+    "--alpha": dict(help="alpha spec: sqrt:<d> | surd:<a>,<b>,<c>,<d> | cf:<a0>;<pre>;<period>"),
+    "--precision": dict(help="certified angle error target, e.g. 2^-40"),
+    "--q-policy": dict(choices=sorted(Q_POLICY_ALIASES)),
+    "--budget": dict(type=float, help="operation budget"),
+    "--seed": dict(type=int, help="seed recorded in reports"),
+    "--config": dict(help="JSON config file; explicit flags override it"),
+    "--force": dict(action="store_true", help="run even if the configuration is inadmissible"),
+}
+CONFIG_FLAGS = ("--x", "--y", "--delta", "--eps", "--alpha", "--precision", "--q-policy",
+                "--budget", "--seed", "--config")
+
+
+def _parent(*flags, **extra):
+    """A parent parser holding the named OPTIONS, each with the ``extra`` settings."""
+    parser = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parser.add_argument(flag, **OPTIONS[flag], **extra)
+    return parser
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -147,8 +154,6 @@ def cmd_sieve(args):
 
 
 def cmd_psi(args):
-    if args.x is None or args.y is None:
-        raise ValueError("psi needs --x and --y")
     value = mangoldt_sum_interval(args.x, args.y)
     _emit(args, {
         "X": args.x,
@@ -159,18 +164,18 @@ def cmd_psi(args):
     return 0
 
 
-def cmd_count(args):
+def _run_point(args, runner):
     config = _build_config(args)
-    report = run_prime_count(config, force=args.force)
-    _emit(args, attach_envelope(report, config))
+    _emit(args, attach_envelope(runner(config, force=args.force), config))
     return 0
+
+
+def cmd_count(args):
+    return _run_point(args, run_prime_count)
 
 
 def cmd_ssum(args):
-    config = _build_config(args)
-    report = run_smoothed_sum(config, force=args.force)
-    _emit(args, attach_envelope(report, config))
-    return 0
+    return _run_point(args, run_smoothed_sum)
 
 
 def cmd_vaughan_check(args):
@@ -215,6 +220,7 @@ def cmd_minsum(args):
 
 def cmd_t1(args):
     config = _build_config(args)
+    require_admissible(config, args.force)
     ctx = build_sum_context(config)
     conv, in_window = select_q(config)
     report = t1_sum(args.h, ctx, conv.q)
@@ -226,6 +232,7 @@ def cmd_t1(args):
 
 def cmd_t2(args):
     config = _build_config(args)
+    require_admissible(config, args.force)
     ctx = build_sum_context(config)
     conv, in_window = select_q(config)
     report = t2_sum(args.h, args.m_block, ctx)
@@ -240,10 +247,7 @@ def cmd_t2(args):
 
 
 def cmd_bounds(args):
-    config = _build_config(args)
-    result = run_bound_suite(config, force=args.force)
-    _emit(args, attach_envelope(result, config))
-    return 0
+    return _run_point(args, run_bound_suite)
 
 
 def cmd_admissible(args):
@@ -267,25 +271,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    if args.criteria:
-        wanted = sorted({int(tok) for tok in args.criteria.split(",")})
-        bad = [k for k in wanted if k not in CRITERIA]
-        if bad:
-            raise ValueError(f"unknown criteria: {bad}")
-    else:
-        wanted = sorted(CRITERIA)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    results = []
-    for k in wanted:
-        t0 = time.perf_counter()
-        record = CRITERIA[k](seed)
-        elapsed = time.perf_counter() - t0
-        status = "PASS" if record["passed"] else "FAIL"
-        print(f"[{status}] criterion {k:2d}: {record['name']} ({elapsed:.2f}s)",
-              file=sys.stderr)
-        results.append(record)
-    payload = {"seed": seed, "criteria": results,
-               "all_passed": all(r["passed"] for r in results)}
+    criteria = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
+    payload = run_acceptance(criteria, seed=args.seed, progress=sys.stderr)
     _emit(args, payload)
     return 0 if payload["all_passed"] else 1
 
@@ -298,17 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale laboratory for primes p with ||p*alpha|| small "
                     "in short intervals (X-Y, X]")
     sub = parser.add_subparsers(dest="command", required=True)
+    output, config = _parent("--format", "--out"), _parent(*CONFIG_FLAGS)
+    force, alpha = _parent("--force"), _parent("--alpha", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _common_options(p)
+    def add(name, fn, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=[output, *parents])
         p.set_defaults(fn=fn)
         return p
 
-    p = add("convergents", cmd_convergents, "continued-fraction terms and convergents")
+    p = add("convergents", cmd_convergents, "continued-fraction terms and convergents", alpha)
     p.add_argument("--count", type=int, default=10)
 
-    p = add("angle", cmd_angle, "certified ||n*alpha||")
+    p = add("angle", cmd_angle, "certified ||n*alpha||", alpha, _parent("--precision"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-max", type=int, default=None)
 
@@ -316,10 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
 
-    p = add("psi", cmd_psi, "sum of Lambda(n) over the window (X-Y, X]")
+    add("psi", cmd_psi, "sum of Lambda(n) over the window (X-Y, X]",
+        _parent("--x", "--y", required=True))
 
-    add("count", cmd_count, "count primes with ||p*alpha|| < delta in the window")
-    add("ssum", cmd_ssum, "smoothed sum of Lambda(n) F(n*alpha) vs delta*Y")
+    add("count", cmd_count, "count primes with ||p*alpha|| < delta in the window",
+        config, force)
+    add("ssum", cmd_ssum, "smoothed sum of Lambda(n) F(n*alpha) vs delta*Y", config, force)
 
     p = add("vaughan-check", cmd_vaughan_check, "decomposition identity residuals")
     p.add_argument("--u", type=float, default=4.0)
@@ -328,28 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-hi", type=int, default=200)
     p.add_argument("--verbose-rows", action="store_true")
 
-    p = add("minsum", cmd_minsum, "min-sum vs the standard estimate")
+    p = add("minsum", cmd_minsum, "min-sum vs the standard estimate", alpha)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cap", type=float, required=True, help="the cap N")
     p.add_argument("--q", type=int, required=True)
 
-    p = add("t1", cmd_t1, "dyadic type I sum with comparator chain")
+    p = add("t1", cmd_t1, "dyadic type I sum with comparator chain", config, force)
     p.add_argument("--h", type=float, required=True)
 
-    p = add("t2", cmd_t2, "bilinear type II block with bound chain")
+    p = add("t2", cmd_t2, "bilinear type II block with bound chain", config, force)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--m-block", type=int, required=True)
 
-    add("bounds", cmd_bounds, "full dyadic bound suite")
-    add("admissible", cmd_admissible, "hypothesis checks and the q window")
+    add("bounds", cmd_bounds, "full dyadic bound suite", config, force)
+    add("admissible", cmd_admissible, "hypothesis checks and the q window", config)
 
-    p = add("sweep", cmd_sweep, "run a list of config points, JSON or CSV out")
+    p = add("sweep", cmd_sweep, "run a list of config points, JSON or CSV out", force)
     p.add_argument("--points", type=str, required=True,
                    help="JSON file holding a list of config objects")
     p.add_argument("--runs", type=str, default=None,
                    help="comma list from: prime_count,smoothed_sum,bound_suite")
 
     p = add("verify", cmd_verify, "run the acceptance suite")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the acceptance run")
     p.add_argument("--criteria", type=str, default=None,
                    help="comma list of criterion numbers (default: all)")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .alpha import AlphaSpec, find_q_in_window, parse_alpha
 
@@ -28,6 +28,7 @@ __all__ = [
     "InadmissibleConfig",
     "QWindowMiss",
     "check_admissible",
+    "require_admissible",
     "select_q",
     "parse_precision",
     "config_from_dict",
@@ -122,28 +123,31 @@ class ExperimentConfig:
             "L": self.L,
         }
 
-    def with_(self, **kw) -> "ExperimentConfig":
-        return replace(self, **kw)
-
 
 _REQUIRED_KEYS = {"X", "Y", "delta", "eps", "alpha"}
 _OPTIONAL_KEYS = {"err_target", "q_policy", "budget", "seed", "format"}
 _DERIVED_KEYS = {"U", "V", "L"}
 
 
-def _integral(key: str, value) -> int:
-    """value as an int if it is an integer or an integral float; never a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+def _number(key: str, value, integral: bool = False):
+    """value as a float, or as an int if ``integral`` (an int or an integral float).
+
+    Booleans, strings and other types are rejected.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not integral:
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON-shaped dict; unknown keys are rejected.
 
-    X, Y and seed must be integers or integral floats, never booleans.
+    X, Y and seed must be integers or integral floats, and delta, eps,
+    budget and err_target numbers (err_target may also be a precision
+    string such as '2^-40'); booleans are never accepted.
     Derived keys U, V, L are accepted only if they match their derived
     values (so an echoed report config round-trips).
     """
@@ -157,21 +161,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if isinstance(alpha, str):
         alpha = parse_alpha(alpha)
     kwargs = {
-        "X": _integral("X", data["X"]),
-        "Y": _integral("Y", data["Y"]),
-        "delta": float(data["delta"]),
-        "eps": float(data["eps"]),
+        "X": _number("X", data["X"], integral=True),
+        "Y": _number("Y", data["Y"], integral=True),
+        "delta": _number("delta", data["delta"]),
+        "eps": _number("eps", data["eps"]),
         "alpha": alpha,
     }
     if "err_target" in data:
-        kwargs["err_target"] = parse_precision(data["err_target"])
+        err = data["err_target"]
+        kwargs["err_target"] = (parse_precision(err) if isinstance(err, str)
+                                else _number("err_target", err))
     for key in ("q_policy", "format"):
         if key in data:
             kwargs[key] = str(data[key])
     if "budget" in data:
-        kwargs["budget"] = float(data["budget"])
+        kwargs["budget"] = _number("budget", data["budget"])
     if "seed" in data:
-        kwargs["seed"] = _integral("seed", data["seed"])
+        kwargs["seed"] = _number("seed", data["seed"], integral=True)
     config = ExperimentConfig(**kwargs)
     for key in _DERIVED_KEYS & set(data):
         derived = getattr(config, key)
@@ -228,6 +234,14 @@ def check_admissible(config: ExperimentConfig) -> AdmissibilityReport:
         ("delta <= 1/2", delta <= 0.5, delta, 0.5),
     )
     return AdmissibilityReport(checks=checks, q_window=config.q_window())
+
+
+def require_admissible(config: ExperimentConfig, force: bool = False) -> AdmissibilityReport:
+    """The admissibility gate: check_admissible, raising on a violation unless forced."""
+    adm = check_admissible(config)
+    if not adm.ok and not force:
+        raise InadmissibleConfig("config violates: " + "; ".join(adm.violations()))
+    return adm
 
 
 def select_q(config: ExperimentConfig):

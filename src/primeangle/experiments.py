@@ -14,14 +14,14 @@ import math
 
 from .alpha import build_angle_oracle
 from .config import (
-    AdmissibilityReport,
     ExperimentConfig,
     InadmissibleConfig,
-    check_admissible,
+    config_from_dict,
+    require_admissible,
     select_q,
 )
 from .report import SumReport
-from .sieve import ExactSum, primes_with_small_angle, sieve_segments, small_tables
+from .sieve import ExactSum, iroot, primes_with_small_angle, sieve_segments, small_tables
 from .smoothing import f_direct_array, kernel_for_experiment
 from .vaughan import (
     BudgetExceeded,
@@ -29,7 +29,6 @@ from .vaughan import (
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
-    iroot,
     s1_type_i,
     t1_sum,
     t2_bound_chain,
@@ -49,21 +48,28 @@ __all__ = [
 GAMMA_SAMPLE_OFFSETS = (0, -1, 1, -2, 3)
 
 
-def _gate(config: ExperimentConfig, force: bool) -> AdmissibilityReport:
-    adm = check_admissible(config)
-    if not adm.ok and not force:
-        raise InadmissibleConfig(
-            "config violates: " + "; ".join(adm.violations()))
-    return adm
+def _window_report(kind: str, config: ExperimentConfig, force: bool, measure) -> SumReport:
+    """The prologue shared by the window runners, then ``measure``.
 
-
-def _q_flags(config, adm, in_window) -> list:
-    flags = []
-    if not in_window:
-        flags.append("q-out-of-window")
+    An empty window (Y = 0) gives an empty report.  Otherwise the point
+    passes the admissibility gate and the budget check, q is selected and
+    the angle oracle built; ``measure(oracle, flags)`` then streams the
+    window, may append flags, and returns the remaining report fields.
+    """
+    if config.Y == 0:
+        return SumReport(kind=kind, value=0.0, main_term=0.0, ratio=None,
+                         flags=["empty-window"])
+    adm = require_admissible(config, force)
+    if config.Y > config.budget:
+        raise BudgetExceeded(f"window length {config.Y} exceeds budget {config.budget}")
+    conv, in_window = select_q(config)
+    oracle = build_angle_oracle(config.alpha, n_max=config.X, err_target=config.err_target)
+    flags = [] if in_window else ["q-out-of-window"]
     if not adm.ok:
         flags.append("inadmissible-forced")
-    return flags
+    fields = measure(oracle, flags)
+    return SumReport(kind=kind, q_used=conv.q, q_window=config.q_window(),
+                     q_in_window=in_window, flags=flags, **fields)
 
 
 def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport:
@@ -77,41 +83,31 @@ def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport
     and its measured decay exponent.
     """
     X, Y, delta = config.X, config.Y, config.delta
-    if Y == 0:
-        return SumReport(kind="smoothed_sum", value=0.0, main_term=0.0, ratio=None,
-                         flags=["empty-window"])
-    adm = _gate(config, force)
-    if Y > config.budget:
-        raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")
-    conv, in_window = select_q(config)
-    oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
-    value_sum, psi_sum = ExactSum(), ExactSum()
-    for segment in sieve_segments(X - Y, X):
-        n, lam = segment.mangoldt_terms()
-        _, angles = oracle.dists(n)
-        value_sum.add(lam * f_direct_array(angles, delta))
-        psi_sum.add(lam)
-    value = value_sum.value()
-    psi_window = psi_sum.value()
-    error_sum = value - delta * psi_window
-    main = delta * Y
-    err_ratio = abs(error_sum) / main if main else None
-    exponent = -math.log(err_ratio) / math.log(X) if err_ratio else None
-    return SumReport(
-        kind="smoothed_sum",
-        value=value,
-        main_term=main,
-        q_used=conv.q,
-        q_window=config.q_window(),
-        q_in_window=in_window,
-        measured_exponent=exponent,
-        bound_terms={
-            "psi_window": psi_window,
-            "error_sum": error_sum,
-            "error_over_main": err_ratio if err_ratio is not None else 0.0,
-        },
-        flags=_q_flags(config, adm, in_window),
-    )
+
+    def measure(oracle, flags):
+        value_sum, psi_sum = ExactSum(), ExactSum()
+        for segment in sieve_segments(X - Y, X):
+            n, lam = segment.mangoldt_terms()
+            _, angles = oracle.dists(n)
+            value_sum.add(lam * f_direct_array(angles, delta))
+            psi_sum.add(lam)
+        value = value_sum.value()
+        psi_window = psi_sum.value()
+        error_sum = value - delta * psi_window
+        main = delta * Y
+        err_ratio = abs(error_sum) / main if main else None
+        return {
+            "value": value,
+            "main_term": main,
+            "measured_exponent": -math.log(err_ratio) / math.log(X) if err_ratio else None,
+            "bound_terms": {
+                "psi_window": psi_window,
+                "error_sum": error_sum,
+                "error_over_main": err_ratio if err_ratio is not None else 0.0,
+            },
+        }
+
+    return _window_report("smoothed_sum", config, force, measure)
 
 
 def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
@@ -122,39 +118,29 @@ def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
     separately (zero at default precision).
     """
     X, Y, delta = config.X, config.Y, config.delta
-    if Y == 0:
-        return SumReport(kind="prime_count", value=0.0, main_term=0.0, ratio=None,
-                         flags=["empty-window"])
-    adm = _gate(config, force)
-    if Y > config.budget:
-        raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")
-    conv, in_window = select_q(config)
-    oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
-    count = boundary = interval_primes = 0
-    for segment in sieve_segments(X - Y, X):
-        res = primes_with_small_angle(segment, oracle, delta)
-        count += res.count
-        boundary += res.boundary_count
-        interval_primes += segment.prime_count()
-    flags = _q_flags(config, adm, in_window)
-    if boundary:
-        flags.append(f"boundary:{boundary}")
-    return SumReport(
-        kind="prime_count",
-        value=float(count),
-        main_term=2 * delta * Y / math.log(X),
-        q_used=conv.q,
-        q_window=config.q_window(),
-        q_in_window=in_window,
-        bound_terms={
-            "boundary_count": float(boundary),
-            "interval_primes": float(interval_primes),
-        },
-        flags=flags,
-    )
+
+    def measure(oracle, flags):
+        count = boundary = interval_primes = 0
+        for segment in sieve_segments(X - Y, X):
+            res = primes_with_small_angle(segment, oracle, delta)
+            count += res.count
+            boundary += res.boundary_count
+            interval_primes += segment.prime_count()
+        if boundary:
+            flags.append(f"boundary:{boundary}")
+        return {
+            "value": float(count),
+            "main_term": 2 * delta * Y / math.log(X),
+            "bound_terms": {
+                "boundary_count": float(boundary),
+                "interval_primes": float(interval_primes),
+            },
+        }
+
+    return _window_report("prime_count", config, force, measure)
 
 
-def build_sum_context(config: ExperimentConfig, force: bool = False) -> SumContext:
+def build_sum_context(config: ExperimentConfig) -> SumContext:
     """Assemble oracle, kernel and tables for the T-sum evaluators.
 
     The bound-suite oracle is built much deeper than the experiment default
@@ -180,9 +166,9 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False,
     Cauchy-Schwarz opening T3 = T4 + T5, quadruple-count samples where the
     enumeration budget allows, and the closed-form chain terms.
     """
-    adm = _gate(config, force)
+    adm = require_admissible(config, force)
     conv, in_window = select_q(config)
-    ctx = build_sum_context(config, force)
+    ctx = build_sum_context(config)
     notices = []
     result = {
         "q_used": conv.q,
@@ -261,7 +247,6 @@ def sweep(configs, runs=("prime_count", "smoothed_sum"), force: bool = False) ->
         row = {"index": index}
         try:
             if not isinstance(config, ExperimentConfig):
-                from .config import config_from_dict
                 config = config_from_dict(config)
             row["config"] = config.as_dict()
             reports = {}

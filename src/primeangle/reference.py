@@ -56,11 +56,6 @@ def naive_mangoldt_pk(n: int):
     return (n, 1)
 
 
-def naive_mangoldt(n: int) -> float:
-    pk = naive_mangoldt_pk(n)
-    return math.log(pk[0]) if pk else 0.0
-
-
 def naive_mu(n: int) -> int:
     if n == 1:
         return 1

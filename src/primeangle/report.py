@@ -54,8 +54,12 @@ class SumReport:
 
 
 def report_to_json(payload, indent: int = 2) -> str:
-    """Deterministic JSON: sorted keys, no whitespace drift."""
-    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=True)
+    """Deterministic JSON: sorted keys, no whitespace drift.
+
+    NaN and infinities are not JSON, so a payload holding one raises
+    ValueError instead of emitting them.
+    """
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _flatten(prefix: str, obj, out: dict):

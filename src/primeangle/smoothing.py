@@ -124,12 +124,6 @@ class SmoothingKernel:
             raise ValueError(f"l={ell} outside 1..{self.L}")
         return float(self.coeffs[ell - 1])
 
-    def phase_sum(self, x: float) -> complex:
-        """sum over 0 < l <= L of c(l) e(l x)."""
-        ang = (2.0 * np.pi * x) * np.arange(1, self.L + 1)
-        return complex(np.dot(self.coeffs, np.cos(ang)),
-                       np.dot(self.coeffs, np.sin(ang)))
-
     def cosine_sum(self, x: float) -> float:
         """sum over 0 < |l| <= L of c(|l|) e(l x)  =  2 sum c(l) cos(2 pi l x)."""
         ang = (2.0 * np.pi * x) * np.arange(1, self.L + 1)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .alpha import AngleOracle
+from .config import DEFAULT_BUDGET
 from .expsum import MinSumInstance, linear_exp_sum, min_sum, standard_estimate_bound
 from .report import SumReport
 from .sieve import SmallTables, iroot
@@ -36,9 +37,7 @@ __all__ = [
     "BudgetExceeded",
     "VaughanParams",
     "BilinearCoeffs",
-    "DyadicBlock",
     "SumContext",
-    "iroot",
     "vaughan_pieces",
     "b_coeff",
     "s1_type_i",
@@ -51,8 +50,6 @@ __all__ = [
     "dyadic_h_blocks",
     "dyadic_m_blocks",
 ]
-
-DEFAULT_BUDGET = 1e9
 
 
 class BudgetExceeded(RuntimeError):
@@ -151,8 +148,6 @@ class SumContext:
     kernel: SmoothingKernel
     tables: SmallTables
     budget: float = DEFAULT_BUDGET
-    grid_fallback: bool = False
-    grid_points: int = 64
 
     def __post_init__(self):
         if not (0 <= self.Y <= self.X):
@@ -201,19 +196,6 @@ class BilinearCoeffs:
         return BilinearCoeffs(V=V, b=tuple(values), n_limit=n_limit)
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
-    """One (H, M) cell of the type II grid, with the window-derived n-range."""
-
-    H: float
-    M: int
-    n_lo: int   # smallest n with n > max(X^{1/3}, (X-Y)/M)
-    n_hi: int   # floor(2X/M)
-
-    def h_range(self):
-        return range(int(self.H / 2) + 1, int(self.H) + 1)
-
-
 def dyadic_h_blocks(L: int):
     """Real dyadic labels H = L, L/2, L/4, ... >= 1 covering 0 < h <= L."""
     out = []
@@ -239,26 +221,18 @@ def dyadic_m_blocks(X: int):
 # type I sums
 # ---------------------------------------------------------------------------
 
-def _suffix_max_closed(xs, coeffs, n_lo: int, n_hi: int, starts) -> float:
-    """max over suffix starts k of |sum_l coeffs[l] * sum_{k<=n<=n_hi} e(n xs[l])|."""
+def _suffix_max_closed(xs, coeffs, n_lo: int, n_hi: int) -> float:
+    """max over n_lo <= k <= n_hi + 1 of |sum_l coeffs[l] * sum_{k<=n<=n_hi} e(n xs[l])|.
+
+    k = n_hi + 1 gives the empty suffix.
+    """
     best = 0.0
-    for k in starts:
+    for k in range(n_lo, n_hi + 2):
         total = 0j
         for c, x in zip(coeffs, xs):
             total += c * linear_exp_sum(k - 1, n_hi, x)
         best = max(best, abs(total))
     return best
-
-
-def _start_list(n_lo: int, n_hi: int, ctx: SumContext, flags: list):
-    starts = range(n_lo, n_hi + 2)  # n_hi + 1 gives the empty suffix
-    if ctx.grid_fallback and len(starts) > ctx.grid_points:
-        step = (len(starts) - 1) / (ctx.grid_points - 1)
-        sampled = sorted({n_lo + round(i * step) for i in range(ctx.grid_points)})
-        if "grid-fallback" not in flags:
-            flags.append("grid-fallback")
-        return sampled
-    return list(starts)
 
 
 def s1_type_i(ctx: SumContext, q: int) -> SumReport:
@@ -274,7 +248,6 @@ def s1_type_i(ctx: SumContext, q: int) -> SumReport:
     if cost > ctx.budget:
         raise BudgetExceeded(f"type I cost {cost:.3g} exceeds budget {ctx.budget:.3g}")
     coeffs = [ctx.kernel.c(l) for l in range(1, L + 1)]
-    flags: list = []
     total_terms = []
     for m in range(1, m_max + 1):
         n_hi = X // m
@@ -282,8 +255,7 @@ def s1_type_i(ctx: SumContext, q: int) -> SumReport:
         if n_hi < n_lo - 1:
             continue
         xs = [ctx.frac(l * m) for l in range(1, L + 1)]
-        starts = _start_list(n_lo, n_hi, ctx, flags)
-        total_terms.append(_suffix_max_closed(xs, coeffs, n_lo, n_hi, starts))
+        total_terms.append(_suffix_max_closed(xs, coeffs, n_lo, n_hi))
     value = math.fsum(total_terms)
 
     bound_terms = {}
@@ -308,7 +280,6 @@ def s1_type_i(ctx: SumContext, q: int) -> SumReport:
         q_used=q,
         measured_exponent=_decay_exponent(ratio, X),
         bound_terms=bound_terms,
-        flags=flags,
     )
 
 
@@ -346,7 +317,6 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
     n_cost = sum(X // m - (X - Y) // m + 2 for m in range(1, m_max + 1))
     if n_cost * max(0, h_hi - h_lo + 1) > ctx.budget:
         raise BudgetExceeded("type I dyadic cost exceeds budget")
-    flags: list = []
     block_values = []
     for h in range(h_lo, h_hi + 1):
         ch = abs(ctx.kernel.c(h))
@@ -357,9 +327,8 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
             if n_hi < n_lo - 1:
                 continue
             x = ctx.frac(h * m)
-            starts = _start_list(n_lo, n_hi, ctx, flags)
             best = 0.0
-            for k in starts:
+            for k in range(n_lo, n_hi + 2):  # n_hi + 1 gives the empty suffix
                 best = max(best, abs(linear_exp_sum(k - 1, n_hi, x)))
             inner_terms.append(best)
         block_values.append(ch * math.fsum(inner_terms))
@@ -394,7 +363,6 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
         q_used=q,
         measured_exponent=_decay_exponent(ratio, X),
         bound_terms=bound_terms,
-        flags=flags,
     )
 
 

@@ -20,7 +20,6 @@ from primeangle.alpha import (
     convergents,
     find_q_in_window,
     parse_alpha,
-    surd_period,
     verify_convergent_pair,
 )
 
@@ -55,9 +54,6 @@ def test_cf_terms_explicit():
 def test_cf_terms_sqrt7_period():
     # exact CF algorithm over one full period: sqrt(7) = [2; 1,1,1,4 repeating]
     assert cf_terms(AlphaSpec.sqrt(7), 9) == [2, 1, 1, 1, 4, 1, 1, 1, 4]
-    pre, per = surd_period(AlphaSpec.sqrt(7))
-    assert pre == (2,)
-    assert per == (1, 1, 1, 4)
 
 
 @pytest.mark.parametrize("d", [4, 9, 16, 144])

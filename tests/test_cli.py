@@ -1,10 +1,13 @@
 """CLI surface: every subcommand, the config grammar, and output determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 
-from primeangle.cli import main
+import pytest
+
+from primeangle.cli import build_parser, main
 
 RUN = [sys.executable, "-m", "primeangle.cli"]
 
@@ -194,3 +197,90 @@ def test_verify_byte_identical_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+OUTPUT = {"--format", "--out"}
+CONFIG = {"--x", "--y", "--delta", "--eps", "--alpha", "--precision", "--q-policy",
+          "--budget", "--seed", "--config"}
+FLAGS = {
+    "convergents": OUTPUT | {"--alpha", "--count"},
+    "angle": OUTPUT | {"--alpha", "--precision", "--n", "--n-max"},
+    "sieve": OUTPUT | {"--lo", "--hi"},
+    "psi": OUTPUT | {"--x", "--y"},
+    "count": OUTPUT | CONFIG | {"--force"},
+    "ssum": OUTPUT | CONFIG | {"--force"},
+    "vaughan-check": OUTPUT | {"--u", "--v", "--n-lo", "--n-hi", "--verbose-rows"},
+    "minsum": OUTPUT | {"--alpha", "--m", "--cap", "--q"},
+    "t1": OUTPUT | CONFIG | {"--force", "--h"},
+    "t2": OUTPUT | CONFIG | {"--force", "--h", "--m-block"},
+    "bounds": OUTPUT | CONFIG | {"--force"},
+    "admissible": OUTPUT | CONFIG,
+    "sweep": OUTPUT | {"--force", "--points", "--runs"},
+    "verify": OUTPUT | {"--seed", "--criteria"},
+}
+
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subcommands = _subcommands()
+    assert set(subcommands) == set(FLAGS)
+    for name, parser in subcommands.items():
+        flags = {opt for a in parser._actions for opt in a.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        assert flags == FLAGS[name], name
+
+
+POINT = ["--x", "500", "--y", "150", "--delta", "0.3", "--eps", "0.05", "--alpha", "sqrt:2"]
+UNREAD = [
+    ["convergents", "--alpha", "sqrt:2", "--x", "5"],
+    ["angle", "--alpha", "sqrt:2", "--n", "5", "--force"],
+    ["sieve", "--lo", "50", "--hi", "60", "--x", "5", "--alpha", "sqrt:2", "--force"],
+    ["psi", "--x", "100", "--y", "50", "--alpha", "sqrt:2"],
+    ["count"] + POINT + ["--points", "p.json"],
+    ["ssum"] + POINT + ["--criteria", "1"],
+    ["vaughan-check", "--force"],
+    ["minsum", "--alpha", "sqrt:2", "--m", "10", "--cap", "100", "--q", "29", "--seed", "1"],
+    ["t1", "--h", "2"] + POINT + ["--m-block", "16"],
+    ["t2", "--h", "2", "--m-block", "16"] + POINT + ["--count", "3"],
+    ["bounds"] + POINT + ["--lo", "5"],
+    ["admissible"] + POINT + ["--force"],
+    ["sweep", "--points", "p.json", "--x", "5"],
+    ["verify", "--criteria", "1", "--force"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=[argv[0] for argv in UNREAD])
+def test_unread_flag_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["t1", "--h", "2"],
+                                     ["t2", "--h", "2", "--m-block", "16"]])
+def test_t1_t2_gate_inadmissible_point(command, capsys):
+    code, _out, err = run_cli(command + POINT, capsys)
+    assert code == 1
+    assert "config violates" in err
+    code, _out, _err = run_cli(command + POINT + ["--force"], capsys)
+    assert code == 0
+
+
+def test_psi_requires_x(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--y", "50"])
+    assert exc.value.code == 2
+    assert "--x" in capsys.readouterr().err
+
+
+def test_verify_unknown_criterion(capsys):
+    code, out, err = run_cli(["verify", "--criteria", "11"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unknown criteria" in err

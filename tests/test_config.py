@@ -8,11 +8,13 @@ import pytest
 from primeangle.alpha import AlphaSpec
 from primeangle.config import (
     ExperimentConfig,
+    InadmissibleConfig,
     QWindowMiss,
     check_admissible,
     config_from_dict,
     config_from_json,
     parse_precision,
+    require_admissible,
     select_q,
 )
 
@@ -48,6 +50,14 @@ def test_inadmissible_named_violation():
     report = check_admissible(base_config(Y=10 ** 6 // 2 + 1))
     assert not report.ok
     assert "Y <= X/2" in report.violations()
+
+
+def test_gate_raises_unless_forced():
+    config = base_config(Y=10 ** 6 // 2 + 1)
+    with pytest.raises(InadmissibleConfig, match="Y <= X/2"):
+        require_admissible(config)
+    assert not require_admissible(config, force=True).ok
+    assert require_admissible(base_config()).ok
 
 
 def test_select_q_nearest_above():
@@ -143,3 +153,22 @@ def test_config_accepts_integral_floats():
                                "alpha": "sqrt:2", "seed": 7.0})
     assert (config.X, config.Y, config.seed) == (1000, 300, 7)
     assert all(type(v) is int for v in (config.X, config.Y, config.seed))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("delta", True), ("delta", "0.3"), ("delta", None),
+    ("eps", True), ("eps", "0.05"), ("eps", [0.05]),
+    ("budget", True), ("budget", False), ("budget", "1e9"), ("budget", None),
+    ("err_target", True), ("err_target", None), ("err_target", [2.0 ** -40]),
+])
+def test_config_rejects_non_numeric_reals(key, value):
+    data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": "sqrt:2", key: value}
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        config_from_dict(data)
+
+
+def test_config_accepts_integer_reals():
+    config = config_from_dict({"X": 1000, "Y": 300, "delta": 0.3, "eps": 1,
+                               "alpha": "sqrt:2", "budget": 10 ** 6, "err_target": 1})
+    assert (config.eps, config.budget, config.err_target) == (1.0, 1e6, 1.0)
+    assert all(type(v) is float for v in (config.eps, config.budget, config.err_target))

@@ -163,3 +163,9 @@ def test_csv_flattening():
     assert "reports.prime_count.value" in header
     assert "config.X" in header
     assert "reports.prime_count.bound_terms.boundary_count" in header
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_json_refuses_non_finite(bad):
+    with pytest.raises(ValueError):
+        report_to_json({"value": bad})

@@ -116,17 +116,6 @@ def test_kernel_coefficients_decreasing():
         assert 0 < k.c(ell + 1) < k.c(ell)
 
 
-def test_phase_sum_matches_direct_loop():
-    kernel = build_kernel(0.3, 25)
-    rng = random.Random(1729)
-    for _ in range(50):
-        x = rng.random()
-        direct = sum(kernel.c(l) * complex(math.cos(2 * math.pi * l * x),
-                                           math.sin(2 * math.pi * l * x))
-                     for l in range(1, 26))
-        assert abs(kernel.phase_sum(x) - direct) < 1e-12
-
-
 def test_bad_args_rejected():
     with pytest.raises(ValueError):
         f_direct(0.1, 0.7)

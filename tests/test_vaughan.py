@@ -11,7 +11,7 @@ from primeangle.reference import (
     naive_type_i_block,
     naive_type_ii_block,
 )
-from primeangle.sieve import small_tables
+from primeangle.sieve import iroot, small_tables
 from primeangle.smoothing import kernel_for_experiment
 from primeangle.vaughan import (
     BudgetExceeded,
@@ -21,7 +21,6 @@ from primeangle.vaughan import (
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
-    iroot,
     s1_type_i,
     t1_sum,
     t2_bound_chain,
@@ -187,16 +186,6 @@ def test_t1_budget_guard():
     ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05, budget=10)
     with pytest.raises(BudgetExceeded):
         t1_sum(2, ctx, q=29)
-
-
-def test_grid_fallback_flagged():
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05)
-    ctx.grid_fallback = True
-    ctx.grid_points = 8
-    report = t1_sum(2, ctx, q=29)
-    assert "grid-fallback" in report.flags
-    exact = t1_sum(2, make_ctx(X=200, Y=60, delta=0.3, eps=0.05), q=29)
-    assert report.value <= exact.value + 1e-9  # sampled max is a lower bound
 
 
 # ---------------------------------------------------------------------------
