@@ -233,7 +233,7 @@ def criterion_6(seed: int) -> dict:
             for H in dyadic_h_blocks(ctx.L):
                 split = t3_t4_t5_split(H, M, ctx)
                 t2 = t2_sum(H, M, ctx)
-                cauchy = t2.value ** 2 <= split.lambda_sq_sum * split.t3 * (1 + 1e-9) + 1e-9
+                cauchy = split.cauchy_ok(t2.value)
                 good = split.identity_residual <= SPLIT_RESIDUAL_TOL and cauchy
                 rows.append({"X": X, "H": H, "M": M,
                              "identity_residual": split.identity_residual,

@@ -71,7 +71,8 @@ def _parent(*flags, **extra):
     return parser
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(args, **defaults) -> ExperimentConfig:
+    """The config of --config and the flags; ``defaults`` fill keys neither gives."""
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -93,6 +94,8 @@ def _build_config(args) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
+    for key, value in defaults.items():
+        data.setdefault(key, value)
     return config_from_dict(data)
 
 
@@ -251,9 +254,7 @@ def cmd_bounds(args):
 
 
 def cmd_admissible(args):
-    if args.alpha is None:
-        args.alpha = "sqrt:2"  # admissibility does not depend on alpha
-    config = _build_config(args)
+    config = _build_config(args, alpha="sqrt:2")  # admissibility does not depend on alpha
     report = check_admissible(config)
     _emit(args, {"config": config.as_dict(), **report.as_dict()})
     return 0
@@ -281,7 +282,7 @@ def cmd_verify(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="primeangle",
+        prog="primeangle", allow_abbrev=False,
         description="Desk-scale laboratory for primes p with ||p*alpha|| small "
                     "in short intervals (X-Y, X]")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     force, alpha = _parent("--force"), _parent("--alpha", required=True)
 
     def add(name, fn, help_text, *parents):
-        p = sub.add_parser(name, help=help_text, parents=[output, *parents])
+        p = sub.add_parser(name, help=help_text, parents=[output, *parents], allow_abbrev=False)
         p.set_defaults(fn=fn)
         return p
 

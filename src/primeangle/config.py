@@ -86,8 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"format must be one of {FORMATS}")
         if not (0.0 < self.delta <= 0.5):
             raise ValueError("delta must lie in (0, 1/2]")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (0 < self.eps < math.inf):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        if not math.isfinite(self.budget):
+            raise ValueError(f"budget must be finite, got {self.budget!r}")
 
     @property
     def U(self) -> float:

@@ -199,8 +199,7 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False,
             block["t5_re"] = split.t5.real
             block["identity_residual"] = split.identity_residual
             block["lambda_sq_sum"] = split.lambda_sq_sum
-            block["cauchy_ok"] = (
-                t2.value ** 2 <= split.lambda_sq_sum * split.t3 * (1 + 1e-9) + 1e-9)
+            block["cauchy_ok"] = split.cauchy_ok(t2.value)
             block["max_m_range_len"] = split.max_m_range_len
             if split.t3 == 0.0 and abs(t4_plus_t5) == 0.0:
                 empty_blocks += 1

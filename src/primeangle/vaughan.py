@@ -25,6 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .alpha import AngleOracle
 from .config import DEFAULT_BUDGET
@@ -172,6 +175,15 @@ class SumContext:
         # smallest n with n > X^{1/3} is this value + 1
         return iroot(self.X, 3)
 
+    @cached_property
+    def coeffs(self) -> "BilinearCoeffs":
+        """b(n) for every n the tables cover, built once per context.
+
+        V is the integer floor of X^{1/3}: divisors d <= X^{1/3} iff d <= floor.
+        """
+        return BilinearCoeffs.build(self.tables.limit, float(self.n_cut_type_ii()),
+                                    self.tables)
+
 
 @dataclass(frozen=True)
 class BilinearCoeffs:
@@ -188,12 +200,15 @@ class BilinearCoeffs:
 
     @staticmethod
     def build(n_limit: int, V: float, tables: SmallTables) -> "BilinearCoeffs":
-        values = [0] * (n_limit + 1)
-        for n in range(1, n_limit + 1):
-            values[n] = b_coeff(n, V, tables)
-            if abs(values[n]) > tables.tau[n]:
-                raise AssertionError(f"|b({n})| exceeds tau({n})")
-        return BilinearCoeffs(V=V, b=tuple(values), n_limit=n_limit)
+        # divisor sieve: every d <= V adds mu(d) to its multiples
+        beta = np.zeros(n_limit + 1, dtype=np.int64)
+        for d in range(1, min(int(V), n_limit) + 1):
+            if tables.mu[d]:
+                beta[d::d] += tables.mu[d]
+        bad = np.flatnonzero(np.abs(beta) > tables.tau[:n_limit + 1])
+        if bad.size:
+            raise AssertionError(f"|b({bad[0]})| exceeds tau({bad[0]})")
+        return BilinearCoeffs(V=V, b=tuple(beta.tolist()), n_limit=n_limit)
 
 
 def dyadic_h_blocks(L: int):
@@ -204,6 +219,12 @@ def dyadic_h_blocks(L: int):
         out.append(H)
         H /= 2.0
     return out[::-1]
+
+
+def _h_weights(kernel: SmoothingKernel, H: float):
+    """(h, c(h)) over the dyadic block H/2 < h <= H."""
+    h_lo, h_hi = int(H / 2) + 1, int(H)
+    return [(h, kernel.c(h)) for h in range(h_lo, h_hi + 1)]
 
 
 def dyadic_m_blocks(X: int):
@@ -221,7 +242,22 @@ def dyadic_m_blocks(X: int):
 # type I sums
 # ---------------------------------------------------------------------------
 
-def _suffix_max_closed(xs, coeffs, n_lo: int, n_hi: int) -> float:
+def _type_i_rows(ctx: SumContext, phases: int) -> list:
+    """The rows (m, n_lo, n_hi) of a type I sum, after the budget check.
+
+    m runs over m <= X^{2/3} and n over (X-Y)/m < n <= X/m.  The cost is
+    the n_hi - n_lo + 2 suffix starts of every row times ``phases``, the
+    number of phases summed at each start.
+    """
+    X, Y = ctx.X, ctx.Y
+    rows = [(m, (X - Y) // m + 1, X // m) for m in range(1, ctx.m_max_type_i() + 1)]
+    cost = sum(n_hi - n_lo + 2 for _, n_lo, n_hi in rows) * phases
+    if cost > ctx.budget:
+        raise BudgetExceeded(f"type I cost {cost:.3g} exceeds budget {ctx.budget:.3g}")
+    return rows
+
+
+def _suffix_max(xs, coeffs, n_lo: int, n_hi: int) -> float:
     """max over n_lo <= k <= n_hi + 1 of |sum_l coeffs[l] * sum_{k<=n<=n_hi} e(n xs[l])|.
 
     k = n_hi + 1 gives the empty suffix.
@@ -235,6 +271,23 @@ def _suffix_max_closed(xs, coeffs, n_lo: int, n_hi: int) -> float:
     return best
 
 
+def _min_sum_chain(ctx: SumContext, H: float, q: int):
+    """(M, K, cap, min_sum) of the k = h*m comparator chain of one dyadic H.
+
+    M runs over 1, 2, 4, ... <= X^{2/3} and then X^{2/3} itself; the
+    min-sum runs over k <= K = MH with the cap max(1, Y/M).
+    """
+    m_max = ctx.m_max_type_i()
+    labels = [1 << i for i in range(m_max.bit_length())]
+    if labels[-1:] != [m_max]:
+        labels.append(m_max)
+    for M in labels:
+        K = int(M * H)
+        if K >= 1:
+            cap = max(1.0, ctx.Y / M)
+            yield M, K, cap, min_sum(MinSumInstance(M=K, N=cap, oracle=ctx.oracle, q=q)).value
+
+
 def s1_type_i(ctx: SumContext, q: int) -> SumReport:
     """Exact type I sum with the full Fourier range 0 < l <= L.
 
@@ -242,62 +295,29 @@ def s1_type_i(ctx: SumContext, q: int) -> SumReport:
     the max running over the integer breakpoints of w in [(X-Y)/m, X].
     The comparator assembles the k = h*m min-sum chain over dyadic blocks.
     """
-    X, Y, L = ctx.X, ctx.Y, ctx.L
-    m_max = ctx.m_max_type_i()
-    cost = sum((X // m - (X - Y) // m + 1) * L for m in range(1, m_max + 1))
-    if cost > ctx.budget:
-        raise BudgetExceeded(f"type I cost {cost:.3g} exceeds budget {ctx.budget:.3g}")
+    L = ctx.L
+    rows = _type_i_rows(ctx, L)
     coeffs = [ctx.kernel.c(l) for l in range(1, L + 1)]
-    total_terms = []
-    for m in range(1, m_max + 1):
-        n_hi = X // m
-        n_lo = (X - Y) // m + 1
-        if n_hi < n_lo - 1:
-            continue
-        xs = [ctx.frac(l * m) for l in range(1, L + 1)]
-        total_terms.append(_suffix_max_closed(xs, coeffs, n_lo, n_hi))
-    value = math.fsum(total_terms)
+    value = math.fsum(_suffix_max([ctx.frac(l * m) for l in range(1, L + 1)], coeffs, n_lo, n_hi)
+                      for m, n_lo, n_hi in rows)
 
     bound_terms = {}
     comparator_parts = []
     for H in dyadic_h_blocks(L):
-        for M in _dyadic_labels_up_to(m_max):
-            K = int(M * H)
-            if K < 1:
-                continue
-            cap = max(1.0, Y / M)
-            inst = MinSumInstance(M=K, N=cap, oracle=ctx.oracle, q=q)
-            measured = min_sum(inst).value
+        for M, _K, _cap, measured in _min_sum_chain(ctx, H, q):
             comparator_parts.append(measured)
             bound_terms[f"chain.H{H:g}.M{M}.min_sum"] = measured
     bound_terms["comparator.total"] = math.fsum(comparator_parts)
-    ratio = value / Y if Y else None
-    return SumReport(
-        kind="s1_type_i",
-        value=value,
-        main_term=float(Y),
-        ratio=ratio,
-        q_used=q,
-        measured_exponent=_decay_exponent(ratio, X),
-        bound_terms=bound_terms,
-    )
+    return _report("s1_type_i", ctx, value, bound_terms, q)
 
 
-def _dyadic_labels_up_to(m_max: int):
-    out = []
-    M = 1
-    while M <= m_max:
-        out.append(M)
-        M *= 2
-    if not out or out[-1] != m_max:
-        out.append(m_max)
-    return out
-
-
-def _decay_exponent(ratio, X):
-    if ratio is None or ratio <= 0:
-        return None
-    return -math.log(ratio) / math.log(X)
+def _report(kind: str, ctx: SumContext, value: float, bound_terms: dict, q=None) -> SumReport:
+    """|sum| against the main term Y, with the measured decay exponent -log(ratio)/log X."""
+    report = SumReport(kind=kind, value=value, main_term=float(ctx.Y), q_used=q,
+                       bound_terms=bound_terms)
+    if report.ratio:
+        report.measured_exponent = -math.log(report.ratio) / math.log(ctx.X)
+    return report
 
 
 def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
@@ -312,36 +332,16 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
     X, Y = ctx.X, ctx.Y
     if not (1 <= H <= ctx.L):
         raise ValueError("need 1 <= H <= L")
-    h_lo, h_hi = int(H / 2) + 1, int(H)
-    m_max = ctx.m_max_type_i()
-    n_cost = sum(X // m - (X - Y) // m + 2 for m in range(1, m_max + 1))
-    if n_cost * max(0, h_hi - h_lo + 1) > ctx.budget:
-        raise BudgetExceeded("type I dyadic cost exceeds budget")
-    block_values = []
-    for h in range(h_lo, h_hi + 1):
-        ch = abs(ctx.kernel.c(h))
-        inner_terms = []
-        for m in range(1, m_max + 1):
-            n_hi = X // m
-            n_lo = (X - Y) // m + 1
-            if n_hi < n_lo - 1:
-                continue
-            x = ctx.frac(h * m)
-            best = 0.0
-            for k in range(n_lo, n_hi + 2):  # n_hi + 1 gives the empty suffix
-                best = max(best, abs(linear_exp_sum(k - 1, n_hi, x)))
-            inner_terms.append(best)
-        block_values.append(ch * math.fsum(inner_terms))
-    value = math.fsum(block_values)
+    hcs = _h_weights(ctx.kernel, H)
+    rows = _type_i_rows(ctx, len(hcs))
+    value = math.fsum(
+        abs(c) * math.fsum(_suffix_max([ctx.frac(h * m)], [1.0], n_lo, n_hi)
+                           for m, n_lo, n_hi in rows)
+        for h, c in hcs)
 
     bound_terms = {}
     chain_total = []
-    for M in _dyadic_labels_up_to(m_max):
-        K = int(M * H)
-        if K < 1:
-            continue
-        cap = max(1.0, Y / M)
-        measured = min_sum(MinSumInstance(M=K, N=cap, oracle=ctx.oracle, q=q)).value
+    for M, K, cap, measured in _min_sum_chain(ctx, H, q):
         branch, bound = standard_estimate_bound(K, cap, q)
         chain_total.append(measured)
         bound_terms[f"chain.M{M}.k_range"] = float(K)
@@ -354,26 +354,12 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
     bound_terms["ourfirstcond.X_two_thirds"] = float(X) ** (2.0 / 3.0)
     bound_terms["ourfirstcond.delta_q"] = ctx.delta * q
     bound_terms["ourfirstcond.rhs_eta0"] = ctx.delta * Y * float(X) ** (-2 * ctx.eps)
-    ratio = value / Y if Y else None
-    return SumReport(
-        kind="t1_sum",
-        value=value,
-        main_term=float(Y),
-        ratio=ratio,
-        q_used=q,
-        measured_exponent=_decay_exponent(ratio, X),
-        bound_terms=bound_terms,
-    )
+    return _report("t1_sum", ctx, value, bound_terms, q)
 
 
 # ---------------------------------------------------------------------------
 # type II sums
 # ---------------------------------------------------------------------------
-
-def _h_weights(kernel: SmoothingKernel, H: float):
-    h_lo, h_hi = int(H / 2) + 1, int(H)
-    return [(h, kernel.c(h)) for h in range(h_lo, h_hi + 1)]
-
 
 def _type_ii_n_range(ctx: SumContext, m: int):
     n_lo = max(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1
@@ -391,6 +377,17 @@ def _inner_h_sum(hcs, x: float) -> complex:
     return total
 
 
+def _type_ii_row(ctx: SumContext, hcs, m: int) -> complex:
+    """sum_n b(n) sum_h c(h) e(hmn alpha) over the type II n-range of m."""
+    b = ctx.coeffs.b
+    n_lo, n_hi = _type_ii_n_range(ctx, m)
+    inner = 0j
+    for n in range(n_lo, n_hi + 1):
+        if b[n]:
+            inner += b[n] * _inner_h_sum(hcs, ctx.frac(m * n))
+    return inner
+
+
 def t2_sum(H: float, M: int, ctx: SumContext) -> SumReport:
     """Exact bilinear block T2(H, M) with a(m) = Lambda(m), b(n) = beta(n).
 
@@ -398,39 +395,18 @@ def t2_sum(H: float, M: int, ctx: SumContext) -> SumReport:
     where n runs over max{X^{1/3}, (X-Y)/m} < n <= X/m.  The reported value
     is |T2|; real and imaginary parts land in bound_terms.
     """
-    X, Y = ctx.X, ctx.Y
     _check_block(H, M, ctx)
     hcs = _h_weights(ctx.kernel, H)
-    m_lo, m_hi = M // 2 + 1, M
-    cost = sum(max(0, _type_ii_n_range(ctx, m)[1] - _type_ii_n_range(ctx, m)[0] + 1)
-               for m in range(m_lo, m_hi + 1) if ctx.tables.lam_p[m]) * len(hcs)
+    ms = [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam_p[m]]
+    cost = sum(max(0, n_hi - n_lo + 1)
+               for n_lo, n_hi in (_type_ii_n_range(ctx, m) for m in ms)) * len(hcs)
     if cost > ctx.budget:
         raise BudgetExceeded("type II cost exceeds budget")
-    coeffs = _block_coeffs(ctx, M)
     total = 0j
-    for m in range(m_lo, m_hi + 1):
-        lam = ctx.tables.mangoldt(m)
-        if lam == 0.0:
-            continue
-        n_lo, n_hi = _type_ii_n_range(ctx, m)
-        inner = 0j
-        for n in range(n_lo, n_hi + 1):
-            bn = coeffs.b[n]
-            if bn == 0:
-                continue
-            inner += bn * _inner_h_sum(hcs, ctx.frac(m * n))
-        total += lam * inner
-    value = abs(total)
-    ratio = value / Y if Y else None
-    return SumReport(
-        kind="t2_sum",
-        value=value,
-        main_term=float(Y),
-        ratio=ratio,
-        measured_exponent=_decay_exponent(ratio, X),
-        bound_terms={"t2_re": total.real, "t2_im": total.imag,
-                     "H": float(H), "M": float(M)},
-    )
+    for m in ms:
+        total += ctx.tables.mangoldt(m) * _type_ii_row(ctx, hcs, m)
+    return _report("t2_sum", ctx, abs(total), {"t2_re": total.real, "t2_im": total.imag,
+                                               "H": float(H), "M": float(M)})
 
 
 def _check_block(H: float, M: int, ctx: SumContext):
@@ -438,13 +414,6 @@ def _check_block(H: float, M: int, ctx: SumContext):
         raise ValueError("need 1 <= H <= L")
     if not (M ** 3 >= ctx.X and M ** 3 <= ctx.X * ctx.X):
         raise ValueError("need X^(1/3) <= M <= X^(2/3)")
-
-
-def _block_coeffs(ctx: SumContext, M: int) -> BilinearCoeffs:
-    n_limit = 2 * ctx.X // M  # largest n any block range can reach
-    V = float(ctx.n_cut_type_ii())
-    # V is the integer floor of X^{1/3}: divisors d <= X^{1/3} iff d <= floor
-    return BilinearCoeffs.build(n_limit, V, ctx.tables)
 
 
 @dataclass
@@ -464,40 +433,30 @@ class TypeIISplit:
         scale = max(abs(self.t3), abs(s), 1e-30)
         return abs(self.t3 - s) / scale
 
+    def cauchy_ok(self, t2_value: float) -> bool:
+        """Cauchy-Schwarz |T2|^2 <= (sum Lambda(m)^2) T3, with 1e-9 slack for rounding."""
+        return t2_value ** 2 <= self.lambda_sq_sum * self.t3 * (1 + 1e-9) + 1e-9
+
 
 def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     """Open |.|^2 over the m-block and re-sum by (n1, n2) order.
 
     T3 = sum_m |sum_n b(n) sum_h c(h) e(hmn alpha)|^2 is evaluated
     directly; T4 (n1 <= n2) and T5 (n1 > n2) re-sum the expansion with the
-    closed-form m-sum over max{M/2,(X-Y)/n1} < m <= min{M,X/n2} (roles of
-    n1, n2 swapped for T5).  T3 = T4 + T5 exactly; floating point leaves
-    ~1e-12 relative residue.
+    closed-form m-sum over max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
+    T3 = T4 + T5 exactly; floating point leaves ~1e-12 relative residue.
     """
     X, Y = ctx.X, ctx.Y
     _check_block(H, M, ctx)
     hcs = _h_weights(ctx.kernel, H)
-    coeffs = _block_coeffs(ctx, M)
+    b = ctx.coeffs.b
     m_lo, m_hi = M // 2 + 1, M
-    n_cut = ctx.n_cut_type_ii()
     # direct route
-    t3_terms = []
-    lam_terms = []
-    for m in range(m_lo, m_hi + 1):
-        n_lo, n_hi = _type_ii_n_range(ctx, m)
-        inner = 0j
-        for n in range(n_lo, n_hi + 1):
-            bn = coeffs.b[n]
-            if bn == 0:
-                continue
-            inner += bn * _inner_h_sum(hcs, ctx.frac(m * n))
-        t3_terms.append(abs(inner) ** 2)
-        lam = ctx.tables.mangoldt(m)
-        lam_terms.append(lam * lam)
-    t3 = math.fsum(t3_terms)
+    t3 = math.fsum(abs(_type_ii_row(ctx, hcs, m)) ** 2 for m in range(m_lo, m_hi + 1))
+    lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, range(m_lo, m_hi + 1)))
 
     # rearranged route: outer (n1, n2), closed-form m-sums
-    outer_lo = max(n_cut, (X - Y) // M) + 1
+    outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
     outer_hi = 2 * X // M
     pairs = max(0, outer_hi - outer_lo + 1) ** 2
     if pairs * len(hcs) ** 2 > ctx.budget:
@@ -506,20 +465,11 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     t5 = 0j
     max_len = 0
     empties = 0
-    for n1 in range(outer_lo, outer_hi + 1):
-        b1 = coeffs.b[n1]
-        if b1 == 0:
-            continue
-        for n2 in range(outer_lo, outer_hi + 1):
-            b2 = coeffs.b[n2]
-            if b2 == 0:
-                continue
-            if n1 <= n2:
-                lo = max(M // 2, (X - Y) // n1)
-                hi = min(M, X // n2)
-            else:
-                lo = max(M // 2, (X - Y) // n2)
-                hi = min(M, X // n1)
+    outer = [n for n in range(outer_lo, outer_hi + 1) if b[n]]
+    for n1 in outer:
+        for n2 in outer:
+            lo = max(M // 2, (X - Y) // min(n1, n2))
+            hi = min(M, X // max(n1, n2))
             if hi <= lo:
                 empties += 1
                 continue
@@ -530,14 +480,14 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
                     l = h1 * n1 - h2 * n2
                     x = ctx.frac(l) if l else 0.0
                     cell += c1 * c2 * linear_exp_sum(lo, hi, x)
-            contribution = b1 * b2 * cell
+            contribution = b[n1] * b[n2] * cell
             if n1 <= n2:
                 t4 += contribution
             else:
                 t5 += contribution
     return TypeIISplit(
         t3=t3, t4=t4, t5=t5,
-        lambda_sq_sum=math.fsum(lam_terms),
+        lambda_sq_sum=lam_sq,
         max_m_range_len=max_len,
         empty_pair_count=empties,
     )

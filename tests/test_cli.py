@@ -284,3 +284,46 @@ def test_verify_unknown_criterion(capsys):
     assert code == 1
     assert out == ""
     assert "unknown criteria" in err
+
+
+def test_admissible_keeps_the_config_file_alpha(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05,
+                                "alpha": "sqrt:3"}))
+    doc = run_json(["admissible", "--config", str(path)], capsys)
+    assert doc["config"]["alpha"] == "sqrt:3"
+    doc = run_json(["admissible", "--config", str(path), "--alpha", "sqrt:5"], capsys)
+    assert doc["config"]["alpha"] == "sqrt:5"
+    doc = run_json(["admissible", "--x", "1000", "--y", "300", "--delta", "0.3",
+                    "--eps", "0.05"], capsys)
+    assert doc["config"]["alpha"] == "sqrt:2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"] + POINT + ["--h", "2"],       # not --help
+    ["sweep", "--p", "points.json"],         # not --points
+    ["count"] + POINT + ["--forc"],          # not --force
+], ids=["bounds", "sweep", "count"])
+def test_flag_prefixes_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_budget_rejected(capsys):
+    code, out, err = run_cli(["count", "--x", "100000", "--y", "1000", "--delta", "0.3",
+                              "--eps", "0.05", "--alpha", "sqrt:2", "--force",
+                              "--budget", "nan"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "budget must be finite" in err
+
+
+def test_non_finite_eps_in_config_file_rejected(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"X": 1000, "Y": 300, "delta": 0.3, "eps": NaN, "alpha": "sqrt:2"}')
+    code, out, err = run_cli(["ssum", "--config", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "eps must be positive and finite" in err

@@ -172,3 +172,13 @@ def test_config_accepts_integer_reals():
                                "alpha": "sqrt:2", "budget": 10 ** 6, "err_target": 1})
     assert (config.eps, config.budget, config.err_target) == (1.0, 1e6, 1.0)
     assert all(type(v) is float for v in (config.eps, config.budget, config.err_target))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eps", math.nan), ("eps", math.inf), ("eps", -math.inf),
+    ("budget", math.nan), ("budget", math.inf), ("budget", -math.inf),
+])
+def test_config_rejects_non_finite_eps_and_budget(key, value):
+    data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": "sqrt:2", key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        config_from_dict(data)

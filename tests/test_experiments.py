@@ -13,6 +13,7 @@ from primeangle.experiments import (
 )
 from primeangle.report import report_to_json, reports_to_csv
 from primeangle.sieve import mangoldt_sum_interval
+from primeangle.vaughan import BilinearCoeffs
 
 SQRT2 = AlphaSpec.sqrt(2)
 GOLDEN = AlphaSpec.golden()
@@ -169,3 +170,17 @@ def test_csv_flattening():
 def test_report_json_refuses_non_finite(bad):
     with pytest.raises(ValueError):
         report_to_json({"value": bad})
+
+
+def test_bound_suite_builds_coeffs_once(monkeypatch):
+    calls = []
+    build = BilinearCoeffs.build
+
+    def counting_build(*args):
+        calls.append(args[:2])
+        return build(*args)
+
+    monkeypatch.setattr(BilinearCoeffs, "build", staticmethod(counting_build))
+    result = run_bound_suite(tiny_config(), force=True)
+    assert len(result["t2_blocks"]) > 1
+    assert len(calls) == 1

@@ -14,6 +14,7 @@ from primeangle.reference import (
 from primeangle.sieve import iroot, small_tables
 from primeangle.smoothing import kernel_for_experiment
 from primeangle.vaughan import (
+    BilinearCoeffs,
     BudgetExceeded,
     SumContext,
     VaughanParams,
@@ -249,6 +250,8 @@ def test_cauchy_schwarz_inequality(X, Y, H, M):
     split = t3_t4_t5_split(H, M, ctx)
     t2 = t2_sum(H, M, ctx)
     assert t2.value ** 2 <= split.lambda_sq_sum * split.t3 * (1 + 1e-9) + 1e-9
+    assert split.cauchy_ok(t2.value)
+    assert not split.cauchy_ok(2 * math.sqrt(split.lambda_sq_sum * split.t3) + 1)
 
 
 def test_m_range_length_bound():
@@ -373,3 +376,17 @@ def test_gamma0_divisor_bound_negative_l():
     for l in range(-(2 * Y * H // M), 0):
         g0, _ = gamma_counts(l, H, M, X, Y)
         assert g0 <= (2 * X // M) * naive_tau(abs(l)), l
+
+
+@pytest.mark.parametrize("V", [1, 3, 10, 10 ** 6])
+def test_coeffs_build_matches_b_coeff(V):
+    n_limit = 400
+    coeffs = BilinearCoeffs.build(n_limit, V, TABLES_5K)
+    assert len(coeffs.b) == n_limit + 1
+    assert all(coeffs.b[n] == b_coeff(n, V, TABLES_5K) for n in range(1, n_limit + 1))
+
+
+def test_s1_budget_guard():
+    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05, budget=10)
+    with pytest.raises(BudgetExceeded, match="type I cost"):
+        s1_type_i(ctx, q=29)
