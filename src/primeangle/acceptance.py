@@ -245,8 +245,8 @@ def criterion_6(seed: int) -> dict:
         mismatch = 0
         total_fast = 0
         l_cap = 2 * X * H // M
-        for l in range(-l_cap, l_cap + 1):
-            g0, g1 = gamma_counts(l, H, M, X, Y)
+        labels = range(-l_cap, l_cap + 1)
+        for l, (g0, g1) in zip(labels, gamma_counts(labels, H, M, X, Y)):
             total_fast += g0 + g1
             if [g0, g1] != brute.get(l, [0, 0]):
                 mismatch += 1

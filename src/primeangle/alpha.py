@@ -444,11 +444,19 @@ class AngleOracle:
         object array.
         """
         t = self.residues(ns)
+        m = np.minimum(t, self.anchor.q - t)
+        return m, self._over_q(m)
+
+    def fracs(self, ns: np.ndarray) -> np.ndarray:
+        """{n*P/Q} over an integer array, elementwise equal to frac(n)[0]."""
+        return self._over_q(self.residues(ns))
+
+    def _over_q(self, t: np.ndarray) -> np.ndarray:
+        """The correctly rounded float64 of t/Q for exact residues t."""
         Q = self.anchor.q
-        m = np.minimum(t, Q - t)
-        if m.dtype == object:
-            return m, (m / Q).astype(np.float64)
-        return m, m.astype(np.float64) / float(Q)
+        if t.dtype == object:
+            return (t / Q).astype(np.float64)
+        return t.astype(np.float64) / float(Q)
 
     def classify(self, ns: np.ndarray, delta: float):
         """(x, below, boundary) for ||n*alpha|| < delta over an integer array.

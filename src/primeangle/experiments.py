@@ -209,12 +209,10 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False,
             bound = chain["t2_bound"]
             block["measured_over_bound"] = t2.value / bound if bound else None
             if config.X <= 512 * M and int(H) <= 16:
-                samples = {}
-                for off in GAMMA_SAMPLE_OFFSETS:
-                    if abs(off) * M <= 2 * config.X * int(H):
-                        g0, g1 = gamma_counts(off, int(H), M, config.X, config.Y)
-                        samples[str(off)] = [g0, g1]
-                block["gamma_samples"] = samples
+                offs = [off for off in GAMMA_SAMPLE_OFFSETS
+                        if abs(off) * M <= 2 * config.X * int(H)]
+                counts = gamma_counts(offs, int(H), M, config.X, config.Y)
+                block["gamma_samples"] = {str(off): list(c) for off, c in zip(offs, counts)}
             result["t2_blocks"].append(block)
     if m_blocks and empty_blocks == len(result["t2_blocks"]):
         notices.append("empty-grid: every type II block had empty ranges")

@@ -22,7 +22,6 @@ to floating-point rounding.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +30,7 @@ import numpy as np
 
 from .alpha import AngleOracle
 from .config import DEFAULT_BUDGET
-from .expsum import MinSumInstance, linear_exp_sum, min_sum, standard_estimate_bound
+from .expsum import CHUNK, MinSumInstance, linear_exp_sums, min_sum, standard_estimate_bound
 from .report import SumReport
 from .sieve import SmallTables, iroot
 from .smoothing import SmoothingKernel
@@ -195,7 +194,7 @@ class BilinearCoeffs:
     """
 
     V: float
-    b: tuple       # b[n] for 0 <= n <= n_limit
+    b: np.ndarray  # int64 b[n] for 0 <= n <= n_limit
     n_limit: int
 
     @staticmethod
@@ -208,7 +207,7 @@ class BilinearCoeffs:
         bad = np.flatnonzero(np.abs(beta) > tables.tau[:n_limit + 1])
         if bad.size:
             raise AssertionError(f"|b({bad[0]})| exceeds tau({bad[0]})")
-        return BilinearCoeffs(V=V, b=tuple(beta.tolist()), n_limit=n_limit)
+        return BilinearCoeffs(V=V, b=beta, n_limit=n_limit)
 
 
 def dyadic_h_blocks(L: int):
@@ -257,17 +256,53 @@ def _type_i_rows(ctx: SumContext, phases: int) -> list:
     return rows
 
 
-def _suffix_max(xs, coeffs, n_lo: int, n_hi: int) -> float:
-    """max over n_lo <= k <= n_hi + 1 of |sum_l coeffs[l] * sum_{k<=n<=n_hi} e(n xs[l])|.
+def _tiles(lengths):
+    """Rectangles of at most CHUNK cells covering columns 0 <= j < lengths[r] of every row r.
 
-    k = n_hi + 1 gives the empty suffix.
+    Yields (r0, r1, j0, j1): consecutive rows share a block while the
+    block, padded to its longest row, stays within CHUNK cells; a longer
+    row is a block of its own, cut into column tiles.  The tiles of a
+    block come left to right, so a running sum can be carried across them.
     """
-    best = 0.0
-    for k in range(n_lo, n_hi + 2):
-        total = 0j
-        for c, x in zip(coeffs, xs):
-            total += c * linear_exp_sum(k - 1, n_hi, x)
-        best = max(best, abs(total))
+    r0 = 0
+    while r0 < len(lengths):
+        r1, widest = r0 + 1, lengths[r0]
+        while r1 < len(lengths) and (r1 + 1 - r0) * max(widest, lengths[r1]) <= CHUNK:
+            widest = max(widest, lengths[r1])
+            r1 += 1
+        step = max(1, CHUNK // (r1 - r0))
+        for j0 in range(0, widest, step):
+            yield r0, r1, j0, min(j0 + step, widest)
+        r0 = r1
+
+
+def _e(oracle: AngleOracle, ns) -> np.ndarray:
+    """e(n alpha) over an integer array, from the exact residues of n."""
+    return np.exp(2j * np.pi * oracle.fracs(ns))
+
+
+def _suffix_maxima(oracle: AngleOracle, rows, weights) -> np.ndarray:
+    """Per type I row (m, n_lo, n_hi), the max over n_lo <= k <= n_hi + 1 of
+
+        |sum_{(l, c) in weights} c sum_{k<=n<=n_hi} e(n l m alpha)|.
+
+    Each row is summed from n = n_hi downwards, so its running sums are
+    the suffix sums; k = n_hi + 1 is the empty suffix, worth 0.  Phases
+    come from the exact residues of n l m.
+    """
+    m, n_lo, n_hi = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    lengths = n_hi - n_lo + 1
+    best = np.zeros(len(rows))
+    for r0, r1, j0, j1 in _tiles(lengths.tolist()):
+        if j0 == 0:
+            run = np.zeros((r1 - r0, 1), dtype=np.complex128)
+        j = np.arange(j0, j1)
+        live = j < lengths[r0:r1, None]
+        mn = m[r0:r1, None] * np.where(live, n_hi[r0:r1, None] - j, 0)
+        terms = sum(c * _e(oracle, l * mn) for l, c in weights) * live
+        sums = np.cumsum(terms, axis=1) + run
+        best[r0:r1] = np.maximum(best[r0:r1], np.abs(sums).max(axis=1))
+        run = sums[:, -1:]
     return best
 
 
@@ -297,9 +332,8 @@ def s1_type_i(ctx: SumContext, q: int) -> SumReport:
     """
     L = ctx.L
     rows = _type_i_rows(ctx, L)
-    coeffs = [ctx.kernel.c(l) for l in range(1, L + 1)]
-    value = math.fsum(_suffix_max([ctx.frac(l * m) for l in range(1, L + 1)], coeffs, n_lo, n_hi)
-                      for m, n_lo, n_hi in rows)
+    weights = [(l, ctx.kernel.c(l)) for l in range(1, L + 1)]
+    value = math.fsum(_suffix_maxima(ctx.oracle, rows, weights))
 
     bound_terms = {}
     comparator_parts = []
@@ -334,10 +368,8 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
         raise ValueError("need 1 <= H <= L")
     hcs = _h_weights(ctx.kernel, H)
     rows = _type_i_rows(ctx, len(hcs))
-    value = math.fsum(
-        abs(c) * math.fsum(_suffix_max([ctx.frac(h * m)], [1.0], n_lo, n_hi)
-                           for m, n_lo, n_hi in rows)
-        for h, c in hcs)
+    value = math.fsum(abs(c) * math.fsum(_suffix_maxima(ctx.oracle, rows, [(h, 1.0)]))
+                      for h, c in hcs)
 
     bound_terms = {}
     chain_total = []
@@ -361,31 +393,33 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
 # type II sums
 # ---------------------------------------------------------------------------
 
-def _type_ii_n_range(ctx: SumContext, m: int):
-    n_lo = max(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1
+def _type_ii_n_range(ctx: SumContext, m):
+    """(n_lo, n_hi) arrays of the type II rows of an integer array of m."""
+    n_lo = np.maximum(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1
     return n_lo, ctx.X // m
 
 
-def _inner_h_sum(hcs, x: float) -> complex:
-    phase = cmath.exp(2j * math.pi * x)
-    first = hcs[0][0]
-    p = phase ** first
-    total = hcs[0][1] * p
-    for _, c in hcs[1:]:
-        p *= phase
-        total += c * p
-    return total
+def _check_type_ii_budget(ctx: SumContext, hcs, ms):
+    """Budget check of the type II rows of ms: one cell per (m, n, h)."""
+    n_lo, n_hi = _type_ii_n_range(ctx, np.asarray(ms, dtype=np.int64))
+    cost = int(np.maximum(n_hi - n_lo + 1, 0).sum()) * len(hcs)
+    if cost > ctx.budget:
+        raise BudgetExceeded(f"type II cost {cost:.3g} exceeds budget {ctx.budget:.3g}")
 
 
-def _type_ii_row(ctx: SumContext, hcs, m: int) -> complex:
-    """sum_n b(n) sum_h c(h) e(hmn alpha) over the type II n-range of m."""
+def _type_ii_rows(ctx: SumContext, hcs, ms) -> np.ndarray:
+    """sum_n b(n) sum_h c(h) e(hmn alpha) over the type II n-range of each m in ms."""
     b = ctx.coeffs.b
+    m = np.asarray(ms, dtype=np.int64)
     n_lo, n_hi = _type_ii_n_range(ctx, m)
-    inner = 0j
-    for n in range(n_lo, n_hi + 1):
-        if b[n]:
-            inner += b[n] * _inner_h_sum(hcs, ctx.frac(m * n))
-    return inner
+    rows = np.zeros(len(m), dtype=np.complex128)
+    for r0, r1, j0, j1 in _tiles(np.maximum(n_hi - n_lo + 1, 0).tolist()):
+        n = n_lo[r0:r1, None] + np.arange(j0, j1)
+        live = n <= n_hi[r0:r1, None]
+        n = np.where(live, n, 0)
+        mn = m[r0:r1, None] * n
+        rows[r0:r1] += (b[n] * live * sum(c * _e(ctx.oracle, h * mn) for h, c in hcs)).sum(axis=1)
+    return rows
 
 
 def t2_sum(H: float, M: int, ctx: SumContext) -> SumReport:
@@ -398,13 +432,9 @@ def t2_sum(H: float, M: int, ctx: SumContext) -> SumReport:
     _check_block(H, M, ctx)
     hcs = _h_weights(ctx.kernel, H)
     ms = [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam_p[m]]
-    cost = sum(max(0, n_hi - n_lo + 1)
-               for n_lo, n_hi in (_type_ii_n_range(ctx, m) for m in ms)) * len(hcs)
-    if cost > ctx.budget:
-        raise BudgetExceeded("type II cost exceeds budget")
-    total = 0j
-    for m in ms:
-        total += ctx.tables.mangoldt(m) * _type_ii_row(ctx, hcs, m)
+    _check_type_ii_budget(ctx, hcs, ms)
+    lam = np.array([ctx.tables.mangoldt(m) for m in ms])
+    total = complex((lam * _type_ii_rows(ctx, hcs, ms)).sum())
     return _report("t2_sum", ctx, abs(total), {"t2_re": total.real, "t2_im": total.imag,
                                                "H": float(H), "M": float(M)})
 
@@ -438,58 +468,80 @@ class TypeIISplit:
         return t2_value ** 2 <= self.lambda_sq_sum * self.t3 * (1 + 1e-9) + 1e-9
 
 
+def _pair_bands(outer: np.ndarray, X: int, Y: int, M: int):
+    """[start, stop) indices into the sorted array outer of the n2 whose pair (n1, n2) is non-empty.
+
+    The m-range of a pair is max{M/2, (X-Y)/min} < m <= min{M, X/max}.
+    With n2 >= n1 its floor lo1 = max{M/2, (X-Y)/n1} is fixed and it is
+    non-empty iff n2 (lo1 + 1) <= X (lo1 < M, as n1 > (X-Y)/M); with
+    n2 <= n1 its ceiling hi1 = min{M, X/n1} is fixed and it is non-empty
+    iff M/2 < hi1 and X - Y < hi1 n2.  So the n2 of one n1 form the band
+    (X-Y)/hi1 < n2 <= X/(lo1 + 1), which is empty when (n1, n1) is.
+    """
+    lo1 = np.maximum(M // 2, (X - Y) // outer)
+    hi1 = np.minimum(M, X // outer)
+    top = X // (lo1 + 1)
+    bottom = np.where(M // 2 < hi1, (X - Y) // np.maximum(hi1, 1) + 1, X + 1)
+    return (np.searchsorted(outer, bottom, side="left"),
+            np.searchsorted(outer, top, side="right"))
+
+
 def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     """Open |.|^2 over the m-block and re-sum by (n1, n2) order.
 
     T3 = sum_m |sum_n b(n) sum_h c(h) e(hmn alpha)|^2 is evaluated
     directly; T4 (n1 <= n2) and T5 (n1 > n2) re-sum the expansion with the
     closed-form m-sum over max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
-    T3 = T4 + T5 exactly; floating point leaves ~1e-12 relative residue.
+    Only the pairs of the bands of _pair_bands are built, CHUNK at a time,
+    and their phases {(h1 n1 - h2 n2) alpha} come from one table of exact
+    residues per block.  T3 = T4 + T5 exactly; floating point leaves
+    ~1e-12 relative residue.
     """
     X, Y = ctx.X, ctx.Y
     _check_block(H, M, ctx)
     hcs = _h_weights(ctx.kernel, H)
     b = ctx.coeffs.b
-    m_lo, m_hi = M // 2 + 1, M
-    # direct route
-    t3 = math.fsum(abs(_type_ii_row(ctx, hcs, m)) ** 2 for m in range(m_lo, m_hi + 1))
-    lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, range(m_lo, m_hi + 1)))
-
-    # rearranged route: outer (n1, n2), closed-form m-sums
+    ms = range(M // 2 + 1, M + 1)
+    _check_type_ii_budget(ctx, hcs, ms)
     outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
     outer_hi = 2 * X // M
     pairs = max(0, outer_hi - outer_lo + 1) ** 2
     if pairs * len(hcs) ** 2 > ctx.budget:
         raise BudgetExceeded("pair enumeration cost exceeds budget")
-    t4 = 0j
-    t5 = 0j
+
+    # direct route
+    t3 = math.fsum(abs(row) ** 2 for row in _type_ii_rows(ctx, hcs, ms).tolist())
+    lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, ms))
+
+    # rearranged route: the non-empty (n1, n2) pairs, closed-form m-sums
+    outer = np.flatnonzero(b[outer_lo:outer_hi + 1]) + outer_lo
+    start, stop = _pair_bands(outer, X, Y, M)
+    widths = np.maximum(stop - start, 0)
+    t4 = t5 = 0j
     max_len = 0
-    empties = 0
-    outer = [n for n in range(outer_lo, outer_hi + 1) if b[n]]
-    for n1 in outer:
-        for n2 in outer:
-            lo = max(M // 2, (X - Y) // min(n1, n2))
-            hi = min(M, X // max(n1, n2))
-            if hi <= lo:
-                empties += 1
-                continue
-            max_len = max(max_len, hi - lo)
-            cell = 0j
-            for h1, c1 in hcs:
-                for h2, c2 in hcs:
-                    l = h1 * n1 - h2 * n2
-                    x = ctx.frac(l) if l else 0.0
-                    cell += c1 * c2 * linear_exp_sum(lo, hi, x)
-            contribution = b[n1] * b[n2] * cell
-            if n1 <= n2:
-                t4 += contribution
-            else:
-                t5 += contribution
+    if outer.size:
+        l_top = hcs[-1][0] * int(outer[-1]) - hcs[0][0] * int(outer[0])
+        phase = ctx.oracle.fracs(np.arange(-l_top, l_top + 1))    # phase[l + l_top]
+    for r0, r1, j0, j1 in _tiles(widths.tolist()):
+        j = np.arange(j0, j1)
+        live = j < widths[r0:r1, None]
+        i1 = np.broadcast_to(np.arange(r0, r1)[:, None], live.shape)[live]
+        n1 = outer[i1]
+        n2 = outer[(start[r0:r1, None] + j)[live]]
+        lo = np.maximum(M // 2, (X - Y) // np.minimum(n1, n2))
+        hi = np.minimum(M, X // np.maximum(n1, n2))
+        max_len = max(max_len, int((hi - lo).max()))
+        cell = sum(c1 * c2 * linear_exp_sums(lo, hi, phase[h1 * n1 - h2 * n2 + l_top])
+                   for h1, c1 in hcs for h2, c2 in hcs)
+        contribution = b[n1] * b[n2] * cell
+        lower = n1 <= n2
+        t4 += complex(contribution[lower].sum())
+        t5 += complex(contribution[~lower].sum())
     return TypeIISplit(
         t3=t3, t4=t4, t5=t5,
         lambda_sq_sum=lam_sq,
         max_m_range_len=max_len,
-        empty_pair_count=empties,
+        empty_pair_count=outer.size ** 2 - int(widths.sum()),
     )
 
 
@@ -497,37 +549,40 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
 # quadruple counts
 # ---------------------------------------------------------------------------
 
-def gamma_counts(l: int, H: int, M: int, X: int, Y: int):
-    """(gamma0, gamma1): quadruples with n1 h1 - n2 h2 = l, split by degeneracy.
+def gamma_counts(labels, H: int, M: int, X: int, Y: int) -> list:
+    """[(gamma0, gamma1)] per label l: quadruples with n1 h1 - n2 h2 = l, split by degeneracy.
 
     Box: X/(2M) < n1 <= n2 <= 2X/M, n2 - n1 <= 2Y/M, H/2 < h1, h2 <= H.
     gamma0 counts the part with l + (n2 - n1) h2 = 0 (equivalently h1 = h2),
-    gamma1 the rest.  Enumerates (n1, n2, h2) and solves for h1.
+    gamma1 the rest.  On the diagonal k = n2 - n1 the equation reads
+    n1 (h1 - h2) = l + k h2: with h1 = h2 it needs l + k h2 = 0 and then
+    holds for every n1 of the diagonal, and with h1 != h2 only
+    n1 = (l + k h2)/(h1 - h2) can solve it.  Every (k, h1, h2) and every
+    label is tested at once, in exact integers.
     """
-    if abs(l) * M > 2 * X * H:
+    labels = [int(l) for l in labels]
+    if any(abs(l) * M > 2 * X * H for l in labels):
         raise ValueError("l outside [-2XH/M, 2XH/M]")
     if X > 512 * M or H > 16:
         raise BudgetExceeded("enumeration budget: need X/M <= 512 and H <= 16")
     n_lo = X // (2 * M) + 1
     n_hi = 2 * X // M
-    h_lo = H // 2 + 1
-    g0 = g1 = 0
-    for n1 in range(n_lo, n_hi + 1):
-        for n2 in range(n1, n_hi + 1):
-            if M * (n2 - n1) > 2 * Y:
-                break
-            k = n2 - n1
-            for h2 in range(h_lo, H + 1):
-                num = l + n2 * h2
-                if num % n1:
-                    continue
-                h1 = num // n1
-                if h_lo <= h1 <= H:
-                    if l + k * h2 == 0:
-                        g0 += 1
-                    else:
-                        g1 += 1
-    return g0, g1
+    h = np.arange(H // 2 + 1, H + 1)
+    k, h1, h2 = (a.ravel() for a in np.meshgrid(
+        np.arange(min(2 * Y // M, n_hi - n_lo) + 1), h, h, indexing="ij"))
+    d = h1 - h2
+    degenerate = d == 0
+    diagonal = n_hi - n_lo + 1 - k                 # n1 on the diagonal k
+    divisor = np.where(degenerate, 1, d)
+    counts = []
+    step = max(1, CHUNK // max(1, k.size))
+    for c0 in range(0, len(labels), step):
+        rhs = np.array(labels[c0:c0 + step], dtype=np.int64)[:, None] + k * h2    # n1 (h1 - h2)
+        g0 = np.where(degenerate & (rhs == 0), diagonal, 0).sum(axis=1)
+        n1 = rhs // divisor
+        g1 = (~degenerate & (n1 * divisor == rhs) & (n1 >= n_lo) & (n1 + k <= n_hi)).sum(axis=1)
+        counts.extend(zip(g0.tolist(), g1.tolist()))
+    return counts
 
 
 # ---------------------------------------------------------------------------

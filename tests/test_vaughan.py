@@ -281,8 +281,8 @@ def test_gamma_against_brute_force():
     X, Y, M, H = 256, 64, 32, 4
     brute = brute_force_quadruples(X, Y, M, H)
     total_fast = 0
-    for l in range(-2 * X * H // M, 2 * X * H // M + 1):
-        g0, g1 = gamma_counts(l, H, M, X, Y)
+    labels = range(-2 * X * H // M, 2 * X * H // M + 1)
+    for l, (g0, g1) in zip(labels, gamma_counts(labels, H, M, X, Y)):
         want = brute.get(l, [0, 0])
         assert [g0, g1] == want, l
         total_fast += g0 + g1
@@ -291,18 +291,17 @@ def test_gamma_against_brute_force():
 
 def test_gamma_degenerate_support():
     X, Y, M, H = 256, 64, 32, 4
-    for l in range(1, 2 * X * H // M + 1):  # positive l: no degenerate part
-        g0, _ = gamma_counts(l, H, M, X, Y)
-        assert g0 == 0
+    labels = range(1, 2 * X * H // M + 1)  # positive l: no degenerate part
+    assert all(g0 == 0 for g0, _ in gamma_counts(labels, H, M, X, Y))
     g0_floor = -(2 * Y * H // M) - 1
     if abs(g0_floor) * M <= 2 * X * H:
-        g0, _ = gamma_counts(g0_floor, H, M, X, Y)
+        [(g0, _)] = gamma_counts([g0_floor], H, M, X, Y)
         assert g0 == 0
 
 
 def test_gamma_l_zero():
     X, Y, M, H = 256, 64, 32, 4
-    g0, g1 = gamma_counts(0, H, M, X, Y)
+    [(g0, g1)] = gamma_counts([0], H, M, X, Y)
     n_count = 2 * X // M - X // (2 * M)
     h_count = H - H // 2
     assert g0 == n_count * h_count
@@ -311,8 +310,8 @@ def test_gamma_l_zero():
 
 def test_gamma1_divisor_bound():
     X, Y, M, H = 256, 64, 32, 4
-    for l in (-7, -1, 3, 12):
-        _, g1 = gamma_counts(l, H, M, X, Y)
+    labels = (-7, -1, 3, 12)
+    for l, (_, g1) in zip(labels, gamma_counts(labels, H, M, X, Y)):
         cap = 0
         for k in range(0, 2 * Y // M + 1):
             for h2 in range(H // 2 + 1, H + 1):
@@ -323,11 +322,11 @@ def test_gamma1_divisor_bound():
 
 def test_gamma_guards():
     with pytest.raises(ValueError):
-        gamma_counts(10 ** 9, 4, 32, 256, 64)
+        gamma_counts([0, 10 ** 9], 4, 32, 256, 64)
     with pytest.raises(BudgetExceeded):
-        gamma_counts(0, 32, 32, 256, 64)
+        gamma_counts([0], 32, 32, 256, 64)
     with pytest.raises(BudgetExceeded):
-        gamma_counts(0, 4, 1, 10 ** 6, 10 ** 5)
+        gamma_counts([0], 4, 1, 10 ** 6, 10 ** 5)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +372,8 @@ def test_dyadic_blocks():
 def test_gamma0_divisor_bound_negative_l():
     # degenerate part for l in [-2YH/M, -1]: gamma0(l) <= (2X/M) tau(|l|)
     X, Y, M, H = 256, 64, 32, 4
-    for l in range(-(2 * Y * H // M), 0):
-        g0, _ = gamma_counts(l, H, M, X, Y)
+    labels = range(-(2 * Y * H // M), 0)
+    for l, (g0, _) in zip(labels, gamma_counts(labels, H, M, X, Y)):
         assert g0 <= (2 * X // M) * naive_tau(abs(l)), l
 
 
