@@ -458,38 +458,27 @@ class AngleOracle:
             return (t / Q).astype(np.float64)
         return t.astype(np.float64) / float(Q)
 
-    def classify(self, ns: np.ndarray, delta: float):
+    def classify(self, ns: np.ndarray, delta):
         """(x, below, boundary) for ||n*alpha|| < delta over an integer array.
 
-        The certified verdict for one n is "below" iff m/Q + n_max/Q^2 <
-        delta, "above" iff m/Q - n_max/Q^2 >= delta, else "boundary".  A
-        float64 filter settles every item farther than FILTER_MARGIN from
-        either threshold (x, ebound and their sum or difference carry
-        less than 2^-51 of rounding, all being below 1); the rest are
-        decided exactly in integers by _decide_exactly.
+        delta is a float or an exact rational (a Fraction).  The certified
+        verdict for one n is "below" iff m/Q + n_max/Q^2 < delta, "above"
+        iff m/Q - n_max/Q^2 >= delta, else "boundary".  A float64 filter
+        on float(delta) settles every item farther than FILTER_MARGIN from
+        either threshold (float(delta), x, ebound and their sum or
+        difference carry less than 2^-51 of rounding, all being at most
+        1); the rest are decided exactly in integers by _decide_exactly.
         """
         m, x = self.dists(ns)
-        e = self.ebound
-        below = (delta - (x + e)) > FILTER_MARGIN
-        above = ((x - e) - delta) > FILTER_MARGIN
+        d, e = float(delta), self.ebound
+        below = (d - (x + e)) > FILTER_MARGIN
+        above = ((x - e) - d) > FILTER_MARGIN
         unsure = np.flatnonzero(~(below | above))
         if unsure.size:
             verdicts = _decide_exactly(m[unsure].tolist(), self.anchor.q, self.n_max, delta)
             below[unsure] = [v == "below" for v in verdicts]
             above[unsure] = [v == "above" for v in verdicts]
         return x, below, ~(below | above)
-
-    def residue_walker(self, start: int = 0):
-        """Iterator of (n, ||n*P/Q||) for n = start, start+1, ... via residue addition."""
-        Q = self.anchor.q
-        t = (start % Q) * self.residue % Q
-        n = start
-        while n <= self.n_max:
-            yield n, min(t, Q - t) / Q
-            t += self.residue
-            if t >= Q:
-                t -= Q
-            n += 1
 
 
 def build_angle_oracle(alpha: AlphaSpec, n_max: int, err_target: float = 2.0 ** -40,
@@ -519,7 +508,7 @@ def build_angle_oracle(alpha: AlphaSpec, n_max: int, err_target: float = 2.0 ** 
                        ebound=n_max / (chosen.q * chosen.q))
 
 
-def _decide_exactly(ms, Q: int, n_max: int, delta: float) -> list:
+def _decide_exactly(ms, Q: int, n_max: int, delta) -> list:
     """Certified verdicts for residues m = min(t, Q - t), in integers only.
 
     With delta = N/D exactly (a float is a dyadic rational): "below" iff

@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .expsum import MinSumInstance, min_sum, standard_estimate_bound
 from .report import report_to_json, reports_to_csv
-from .sieve import mangoldt_sum_interval, sieve_interval, small_tables
+from .sieve import mangoldt_sum_interval, sieve_segments, small_tables
 from .vaughan import VaughanParams, t1_sum, t2_bound_chain, t2_sum, vaughan_pieces
 
 Q_POLICY_ALIASES = {
@@ -144,14 +144,19 @@ def cmd_angle(args):
 
 
 def cmd_sieve(args):
-    s = sieve_interval(args.lo, args.hi)
-    primes = s.primes()
+    # one segment at a time, so memory does not grow with the window
+    count, first, powers = 0, [], []
+    for segment in sieve_segments(args.lo, args.hi):
+        count += segment.prime_count()
+        if len(first) < 20:
+            first.extend(segment.primes()[:20 - len(first)].tolist())
+        powers.extend(segment.higher_powers)
     _emit(args, {
         "lo": args.lo,
         "hi": args.hi,
-        "prime_count": int(s.prime_count()),
-        "first_primes": [int(p) for p in primes[:20]],
-        "higher_prime_powers": [[n, p, k] for n, p, k in s.higher_powers],
+        "prime_count": count,
+        "first_primes": first,
+        "higher_prime_powers": [[n, p, k] for n, p, k in powers],
     })
     return 0
 

@@ -162,6 +162,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     alpha = data["alpha"]
     if isinstance(alpha, str):
         alpha = parse_alpha(alpha)
+    elif not isinstance(alpha, AlphaSpec):
+        raise ValueError(f"alpha must be an alpha spec string, got {alpha!r}")
     kwargs = {
         "X": _number("X", data["X"], integral=True),
         "Y": _number("Y", data["Y"], integral=True),

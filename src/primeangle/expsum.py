@@ -20,14 +20,13 @@ suite, not a theoretical value.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .alpha import FILTER_MARGIN, AngleOracle
+from .alpha import AngleOracle
 from .sieve import ExactSum
 
 __all__ = [
@@ -40,90 +39,29 @@ __all__ = [
     "empirical_constant",
 ]
 
-# Elements per array pass of min_sum and of the type I, type II and pair
-# kernels in vaughan: keeps their temporaries within a few hundred kB.
+# Elements per array pass of min_sum, of the type I, type II and pair
+# kernels in vaughan and of the criterion 4 batches: keeps their
+# temporaries within a few hundred kB.
 CHUNK = 2 ** 12
 
 
-def reduced_phase(n: int, x: float, period: int = 1) -> float:
-    """Exact (n * x) mod period for integer n, float x, period in {1, 2}.
-
-    Works on the exact binary mantissa of x, so the only rounding is the
-    final conversion back to float (one ulp of the result).  This keeps
-    e(n x) evaluations accurate even when n x is thousands of turns.
-    """
-    if x == 0.0 or n == 0:
-        return 0.0
-    mant, exp2 = math.frexp(x)
-    mant_int = int(mant * (1 << 53))      # exact: x = mant_int * 2^(exp2-53)
-    shift = exp2 - 53
-    prod = n * mant_int
-    if shift >= 0:
-        return float((prod << shift) % period)
-    denom = 1 << (-shift)
-    return (prod % (period * denom)) / denom
-
-
-def _sin_pi_multiple(n: int, x: float):
-    """sin(pi n x) as (f, e), the value f * 2^e, for integer n and non-integral float x.
-
-    (n x) mod 2 is taken on the exact binary mantissa of x and folded into
-    t in [0, 1/2] in integers (sin(pi(t + 1)) = -sin(pi t), sin(pi(1 - t))
-    = sin(pi t)), so the one rounding is of the folded value.  The result
-    keeps full relative accuracy next to every zero of the sine, also for
-    x just below an integer, whose remainder mod 2 would round onto it.
-    Below t = 2^-1000, sin(pi t) = pi t to double precision, and it is
-    returned with its exponent apart, so that no subnormal enters a quotient.
-    """
-    mant, exp2 = math.frexp(x)
-    s = 53 - exp2                          # x = mant_int / 2^s, s >= 1
-    v = n * int(mant * (1 << 53)) % (2 << s)
-    sign = 1.0
-    if v >> s:
-        v -= 1 << s
-        sign = -1.0
-    if 2 * v > 1 << s:
-        v = (1 << s) - v
-    if v.bit_length() > s - 1000:
-        return sign * math.sin(math.pi * (v / (1 << s))), 0
-    return sign * math.pi * v, -s
-
-
 def linear_exp_sum(w: float, z: float, x: float) -> complex:
-    """sum of e(n x) over integers n in (w, z], in closed form.
-
-    Dirichlet-kernel form with exactly reduced phase arguments: the sine
-    quotient uses (count x) mod 2 and the centering factor ((a+b) x/2)
-    mod 1, both computed by integer arithmetic on the mantissa of x.
-    This scalar form is the oracle for linear_exp_sums.
-    """
+    """sum of e(n x) over integers n in (w, z]: linear_exp_sums on one element."""
     if z < w:
         raise ValueError("need z >= w")
-    a = math.floor(w) + 1
-    b = math.floor(z)
-    count = b - a + 1
-    if count <= 0:
-        return 0j
-    if x == round(x):
-        return complex(count, 0.0)
-    (num, e_num), (den, e_den) = _sin_pi_multiple(count, x), _sin_pi_multiple(1, x)
-    (nm, ne), (dm, de) = math.frexp(num), math.frexp(den)
-    ratio = math.ldexp(nm / dm, ne - de + e_num - e_den)
-    return cmath.exp(2j * math.pi * reduced_phase(a + b, 0.5 * x, 1)) * ratio
+    return complex(linear_exp_sums([math.floor(w)], [math.floor(z)], [x])[0])
 
 
 def linear_exp_sums(lo, hi, x) -> np.ndarray:
-    """linear_exp_sum(lo, hi, x) elementwise: sum of e(n x) over lo < n <= hi.
+    """sum of e(n x) over lo < n <= hi, elementwise, in closed form.
 
     lo and hi are integer arrays with hi >= lo, x a float array, all of
-    one length.  The reductions are those of the scalar form, on 64-bit
-    words: with x = mant * 2^-s, (n x) mod 2 and (n x/2) mod 1 are
+    one length.  With x = mant * 2^-s, (n x) mod 2 and (n x/2) mod 1 are
     (n * mant) mod 2^(s+1), scaled down.  The modulus is a power of two,
-    so the low bits of the wrapped uint64 product (a negative n or mant
-    taken as its two's complement) are exact whenever s + 1 <= 64, that
-    is |x| >= 2^-11; the sine's remainder is folded in
-    integers as in _sin_pi_multiple, and is 0 or at least 2^-63.  Elements
-    with a smaller non-zero |x| go through the scalar form.
+    so the low bits of a product are exact in any width that holds
+    them: elements with s + 1 <= 64 (|x| >= 2^-11) take wrapped uint64
+    products (a negative n or mant taken as its two's complement), the
+    smaller |x| Python integers in object arrays.
     """
     lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
@@ -133,28 +71,52 @@ def linear_exp_sums(lo, hi, x) -> np.ndarray:
     out = count.astype(np.complex128)     # the value at integral x, and 0 when empty
     mant, exp2 = np.frexp(x)
     live = (count > 0) & (np.floor(x) != x)
-    tiny = exp2 < -10
-    fast = np.flatnonzero(live & ~tiny)
-    s = (53 - exp2[fast]).astype(np.uint64)                    # 1 <= s <= 63
-    m = np.ldexp(mant[fast], 53).astype(np.int64).astype(np.uint64)
-    mask = np.uint64(2 ** 64 - 1) >> (np.uint64(63) - s)      # 2^(s+1) - 1
-    half = np.left_shift(np.uint64(1), s)                      # 2^s, for n x = 1 mod 2
-    scale = -s.astype(np.int64)
+    for wide in (False, True):
+        at = np.flatnonzero(live & ((exp2 < -10) == wide))
+        if at.size:
+            out[at] = _closed_form(lo[at], hi[at], mant[at], exp2[at], object if wide else np.uint64)
+    return out
 
-    def sin_pi(n):
+
+def _closed_form(lo, hi, mant, exp2, width) -> np.ndarray:
+    """e((a + b) x/2) sin(pi c x)/sin(pi x) for non-integral x, residues in ``width``.
+
+    The sine's remainder (c x) mod 2 is folded into t in [0, 1/2] in
+    integers (sin(pi(t + 1)) = -sin(pi t), sin(pi(1 - t)) = sin(pi t)),
+    so the one rounding is of the folded value: the sine keeps full
+    relative accuracy next to each of its zeros.  Below t = 2^-1000,
+    sin(pi t) = pi t to double precision, and it is kept as pi t 2^1000
+    with the exponent apart, so that no subnormal enters the quotient.
+    The centring phase ((a + b) x/2) mod 1 is taken in [0, 1), or as the
+    negative remainder where it would round onto 1.
+    """
+    s = (53 - exp2).astype(width)
+    m = np.ldexp(mant, 53).astype(np.int64).astype(width)
+    half = np.ones_like(s) << s                 # 2^s, for n x = 1 mod 2
+    mask = (half - 1) + half                    # 2^(s+1) - 1
+
+    def scaled(v, h=half):                      # the float of v / h
+        return np.asarray(v / h, dtype=np.float64)
+
+    def sin_pi(n):                              # sin(pi n x) as f / lift
         v = (n * m) & mask
         upper = v >= half
         v = np.where(upper, v - half, v)
         v = np.minimum(v, half - v)
-        return np.where(upper, -1.0, 1.0) * np.sin(np.pi * np.ldexp(v.astype(np.float64), scale))
+        f, lift = np.sin(np.pi * scaled(v)), 1.0
+        if width is object:
+            tiny = v < half >> 1000
+            f[tiny] = np.pi * scaled(v[tiny] << 1000, half[tiny])
+            lift = np.where(tiny, 2.0 ** 1000, 1.0)
+        return np.where(upper, -f, f), lift
 
-    ab = (lo[fast] + hi[fast] + 1).astype(np.uint64)
-    centre = np.ldexp(((ab * m) & mask).astype(np.float64), scale - 1)
-    ratio = sin_pi(count[fast].astype(np.uint64)) / sin_pi(np.uint64(1))
-    out[fast] = np.exp(2j * np.pi * centre) * ratio
-    for i in np.flatnonzero(live & tiny).tolist():
-        out[i] = linear_exp_sum(int(lo[i]), int(hi[i]), float(x[i]))
-    return out
+    (num, lift_num), (den, lift_den) = sin_pi((hi - lo).astype(width)), sin_pi(1)
+    ratio = num / den * (lift_den / lift_num)
+    c = ((lo.astype(width) + hi.astype(width) + 1) * m) & mask
+    centre = scaled(c) / 2
+    up = np.flatnonzero(centre == 1.0)
+    centre[up] = -scaled((mask[up] - c[up]) + 1, half[up]) / 2
+    return np.exp(2j * np.pi * centre) * ratio
 
 
 @dataclass(frozen=True)
@@ -186,31 +148,27 @@ class MinSumResult:
 def min_sum(instance: MinSumInstance) -> MinSumResult:
     """sum over 1 <= m <= M of min(N, 1/||alpha m||) with certified angles.
 
-    ||alpha m|| is v = t/Q, t = min(r, Q - r) with r = m P mod Q the exact
-    residue of the oracle's anchor P/Q, taken CHUNK values of m at a time.
-    With N = Nn/D exactly, the cap applies when v < 1/N, that is
-    t*Nn < Q*D.  A term whose certified interval [v - e, v + e], e =
-    n_max/Q^2, straddles the switch, (t*Q - n_max)*Nn < Q^2*D <=
-    (t*Q + n_max)*Nn, is resolved by the midpoint v and flagged; at the
-    default oracle precision no flags occur.  A float64 filter settles
-    the terms whose v*N lies farther than FILTER_MARGIN + 2eN from 1; the
-    rest are decided in integers.  The terms are summed exactly.
+    The cap applies where ||alpha m|| < 1/N.  AngleOracle.classify decides
+    that against the exact threshold 1/N, CHUNK values of m at a time: a
+    term whose certified interval lies below 1/N is capped, one above it
+    is not.  A term whose interval straddles the switch is resolved by
+    its midpoint v = t/Q, t*Nn < Q*D with N = Nn/D exactly, and flagged;
+    at the default oracle precision no flags occur.  The terms are summed
+    exactly.
     """
     oracle, N = instance.oracle, instance.N
-    Q, n_max = oracle.anchor.q, oracle.n_max
     cap = Fraction(N)
-    band = FILTER_MARGIN + 2 * oracle.ebound * N
     total = ExactSum()
     flags = 0
     for start in range(1, instance.M + 1, CHUNK):
-        t, v = oracle.dists(np.arange(start, min(start + CHUNK, instance.M + 1)))
-        scaled = v * N
-        below = scaled < 1.0
-        for i in np.flatnonzero(np.abs(scaled - 1.0) <= band).tolist():
-            r = int(t[i])
-            below[i] = r * cap.numerator < Q * cap.denominator
-            flags += ((r * Q - n_max) * cap.numerator < Q * Q * cap.denominator
-                      <= (r * Q + n_max) * cap.numerator)
+        ms = np.arange(start, min(start + CHUNK, instance.M + 1))
+        v, below, boundary = oracle.classify(ms, 1 / cap)
+        straddle = np.flatnonzero(boundary)
+        if straddle.size:
+            t, _ = oracle.dists(ms[straddle])
+            below[straddle] = [r * cap.numerator < oracle.anchor.q * cap.denominator
+                               for r in t.tolist()]
+            flags += straddle.size
         with np.errstate(divide="ignore"):
             total.add(np.where(below, N, 1.0 / v))
     return MinSumResult(value=total.value(), switch_flags=flags)

@@ -303,13 +303,6 @@ class SmallAngleCount:
     boundary_count: int
     sample: list  # first (p, ||p*alpha||) hits, capped
 
-    def as_dict(self):
-        return {
-            "count": self.count,
-            "boundary_count": self.boundary_count,
-            "sample": [[p, v] for p, v in self.sample],
-        }
-
 
 def primes_with_small_angle(sieve: IntervalSieve, oracle: AngleOracle,
                             delta: float, sample_cap: int = 32) -> SmallAngleCount:

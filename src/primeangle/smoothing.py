@@ -113,7 +113,6 @@ class SmoothingKernel:
 
     delta: float
     L: int
-    direct_tail_terms: int
     coeffs: np.ndarray = field(repr=False)          # c(1..L)
     tail_bound: float
     tail_underflow: bool
@@ -142,7 +141,6 @@ def build_kernel(delta: float, L: int) -> SmoothingKernel:
     return SmoothingKernel(
         delta=delta,
         L=L,
-        direct_tail_terms=default_direct_terms(delta),
         coeffs=coeffs,
         tail_bound=0.0 if underflow else truncation_bound(delta, L),
         tail_underflow=underflow,

@@ -227,13 +227,6 @@ def test_oracle_frac_negative_n():
     assert d_pos == d_neg
 
 
-def test_residue_walker_matches_dist():
-    oracle = build_angle_oracle(SQRT2, n_max=500)
-    walked = dict(oracle.residue_walker(start=1))
-    for n in range(1, 501):
-        assert walked[n] == oracle.dist(n)[0]
-
-
 def test_classify_against_threshold():
     assert classify_against_threshold(0.10, 1e-12, 0.2) == "below"
     assert classify_against_threshold(0.30, 1e-12, 0.2) == "above"

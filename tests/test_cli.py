@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from primeangle import sieve
 from primeangle.cli import build_parser, main
 
 RUN = [sys.executable, "-m", "primeangle.cli"]
@@ -41,6 +42,28 @@ def test_sieve(capsys):
     doc = run_json(["sieve", "--lo", "50", "--hi", "100"], capsys)
     assert doc["prime_count"] == 10
     assert [64, 2, 6] in doc["higher_prime_powers"]
+
+
+def test_sieve_streams_the_window_in_segments(capsys, monkeypatch):
+    # 347^2 = 120409 closes the tenth 64-number segment, and the first 20
+    # primes span several segments; no sieve is wider than one segment
+    lo, hi = 120409 - 640, 120409 + 256
+    sieve_interval = sieve.sieve_interval
+    whole = sieve_interval(lo, hi)
+    widths = []
+
+    def one_segment(seg_lo, seg_hi):
+        widths.append(seg_hi - seg_lo)
+        return sieve_interval(seg_lo, seg_hi)
+
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 64)
+    monkeypatch.setattr(sieve, "sieve_interval", one_segment)
+    doc = run_json(["sieve", "--lo", str(lo), "--hi", str(hi)], capsys)
+    assert doc == {"lo": lo, "hi": hi, "prime_count": whole.prime_count(),
+                   "first_primes": whole.primes()[:20].tolist(),
+                   "higher_prime_powers": [list(t) for t in whole.higher_powers]}
+    assert [120409, 347, 2] in doc["higher_prime_powers"]
+    assert len(widths) == 14 and max(widths) == 64
 
 
 def test_psi(capsys):

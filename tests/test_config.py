@@ -182,3 +182,12 @@ def test_config_rejects_non_finite_eps_and_budget(key, value):
     data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": "sqrt:2", key: value}
     with pytest.raises(ValueError, match=f"^{key} must be"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, None, 2.5, True, ["sqrt:2"], {"sqrt": 2}])
+def test_config_rejects_alpha_that_is_not_a_spec(value):
+    data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": value}
+    with pytest.raises(ValueError, match="^alpha must be"):
+        config_from_dict(data)
+    data["alpha"] = SQRT2
+    assert config_from_dict(data).alpha == SQRT2

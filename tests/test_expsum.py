@@ -138,30 +138,3 @@ def test_two_points_per_interval():
                 j = int(v * q)
                 buckets[j] = buckets.get(j, 0) + 1
             assert all(c <= 2 for c in buckets.values()), (q, m0)
-
-
-def test_reduced_phase_exact_vs_fractions():
-    # Fraction(float) is exact, so this checks the mantissa arithmetic
-    # against textbook rational reduction for both periods
-    from fractions import Fraction
-
-    from primeangle.expsum import reduced_phase
-
-    rng = random.Random(1729)
-    for _ in range(500):
-        n = rng.randrange(-10 ** 6, 10 ** 6)
-        x = rng.uniform(-100.0, 100.0)
-        for period in (1, 2):
-            got = reduced_phase(n, x, period)
-            want = (Fraction(x) * n) % period
-            assert abs(got - float(want)) <= 2e-16 * period, (n, x, period)
-            assert 0.0 <= got < period
-
-
-def test_reduced_phase_huge_exponent():
-    from primeangle.expsum import reduced_phase
-
-    assert reduced_phase(3, 2.0 ** 60, 1) == 0.0   # integer-valued product
-    assert reduced_phase(3, 2.0 ** 60, 2) == 0.0
-    assert reduced_phase(5, 1.0, 2) == 1.0
-    assert reduced_phase(0, 0.37, 1) == 0.0

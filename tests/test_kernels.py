@@ -1,7 +1,7 @@
-"""Property tests of the array kernels against their scalar oracles.
+"""Property tests of the array kernels against independent oracles.
 
-Every kernel of the bound suite has a scalar counterpart: the array closed
-form against expsum.linear_exp_sum, the type I suffix maxima against
+Every kernel of the bound suite has an oracle of its own: the array closed
+form against mpmath at 50 digits, the type I suffix maxima against
 reference.naive_type_i_block, the label-batched quadruple counts against
 reference.brute_force_quadruples, and the banded T4/T5 split against a
 plain (n1, n2) enumeration and the direct T3 route.  Hypothesis runs
@@ -11,11 +11,13 @@ derandomized, so the examples are the same on every run.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primeangle import alpha as alpha_module
 from primeangle import vaughan
 from primeangle.acceptance import SPLIT_RESIDUAL_TOL
 from primeangle.alpha import AlphaSpec, build_angle_oracle
@@ -62,13 +64,37 @@ def _near(k, j, sign):
     return k + sign * 2.0 ** -j
 
 
+def mp_exp_sum(lo, hi, x):
+    """sum of e(n x) over lo < n <= hi by mpmath at 50 digits, x taken exactly.
+
+    A float is a dyadic rational, so mpf(x) and the integer multiples of it
+    below are exact, and sinpi and expjpi reduce their exact arguments
+    themselves.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        if x == mpmath.floor(x):
+            return complex(hi - lo)
+        ratio = mpmath.sinpi((hi - lo) * x) / mpmath.sinpi(x)
+        return complex(mpmath.expjpi((lo + 1 + hi) * x) * ratio)
+
+
+def assert_matches_mpmath(lo, hi, xs):
+    got = linear_exp_sums(np.array(lo), np.array(hi), np.array(xs))
+    for g, a, b, x in zip(got.tolist(), lo, hi, xs):
+        want = mp_exp_sum(a, b, x)
+        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (a, b, x, g, want)
+
+
 NAMED_X = (0.0, -0.0, 2.0 ** -60, -2.0 ** -60, 1 - 2.0 ** -53, -(1 - 2.0 ** -53),
            2 - 2.0 ** -52, -(2 - 2.0 ** -52), 1.0, -1.0, 2.0, -2.0, 0.5,
-           2.0 ** -10, 2.0 ** -11, 2.0 ** -12, -1.5 * 2.0 ** -12, 5e-324)
+           2.0 ** -10, 2.0 ** -11, 2.0 ** -12, -1.5 * 2.0 ** -12, 5e-324,
+           2.0 ** 60, 2.0 ** 51 + 0.5, -(2.0 ** 51 + 0.5), 99.99, -0.37)
 ADVERSARIAL_X = st.one_of(
     st.sampled_from(NAMED_X),
     st.builds(_near, st.integers(-1, 1), st.integers(1, 60), st.sampled_from([-1, 1])),
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
 )
 
 
@@ -76,14 +102,43 @@ ADVERSARIAL_X = st.one_of(
 @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 5),
                           ADVERSARIAL_X), min_size=1, max_size=40))
 @example([(lo, n, x) for x in NAMED_X for lo, n in ((0, 1), (-10 ** 6, 10 ** 5), (7, 3))])
-def test_linear_exp_sums_match_the_scalar_form(cases):
-    lo = [a for a, _, _ in cases]
-    hi = [a + n for a, n, _ in cases]
-    xs = [x for _, _, x in cases]
-    got = linear_exp_sums(np.array(lo), np.array(hi), np.array(xs))
-    for g, a, b, x in zip(got.tolist(), lo, hi, xs):
-        want = linear_exp_sum(a, b, x)
-        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (a, b, x, g, want)
+def test_linear_exp_sums_match_mpmath(cases):
+    # the exact phase reduction holds for n x of many turns, large |n| of
+    # either sign, and x with a huge exponent
+    assert_matches_mpmath([a for a, _, _ in cases], [a + n for a, n, _ in cases],
+                          [x for _, _, x in cases])
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(2 ** 12, 10 ** 5),
+                          st.floats(0.0, 1.0), st.sampled_from([-1, 1])),
+                min_size=1, max_size=20))
+def test_wide_residues_fold_the_sine(cases):
+    # |x| < 2^-11 takes Python-integer residues; with count*|x| >= 1 the
+    # sine's remainder wraps past 1 and 2, so the fold is exercised there
+    lo, hi, xs = [], [], []
+    for a, count, u, sign in cases:
+        turns = 1 + u * (count * 2.0 ** -11 - 1)      # count*|x| in [1, count 2^-11]
+        x = sign * min(turns / count, math.nextafter(2.0 ** -11, 0))
+        assert abs(x) < 2.0 ** -11 and count * abs(x) >= 1 - 1e-12
+        lo.append(a)
+        hi.append(a + count)
+        xs.append(x)
+    assert_matches_mpmath(lo, hi, xs)
+
+
+def test_centring_phase_just_below_an_integer_keeps_its_sign():
+    # ((a + b) x/2) mod 1 within 2^-54 below 1 rounds onto 1.0, and e(1.0)
+    # has imaginary part -2.45e-16; the negative remainder keeps the
+    # imaginary part of the sum to the last bits
+    cases = [(0, 10, -2.0 ** -60), (-7, 3, 2.0 ** -60), (-20, 15, 3 * 2.0 ** -70),
+             (0, 10, -5e-300),
+             # uint64 residues: (a + b) mant = -1 mod 2^64
+             (-2 ** 51 - 5, -2 ** 51 + 5, -(1 + 2.0 ** -52) * 2.0 ** -11)]
+    lo, hi, xs = zip(*cases)
+    for got, (a, b, x) in zip(linear_exp_sums(lo, hi, xs).tolist(), cases):
+        want = mp_exp_sum(a, b, x)
+        assert abs(got.imag - want.imag) <= 1e-13 * abs(want.imag), (a, b, x, got, want)
 
 
 @PROPERTY
@@ -262,6 +317,30 @@ def test_min_sum_cap_switch_within_one_ulp_is_exact():
             assert got.value == (N if exact else 1.0 / v), (d, N)
             N = math.nextafter(N, math.inf)
     assert all(wrong.values()), wrong
+
+
+def test_min_sum_decides_the_cap_switch_through_classify(monkeypatch):
+    # a term whose 1/N lies within an ulp of ||alpha|| is left to the
+    # exact integer path of AngleOracle.classify; a term far from the
+    # switch is settled by the float filter
+    decide = alpha_module._decide_exactly
+    seen = []
+
+    def spy(ms, *args):
+        seen.append(list(ms))
+        return decide(ms, *args)
+
+    monkeypatch.setattr(alpha_module, "_decide_exactly", spy)
+    oracle = build_angle_oracle(AlphaSpec.sqrt(2), n_max=10)
+    Q = oracle.anchor.q
+    t = min(oracle.residue, Q - oracle.residue)
+    N = Q / t
+    got = min_sum(MinSumInstance(M=1, N=N, oracle=oracle, q=1))
+    assert seen == [[t]]
+    assert got.value == (N if Fraction(t, Q) < 1 / Fraction(N) else 1.0 / (t / Q))
+    seen.clear()
+    min_sum(MinSumInstance(M=1, N=2.0, oracle=oracle, q=1))
+    assert seen == []
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)

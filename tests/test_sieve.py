@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from primeangle.alpha import AlphaSpec, build_angle_oracle
@@ -149,7 +150,8 @@ def test_all_integer_equidistribution():
     lo, hi = 10 ** 5, 10 ** 5 + 2 * 10 ** 4
     oracle = build_angle_oracle(SQRT2, n_max=hi)
     for delta in (0.05, 0.1, 0.25):
-        count = sum(1 for _, v in oracle.residue_walker(start=lo + 1) if v < delta)
+        _, angles = oracle.dists(np.arange(lo + 1, hi + 1))
+        count = int(np.count_nonzero(angles < delta))
         expected = 2 * delta * (hi - lo)
         assert abs(count - expected) <= 0.05 * expected
 
