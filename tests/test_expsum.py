@@ -1,8 +1,11 @@
 """Closed-form exponential sums and the standard min-sum estimate."""
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from primeangle.alpha import AlphaSpec, build_angle_oracle, convergents
@@ -10,6 +13,7 @@ from primeangle.expsum import (
     MinSumInstance,
     empirical_constant,
     linear_exp_sum,
+    linear_exp_sums,
     min_sum,
     standard_estimate_bound,
 )
@@ -138,3 +142,38 @@ def test_two_points_per_interval():
                 j = int(v * q)
                 buckets[j] = buckets.get(j, 0) + 1
             assert all(c <= 2 for c in buckets.values()), (q, m0)
+
+
+def _mp(r):
+    return mpmath.mpf(r.numerator) / r.denominator
+
+
+def test_reduced_phase_exact_vs_fractions():
+    # Fraction(float) is exact, so this checks the residues of the array
+    # closed form against textbook rational reduction for both periods:
+    # a single term is e((n x) mod 1), and the sum over 0 < k <= |n| has
+    # the sine remainder (|n| x) mod 2
+    rng = random.Random(1729)
+    ns = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(500)]
+    xs = [rng.uniform(-100.0, 100.0) for _ in range(500)]
+    singles = linear_exp_sums([n - 1 for n in ns], ns, xs).tolist()
+    sums = linear_exp_sums([0] * len(ns), [abs(n) for n in ns], xs).tolist()
+    with mpmath.workdps(50):
+        for n, x, single, total in zip(ns, xs, singles, sums):
+            r, c = Fraction(x), abs(n)
+            # a phase error of 2e-16 turns moves e() by 2 pi 2e-16
+            want = cmath.exp(2j * math.pi * float(r * n % 1))
+            assert abs(single - want) <= 2e-15, (n, x, single, want)
+            want = complex(mpmath.expjpi(2 * _mp((c + 1) * r / 2 % 1))
+                           * mpmath.sinpi(_mp(c * r % 2)) / mpmath.sinpi(_mp(r % 2)))
+            assert abs(total - want) <= 1e-14 * max(1.0, abs(want)), (n, x, total, want)
+
+
+def test_reduced_phase_huge_exponent():
+    # 3 * 2^60 and 0 * 0.37 are integers; x = 2^51 + 1/2 has one fractional
+    # bit, so 2x is an odd integer: e(+-2x) is 1, and the sine's remainder
+    # (2x) mod 2 is 1, which folds to an exact 0
+    big, half_odd = 2.0 ** 60, 2.0 ** 51 + 0.5
+    got = linear_exp_sums([2, 1, -3, 0, -1], [3, 2, -2, 2, 0],
+                          [big, half_odd, half_odd, half_odd, 0.37]).tolist()
+    assert got == [1.0, 1.0, 1.0, 0.0, 1.0]

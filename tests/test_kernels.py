@@ -102,9 +102,10 @@ ADVERSARIAL_X = st.one_of(
 @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 5),
                           ADVERSARIAL_X), min_size=1, max_size=40))
 @example([(lo, n, x) for x in NAMED_X for lo, n in ((0, 1), (-10 ** 6, 10 ** 5), (7, 3))])
-def test_linear_exp_sums_match_mpmath(cases):
-    # the exact phase reduction holds for n x of many turns, large |n| of
-    # either sign, and x with a huge exponent
+def test_linear_exp_sums_match_the_scalar_form(cases):
+    # the scalar closed form by mpmath at 50 digits: the exact phase
+    # reduction holds for n x of many turns, large |n| of either sign, and
+    # x with a huge exponent
     assert_matches_mpmath([a for a, _, _ in cases], [a + n for a, n, _ in cases],
                           [x for _, _, x in cases])
 
