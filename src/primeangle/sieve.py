@@ -3,9 +3,14 @@
 The window sieve certifies primality in (lo, hi] by striking multiples of
 every prime <= sqrt(hi); prime powers p^k (k >= 2) are annotated separately
 so that sums of the von Mangoldt function reduce to sums of log p, added
-exactly by ExactSum and rounded once.  Streaming callers take the window
-one SEGMENT_SIZE segment at a time (sieve_segments), so their memory does
-not grow with the window length.
+exactly by ExactSum and rounded once.  Since lo >= 2, no even number of the
+window is prime, so the flags cover odd numbers only.  Each segment starts
+from a copy of a presieve tile that has the multiples of 3, 5, 7, 11 and 13
+struck (period 15015 on odd numbers); larger primes strike by slice when
+they have many multiples in the segment, the rest together in rounds of
+one vectorised strike each.  Streaming callers take the window one
+SEGMENT_SIZE segment at a time (sieve_segments), so their memory does not
+grow with the window length.
 
 SmallTables holds mu(n), tau(n) and the (p, k) structure of Lambda(n) for
 n <= N; Lambda's log is taken lazily.
@@ -35,9 +40,16 @@ __all__ = [
 
 SIEVE_CEILING = 2 ** 48
 SEGMENT_SIZE = 2 ** 20
-# Base primes with at least this many multiples in a segment strike by
-# slice assignment; sparser ones join one vectorised scatter.
+# Base primes with at least this many multiples among a segment's numbers
+# (half of them odd) strike by slice assignment; sparser ones strike
+# together in vectorised rounds.
 SLICE_HITS = 64
+# The presieve tile: _PRESIEVE[j] is False iff the odd number 2j + 1 is a
+# multiple of a wheel prime.  Two periods, so any run of one period is a
+# plain slice.
+_WHEEL = (3, 5, 7, 11, 13)
+_PERIOD = math.prod(_WHEEL)
+_PRESIEVE = np.gcd(2 * np.arange(2 * _PERIOD) + 1, _PERIOD) == 1
 
 
 class SieveCeilingExceeded(ValueError):
@@ -60,14 +72,16 @@ def base_primes(limit: int) -> np.ndarray:
         _BASE_CACHE["primes"] = np.flatnonzero(flags).astype(np.int64)
         _BASE_CACHE["limit"] = limit
     primes = _BASE_CACHE["primes"]
-    return primes[primes <= limit]
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
 @dataclass
 class IntervalSieve:
     """Prime flags and prime-power annotations on the window (lo, hi].
 
-    flags[i] corresponds to n = lo + 1 + i.  higher_powers lists
+    flags holds the odd numbers only: flags[i] corresponds to
+    n = odd0 + 2i, where odd0 = lo + 1 + (lo & 1) is the first odd number
+    of the window; even n > 2 are never prime.  higher_powers lists
     (n, p, k) with n = p^k, k >= 2, in increasing n.  Immutable by
     convention after construction.
     """
@@ -77,13 +91,20 @@ class IntervalSieve:
     flags: np.ndarray
     higher_powers: list = field(default_factory=list)
 
+    @property
+    def odd0(self) -> int:
+        return self.lo + 1 + (self.lo & 1)
+
     def is_prime(self, n: int) -> bool:
         if not (self.lo < n <= self.hi):
             raise ValueError(f"{n} outside window ({self.lo}, {self.hi}]")
-        return bool(self.flags[n - self.lo - 1])
+        return bool(n & 1 and self.flags[(n - self.odd0) // 2])
 
     def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.flags) + self.lo + 1
+        primes = np.flatnonzero(self.flags)
+        primes *= 2
+        primes += self.odd0
+        return primes
 
     def prime_count(self) -> int:
         return int(np.count_nonzero(self.flags))
@@ -129,29 +150,40 @@ def _check_window(lo: int, hi: int, ceiling: int) -> None:
         raise SieveCeilingExceeded(f"hi={hi} exceeds ceiling {ceiling}")
 
 
-def _segment_flags(lo: int, hi: int, bases: np.ndarray) -> np.ndarray:
-    """Prime flags of (lo, hi] from strikes of the base primes (all p*p <= hi).
+def _segment_flags(flags: np.ndarray, lo: int, bases: np.ndarray) -> None:
+    """Fill flags with the primality of the odd numbers lo + 1 + (lo & 1) + 2i.
 
-    Base primes with at least SLICE_HITS multiples in the segment strike
-    by slice assignment; the rest strike all their multiples in one
-    vectorised scatter.
+    bases is base_primes(limit) for a limit whose square reaches the last
+    number (primes past it strike nothing).  flags starts as a copy of the
+    presieve tile, and the wheel primes inside the window are set back.
+    Every other odd base p strikes its odd multiples from max(p * p, lo + 1)
+    on: primes with at least SLICE_HITS multiples among the segment's
+    2 * flags.size numbers by slice assignment, the rest in rounds that
+    strike one multiple of every prime still inside the segment.
     """
-    size = hi - lo
-    flags = np.ones(size, dtype=bool)
-    split = int(np.searchsorted(bases, size // SLICE_HITS + 1))
-    for p in bases[:split].tolist():
-        start = max(p * p, (lo // p + 1) * p)
-        flags[start - lo - 1:: p] = False
-    large = bases[split:]
-    first = np.maximum(large * large, (lo // large + 1) * large) - lo - 1
-    hits = np.maximum((size - 1 - first) // large + 1, 0)
-    total = int(hits.sum())
-    if total:
-        # the j-th of all hits, the r-th multiple of its prime p, sits at
-        # first + r*p = (first - (j - r)*p) + j*p
-        origin = np.repeat(first - (np.cumsum(hits) - hits) * large, hits)
-        flags[origin + np.arange(total) * np.repeat(large, hits)] = False
-    return flags
+    size = flags.size
+    odd0 = lo + 1 + (lo & 1)
+    phase = (odd0 // 2) % _PERIOD
+    flags[:] = np.resize(_PRESIEVE[phase: phase + _PERIOD], size)
+    for p in _WHEEL:
+        if lo < p < odd0 + 2 * size:
+            flags[(p - odd0) // 2] = True
+    primes = bases[len(_WHEEL) + 1:]  # 2 and the wheel primes strike nothing here
+    # the least odd m >= p with m * p > lo, then the index of m * p
+    offsets = np.maximum(primes, (lo + primes) // primes)
+    offsets |= 1
+    offsets *= primes
+    offsets -= odd0
+    offsets >>= 1
+    split = int(np.searchsorted(primes, 2 * size // SLICE_HITS + 1))
+    for start, p in zip(offsets[:split].tolist(), primes[:split].tolist()):
+        flags[start:: p] = False
+    offsets, primes = offsets[split:], primes[split:]
+    while offsets.size:
+        inside = offsets < size
+        offsets, primes = offsets[inside], primes[inside]
+        flags[offsets] = False
+        offsets += primes
 
 
 def _higher_powers(lo: int, hi: int, bases: np.ndarray) -> list:
@@ -177,15 +209,15 @@ def sieve_interval(lo: int, hi: int, ceiling: int = SIEVE_CEILING) -> IntervalSi
     """Sieve the window (lo, hi] with strikes of the base primes.
 
     Strikes run one SEGMENT_SIZE piece at a time, so their temporaries
-    stay O(segment); the flags of the whole window are kept.
+    stay O(segment); the odd flags of the whole window are kept.
     """
     _check_window(lo, hi, ceiling)
     bases = base_primes(math.isqrt(hi))
-    flags = np.empty(hi - lo, dtype=bool)
+    below = (lo + 1) // 2  # odd numbers <= lo
+    flags = np.empty((hi + 1) // 2 - below, dtype=bool)
     for seg_lo in range(lo, hi, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi)
-        roots = bases[: int(np.searchsorted(bases, math.isqrt(seg_hi), side="right"))]
-        flags[seg_lo - lo: seg_hi - lo] = _segment_flags(seg_lo, seg_hi, roots)
+        _segment_flags(flags[(seg_lo + 1) // 2 - below: (seg_hi + 1) // 2 - below], seg_lo, bases)
     return IntervalSieve(lo=lo, hi=hi, flags=flags, higher_powers=_higher_powers(lo, hi, bases))
 
 
@@ -193,9 +225,11 @@ def sieve_segments(lo: int, hi: int):
     """The window (lo, hi] as consecutive IntervalSieves of SEGMENT_SIZE numbers.
 
     Streaming callers hold one segment at a time, so their memory is
-    O(SEGMENT_SIZE) whatever the window length.
+    O(SEGMENT_SIZE) whatever the window length.  The base primes are
+    sieved once, up to sqrt(hi), so each segment only slices them.
     """
     _check_window(lo, hi, SIEVE_CEILING)
+    base_primes(math.isqrt(hi))
     return (sieve_interval(seg_lo, min(seg_lo + SEGMENT_SIZE, hi))
             for seg_lo in range(lo, hi, SEGMENT_SIZE))
 

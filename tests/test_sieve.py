@@ -2,10 +2,15 @@
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import primeangle.sieve as sieve_mod
 from primeangle.alpha import AlphaSpec, build_angle_oracle
 from primeangle.reference import (
     divisors,
@@ -16,13 +21,16 @@ from primeangle.reference import (
 )
 from primeangle.sieve import (
     SieveCeilingExceeded,
+    base_primes,
     mangoldt_sum_interval,
     primes_with_small_angle,
     sieve_interval,
+    sieve_segments,
     small_tables,
 )
 
 SQRT2 = AlphaSpec.sqrt(2)
+WHEEL_PERIOD = 30030  # 2*3*5*7*11*13: the presieve tile repeats with it
 
 
 def test_sieve_50_100():
@@ -47,6 +55,74 @@ def test_sieve_matches_trial_division():
             hi = lo + 2
         s = sieve_interval(lo, hi)
         assert list(s.primes()) == trial_division_primes(lo, hi)
+
+
+@st.composite
+def sieve_windows(draw):
+    """(lo, hi) with at most 4000 numbers, below about 2e5, for trial division.
+
+    Covers wheel primes inside the window (lo <= 13), lo < sqrt(hi), and
+    windows that start or end on a prime square or on k*30030 +- 1.  An
+    anchor a becomes lo = a, lo = a - 1, hi = a or hi = a - 1, so lo and
+    hi take both parities.
+    """
+    width = draw(st.integers(1, 4000))
+    kind = draw(st.sampled_from(["wheel", "below_root", "square", "period", "any"]))
+    if kind == "wheel":
+        lo = draw(st.integers(2, 13))
+        return lo, lo + width
+    if kind == "below_root":
+        hi = draw(st.integers(30, 1500))
+        return draw(st.integers(2, math.isqrt(hi) - 1)), hi
+    if kind == "any":
+        lo = draw(st.integers(2, 2 * 10 ** 5))
+        return lo, lo + width
+    if kind == "square":
+        anchor = draw(st.sampled_from([17, 19, 23, 97, 101, 211, 331, 443])) ** 2
+    else:
+        anchor = draw(st.integers(1, 6)) * WHEEL_PERIOD + draw(st.sampled_from([-1, 1]))
+    shift = draw(st.sampled_from([0, 1]))
+    if draw(st.booleans()):
+        lo = anchor - shift
+        return lo, lo + width
+    hi = anchor - shift
+    return max(2, hi - width), hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(sieve_windows(), st.sampled_from([2 ** 20, 4099, 2048, 1000, 777, 64, 65]))
+def test_window_sieve_matches_trial_division(window, segment):
+    # odd and even segment sizes move the segment starts through both
+    # parities and through every phase of the presieve tile; segments of
+    # 2048 numbers and more strike some primes by slice, all segments
+    # strike the others in rounds
+    lo, hi = window
+    want = trial_division_primes(lo, hi)
+    with mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment):
+        whole = sieve_interval(lo, hi)
+        pieces = list(sieve_segments(lo, hi))
+    assert whole.primes().tolist() == want
+    assert np.concatenate([s.primes() for s in pieces]).tolist() == want
+    assert [s.prime_count() for s in pieces] == [
+        sum(s.lo < p <= s.hi for p in want) for s in pieces]
+    # every n of the window, so every even n too, which the flags do not hold
+    primes = set(want)
+    assert [whole.is_prime(n) for n in range(lo + 1, hi + 1)] == [
+        n in primes for n in range(lo + 1, hi + 1)]
+
+
+def test_segment_memory_is_bounded_by_the_segment():
+    # the strikes of one segment hold O(1) arrays over the base primes and
+    # nothing over the segment's hits; the base-prime cache is grown first
+    lo, hi = 10 ** 12, 10 ** 12 + sieve_mod.SEGMENT_SIZE
+    bases = base_primes(math.isqrt(hi))
+    tracemalloc.start()
+    try:
+        sieve_interval(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sieve_mod.SEGMENT_SIZE + 48 * len(bases)
 
 
 def test_prime_powers_match_factoring():
