@@ -54,7 +54,6 @@ from .smoothing import (
     build_kernel,
     f_direct,
     f_fourier,
-    kernel_for_experiment,
     truncation_bound,
 )
 from .vaughan import (

@@ -27,8 +27,9 @@ from .reference import brute_force_quadruples, naive_exp_sum
 from .report import report_to_json
 from .sieve import mangoldt_sum_interval, small_tables
 from .smoothing import build_kernel, f_direct, f_fourier
-from .experiments import build_sum_context, run_prime_count, run_smoothed_sum
+from .experiments import run_prime_count, run_smoothed_sum
 from .vaughan import (
+    SumContext,
     VaughanParams,
     dyadic_h_blocks,
     dyadic_m_blocks,
@@ -91,11 +92,11 @@ def criterion_1(seed: int) -> dict:
                 expect_q = a * convs[conv.n - 1].q + q_prev
                 p_prev, q_prev = convs[conv.n - 1].p, convs[conv.n - 1].q
             if (conv.p, conv.q) != (expect_p, expect_q) or gcd(conv.p, conv.q) != 1:
-                failures.append((spec.describe(), conv.n, "recurrence/gcd"))
+                failures.append((spec.canonical(), conv.n, "recurrence/gcd"))
         for cur, nxt in zip(convs, convs[1:]):
             checked += 1
             if not verify_convergent_pair(spec, cur, nxt):
-                failures.append((spec.describe(), cur.n, "approximation"))
+                failures.append((spec.canonical(), cur.n, "approximation"))
     return {
         "criterion": 1,
         "name": "convergent invariants",
@@ -236,7 +237,7 @@ def criterion_6(seed: int) -> dict:
     ok = True
     for X, Y, delta, eps in SUITE_INSTANCES:
         config = ExperimentConfig(X=X, Y=Y, delta=delta, eps=eps, alpha=SQRT2)
-        ctx = build_sum_context(config)
+        ctx = SumContext(config)
         for M in dyadic_m_blocks(X):
             for H in dyadic_h_blocks(ctx.L):
                 split = t3_t4_t5_split(H, M, ctx)
@@ -291,7 +292,7 @@ def criterion_8(seed: int) -> dict:
                                   alpha=spec, seed=seed)
         report = run_prime_count(config, force=True)
         rel = abs(report.value - report.main_term) / report.main_term
-        rows.append({"alpha": spec.describe(), "count": report.value,
+        rows.append({"alpha": spec.canonical(), "count": report.value,
                      "main_term": report.main_term, "rel_dev": rel,
                      "boundary": report.bound_terms["boundary_count"]})
         ok = ok and rel <= COUNT_REL_TOL

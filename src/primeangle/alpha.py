@@ -16,7 +16,7 @@ comparisons reduce to integer sign tests of B*sqrt(d) - R via squaring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
@@ -44,7 +44,10 @@ __all__ = [
 # Hard stop for convergent walks; quadratic-surd denominators grow at least
 # like Fibonacci numbers, so this is never reached for sane window/precision
 # requests.
-DEFAULT_CF_ITERATION_CAP = 100_000
+CF_ITERATION_CAP = 100_000
+# Convergents compare_to_rational walks to separate an explicit expansion
+# from p/q.
+COMPARE_DEPTH = 64
 
 # Anchors with Q below this take the int64 residue path: residues are exact
 # in int64 and every m and Q converts to float64 exactly.
@@ -82,7 +85,6 @@ class AlphaSpec:
     d: int = 0
     preperiod: tuple = ()
     period: tuple = ()
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.kind == "quadratic-surd":
@@ -108,12 +110,11 @@ class AlphaSpec:
 
     @staticmethod
     def sqrt(d: int) -> "AlphaSpec":
-        return AlphaSpec(kind="quadratic-surd", a=0, b=1, c=1, d=d, label=f"sqrt:{d}")
+        return AlphaSpec(kind="quadratic-surd", a=0, b=1, c=1, d=d)
 
     @staticmethod
     def surd(a: int, b: int, c: int, d: int) -> "AlphaSpec":
-        return AlphaSpec(kind="quadratic-surd", a=a, b=b, c=c, d=d,
-                         label=f"surd:{a},{b},{c},{d}")
+        return AlphaSpec(kind="quadratic-surd", a=a, b=b, c=c, d=d)
 
     @staticmethod
     def golden() -> "AlphaSpec":
@@ -121,16 +122,10 @@ class AlphaSpec:
 
     @staticmethod
     def explicit_cf(preperiod, period) -> "AlphaSpec":
-        pre = ";".join(str(t) for t in preperiod[1:])
-        per = ",".join(str(t) for t in period)
-        return AlphaSpec(kind="explicit-cf", preperiod=tuple(preperiod),
-                         period=tuple(period),
-                         label=f"cf:{preperiod[0]};{pre};{per}")
-
-    def describe(self) -> str:
-        return self.label or self.canonical()
+        return AlphaSpec(kind="explicit-cf", preperiod=tuple(preperiod), period=tuple(period))
 
     def canonical(self) -> str:
+        """The spec in parse_alpha's grammar; parse_alpha returns an equal spec."""
         if self.kind == "quadratic-surd":
             if self.a == 0 and self.b == 1 and self.c == 1:
                 return f"sqrt:{self.d}"
@@ -286,20 +281,19 @@ class WindowSearch:
         return self.found is not None
 
 
-def find_q_in_window(alpha: AlphaSpec, lo: float, hi: float,
-                     cap: int = DEFAULT_CF_ITERATION_CAP) -> WindowSearch:
+def find_q_in_window(alpha: AlphaSpec, lo: float, hi: float) -> WindowSearch:
     """First convergent with lo <= q <= hi, or the straddling pair."""
     if not (1 <= lo <= hi):
         raise ValueError("need 1 <= lo <= hi")
     below = None
-    for conv in itertools.islice(convergent_stream(alpha), cap):
+    for conv in itertools.islice(convergent_stream(alpha), CF_ITERATION_CAP):
         if conv.q < lo:
             below = conv
         elif conv.q <= hi:
             return WindowSearch(found=conv, below=below, above=None)
         else:
             return WindowSearch(found=None, below=below, above=conv)
-    raise CfIterationCapExceeded(f"window search exceeded {cap} convergents")
+    raise CfIterationCapExceeded(f"window search exceeded {CF_ITERATION_CAP} convergents")
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +315,13 @@ def _sign_bsqrtd_minus_r(B: int, d: int, R: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def compare_to_rational(alpha: AlphaSpec, p: int, q: int,
-                        depth: int = 64) -> int:
+def compare_to_rational(alpha: AlphaSpec, p: int, q: int) -> int:
     """Exact sign of alpha - p/q (q > 0); equality cannot occur.
 
     Quadratic surds compare through integer sign tests; explicit
     expansions compare through a deep consecutive-convergent bracket,
-    deepening until the bracket excludes p/q.
+    deepening until the bracket excludes p/q, at most COMPARE_DEPTH
+    convergents deep.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -341,7 +335,7 @@ def compare_to_rational(alpha: AlphaSpec, p: int, q: int,
         return sign
     target = Fraction(p, q)
     pair = []
-    for conv in itertools.islice(convergent_stream(alpha), depth):
+    for conv in itertools.islice(convergent_stream(alpha), COMPARE_DEPTH):
         pair.append(conv)
         if len(pair) < 2:
             continue
@@ -351,7 +345,7 @@ def compare_to_rational(alpha: AlphaSpec, p: int, q: int,
         if target >= hi:
             return -1
     raise CfIterationCapExceeded(
-        f"p/q = {p}/{q} not separated from alpha within depth {depth}")
+        f"p/q = {p}/{q} not separated from alpha within depth {COMPARE_DEPTH}")
 
 
 def verify_convergent_pair(alpha: AlphaSpec, conv: Convergent,
@@ -481,8 +475,8 @@ class AngleOracle:
         return x, below, ~(below | above)
 
 
-def build_angle_oracle(alpha: AlphaSpec, n_max: int, err_target: float = 2.0 ** -40,
-                       cap: int = DEFAULT_CF_ITERATION_CAP) -> AngleOracle:
+def build_angle_oracle(alpha: AlphaSpec, n_max: int,
+                       err_target: float = 2.0 ** -40) -> AngleOracle:
     """Anchor a certified ||n*alpha|| evaluator with ebound <= err_target.
 
     Walks convergents until Q^2 >= n_max/err_target, then takes one more for
@@ -495,14 +489,14 @@ def build_angle_oracle(alpha: AlphaSpec, n_max: int, err_target: float = 2.0 ** 
     threshold = n_max / err_target
     chosen = None
     stream = convergent_stream(alpha)
-    for _ in range(cap):
+    for _ in range(CF_ITERATION_CAP):
         conv = next(stream)
         if conv.q * conv.q >= threshold:
             chosen = next(stream)  # one extra term: clean margin
             break
     if chosen is None:
         raise CfIterationCapExceeded(
-            f"no anchor with Q >= sqrt({n_max}/{err_target}) within {cap} terms")
+            f"no anchor with Q >= sqrt({n_max}/{err_target}) within {CF_ITERATION_CAP} terms")
     return AngleOracle(alpha=alpha, anchor=chosen,
                        residue=chosen.p % chosen.q, n_max=n_max,
                        ebound=n_max / (chosen.q * chosen.q))

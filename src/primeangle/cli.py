@@ -25,7 +25,6 @@ from .config import (
 )
 from .experiments import (
     attach_envelope,
-    build_sum_context,
     run_bound_suite,
     run_prime_count,
     run_smoothed_sum,
@@ -34,7 +33,7 @@ from .experiments import (
 from .expsum import MinSumInstance, min_sum, standard_estimate_bound
 from .report import report_to_json, reports_to_csv
 from .sieve import mangoldt_sum_interval, sieve_segments, small_tables
-from .vaughan import VaughanParams, t1_sum, t2_bound_chain, t2_sum, vaughan_pieces
+from .vaughan import SumContext, VaughanParams, t1_sum, t2_bound_chain, t2_sum, vaughan_pieces
 
 Q_POLICY_ALIASES = {
     "strict": "strict-window",
@@ -129,7 +128,7 @@ def cmd_convergents(args):
 
 def cmd_angle(args):
     alpha = parse_alpha(args.alpha)
-    n_max = args.n_max or args.n
+    n_max = max(1, abs(args.n)) if args.n_max is None else args.n_max
     err = parse_precision(args.precision) if args.precision else 2.0 ** -40
     oracle = build_angle_oracle(alpha, n_max=n_max, err_target=err)
     value, ebound = oracle.dist(args.n)
@@ -229,7 +228,7 @@ def cmd_minsum(args):
 def cmd_t1(args):
     config = _build_config(args)
     require_admissible(config, args.force)
-    ctx = build_sum_context(config)
+    ctx = SumContext(config)
     conv, in_window = select_q(config)
     report = t1_sum(args.h, ctx, conv.q)
     report.q_window = config.q_window()
@@ -241,7 +240,7 @@ def cmd_t1(args):
 def cmd_t2(args):
     config = _build_config(args)
     require_admissible(config, args.force)
-    ctx = build_sum_context(config)
+    ctx = SumContext(config)
     conv, in_window = select_q(config)
     report = t2_sum(args.h, args.m_block, ctx)
     report.q_used = conv.q
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("angle", cmd_angle, "certified ||n*alpha||", alpha, _parent("--precision"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None, help="oracle reach (default max(1, |n|))")
 
     p = add("sieve", cmd_sieve, "primes and prime powers in (lo, hi]")
     p.add_argument("--lo", type=int, required=True)

@@ -21,14 +21,15 @@ from .config import (
     select_q,
 )
 from .report import SumReport
-from .sieve import ExactSum, iroot, primes_with_small_angle, sieve_segments, small_tables
-from .smoothing import f_direct_array, kernel_for_experiment
+from .sieve import ExactSum, primes_with_small_angle, sieve_segments
+from .smoothing import f_direct_array
 from .vaughan import (
     BudgetExceeded,
     SumContext,
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
+    gamma_enumerable,
     s1_type_i,
     t1_sum,
     t2_bound_chain,
@@ -41,7 +42,6 @@ __all__ = [
     "run_prime_count",
     "run_bound_suite",
     "sweep",
-    "build_sum_context",
     "attach_envelope",
 ]
 
@@ -140,25 +140,7 @@ def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
     return _window_report("prime_count", config, force, measure)
 
 
-def build_sum_context(config: ExperimentConfig) -> SumContext:
-    """Assemble oracle, kernel and tables for the T-sum evaluators.
-
-    The bound-suite oracle is built much deeper than the experiment default
-    (2^-80) so that rearranged evaluation routes agree to float rounding;
-    its arguments reach X*L for type I phases and 2XH/M for quadruple
-    labels, both covered by 2*X*L + X.
-    """
-    kernel = kernel_for_experiment(config.X, config.eps, config.delta)
-    oracle = build_angle_oracle(config.alpha, n_max=2 * config.X * kernel.L + config.X,
-                                err_target=min(config.err_target, 2.0 ** -80))
-    tables = small_tables(max(2 * iroot(config.X * config.X, 3) + 1, 16))
-    return SumContext(X=config.X, Y=config.Y, delta=config.delta, eps=config.eps,
-                      oracle=oracle, kernel=kernel, tables=tables,
-                      budget=config.budget)
-
-
-def run_bound_suite(config: ExperimentConfig, force: bool = False,
-                    include_s1: bool = True) -> dict:
+def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
     """Dyadic grid of type I/II blocks with their bound chains.
 
     For each dyadic H: the exact T1(H) with its min-sum comparator; for
@@ -168,7 +150,7 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False,
     """
     adm = require_admissible(config, force)
     conv, in_window = select_q(config)
-    ctx = build_sum_context(config)
+    ctx = SumContext(config)
     notices = []
     result = {
         "q_used": conv.q,
@@ -178,9 +160,8 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False,
         "t1_blocks": [],
         "t2_blocks": [],
         "notices": notices,
+        "s1": s1_type_i(ctx, conv.q).as_dict(),
     }
-    if include_s1:
-        result["s1"] = s1_type_i(ctx, conv.q).as_dict()
     for H in dyadic_h_blocks(ctx.L):
         result["t1_blocks"].append(t1_sum(H, ctx, conv.q).as_dict())
     m_blocks = dyadic_m_blocks(config.X)
@@ -208,7 +189,7 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False,
             block["chain"] = chain
             bound = chain["t2_bound"]
             block["measured_over_bound"] = t2.value / bound if bound else None
-            if config.X <= 512 * M and int(H) <= 16:
+            if gamma_enumerable(int(H), M, config.X):
                 offs = [off for off in GAMMA_SAMPLE_OFFSETS
                         if abs(off) * M <= 2 * config.X * int(H)]
                 counts = gamma_counts(offs, int(H), M, config.X, config.Y)

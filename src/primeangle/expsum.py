@@ -203,7 +203,7 @@ def empirical_constant(instances) -> dict:
         ratio = measured.value / bound
         worst = max(worst, ratio)
         rows.append({
-            "alpha": inst.oracle.alpha.describe(),
+            "alpha": inst.oracle.alpha.canonical(),
             "M": inst.M,
             "N": inst.N,
             "q": inst.q,

@@ -53,13 +53,13 @@ class SumReport:
         }
 
 
-def report_to_json(payload, indent: int = 2) -> str:
-    """Deterministic JSON: sorted keys, no whitespace drift.
+def report_to_json(payload) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, no whitespace drift.
 
     NaN and infinities are not JSON, so a payload holding one raises
     ValueError instead of emitting them.
     """
-    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _flatten(prefix: str, obj, out: dict):

@@ -19,7 +19,8 @@ n <= N; Lambda's log is taken lazily.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,19 +82,22 @@ class IntervalSieve:
 
     flags holds the odd numbers only: flags[i] corresponds to
     n = odd0 + 2i, where odd0 = lo + 1 + (lo & 1) is the first odd number
-    of the window; even n > 2 are never prime.  higher_powers lists
-    (n, p, k) with n = p^k, k >= 2, in increasing n.  Immutable by
-    convention after construction.
+    of the window; even n > 2 are never prime.  Immutable by convention
+    after construction.
     """
 
     lo: int
     hi: int
     flags: np.ndarray
-    higher_powers: list = field(default_factory=list)
 
     @property
     def odd0(self) -> int:
         return self.lo + 1 + (self.lo & 1)
+
+    @cached_property
+    def higher_powers(self) -> list:
+        """(n, p, k) with n = p^k, k >= 2, in increasing n; computed on first read."""
+        return _higher_powers(self.lo, self.hi, base_primes(math.isqrt(self.hi)))
 
     def is_prime(self, n: int) -> bool:
         if not (self.lo < n <= self.hi):
@@ -143,11 +147,11 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
-def _check_window(lo: int, hi: int, ceiling: int) -> None:
+def _check_window(lo: int, hi: int) -> None:
     if not (2 <= lo < hi):
         raise ValueError("need 2 <= lo < hi")
-    if hi > ceiling:
-        raise SieveCeilingExceeded(f"hi={hi} exceeds ceiling {ceiling}")
+    if hi > SIEVE_CEILING:
+        raise SieveCeilingExceeded(f"hi={hi} exceeds ceiling {SIEVE_CEILING}")
 
 
 def _segment_flags(flags: np.ndarray, lo: int, bases: np.ndarray) -> None:
@@ -205,20 +209,20 @@ def _higher_powers(lo: int, hi: int, bases: np.ndarray) -> list:
     return powers
 
 
-def sieve_interval(lo: int, hi: int, ceiling: int = SIEVE_CEILING) -> IntervalSieve:
+def sieve_interval(lo: int, hi: int) -> IntervalSieve:
     """Sieve the window (lo, hi] with strikes of the base primes.
 
     Strikes run one SEGMENT_SIZE piece at a time, so their temporaries
     stay O(segment); the odd flags of the whole window are kept.
     """
-    _check_window(lo, hi, ceiling)
+    _check_window(lo, hi)
     bases = base_primes(math.isqrt(hi))
     below = (lo + 1) // 2  # odd numbers <= lo
     flags = np.empty((hi + 1) // 2 - below, dtype=bool)
     for seg_lo in range(lo, hi, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi)
         _segment_flags(flags[(seg_lo + 1) // 2 - below: (seg_hi + 1) // 2 - below], seg_lo, bases)
-    return IntervalSieve(lo=lo, hi=hi, flags=flags, higher_powers=_higher_powers(lo, hi, bases))
+    return IntervalSieve(lo=lo, hi=hi, flags=flags)
 
 
 def sieve_segments(lo: int, hi: int):
@@ -228,7 +232,7 @@ def sieve_segments(lo: int, hi: int):
     O(SEGMENT_SIZE) whatever the window length.  The base primes are
     sieved once, up to sqrt(hi), so each segment only slices them.
     """
-    _check_window(lo, hi, SIEVE_CEILING)
+    _check_window(lo, hi)
     base_primes(math.isqrt(hi))
     return (sieve_interval(seg_lo, min(seg_lo + SEGMENT_SIZE, hi))
             for seg_lo in range(lo, hi, SEGMENT_SIZE))
@@ -335,11 +339,10 @@ class SmallAngleCount:
 
     count: int
     boundary_count: int
-    sample: list  # first (p, ||p*alpha||) hits, capped
 
 
 def primes_with_small_angle(sieve: IntervalSieve, oracle: AngleOracle,
-                            delta: float, sample_cap: int = 32) -> SmallAngleCount:
+                            delta: float) -> SmallAngleCount:
     """Count primes p in the sieve window with certified ||p*alpha|| < delta.
 
     Verdicts come from AngleOracle.classify (float filter, exact integer
@@ -350,9 +353,6 @@ def primes_with_small_angle(sieve: IntervalSieve, oracle: AngleOracle,
         raise ValueError("delta must lie in (0, 1/2]")
     if sieve.hi > oracle.n_max:
         raise ValueError("oracle does not cover the sieve window")
-    primes = sieve.primes()
-    values, below, boundary = oracle.classify(primes, delta)
-    hits = np.flatnonzero(below)
-    sample = [(int(primes[i]), float(values[i])) for i in hits[:sample_cap]]
-    return SmallAngleCount(count=int(hits.size), boundary_count=int(np.count_nonzero(boundary)),
-                           sample=sample)
+    _, below, boundary = oracle.classify(sieve.primes(), delta)
+    return SmallAngleCount(count=int(np.count_nonzero(below)),
+                           boundary_count=int(np.count_nonzero(boundary)))

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "SmoothingKernel",
     "build_kernel",
-    "kernel_for_experiment",
     "f_direct",
     "f_direct_array",
     "f_fourier",
@@ -43,17 +42,16 @@ def default_direct_terms(delta: float) -> int:
     return max(3, math.ceil(delta * math.sqrt(30.0 / math.pi)))
 
 
-def f_direct(x: float, delta: float, terms: int | None = None) -> float:
+def f_direct(x: float, delta: float) -> float:
     """Direct evaluation of the periodized Gaussian at x.
 
-    Sums the shifts n with |n - round(x)| <= terms; with the default
-    radius the dropped tail is below 1e-30 for every delta <= 1/2.
+    Sums the shifts n with |n - round(x)| <= default_direct_terms(delta),
+    so the dropped tail is below 1e-30 for every delta <= 1/2.
     1-periodic and even by construction.
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
-    if terms is None:
-        terms = default_direct_terms(delta)
+    terms = default_direct_terms(delta)
     center = round(x)
     inv = math.pi / (delta * delta)
     return math.fsum(
@@ -65,9 +63,9 @@ def f_direct(x: float, delta: float, terms: int | None = None) -> float:
 def f_direct_array(xs: np.ndarray, delta: float) -> np.ndarray:
     """f_direct over a float64 array, summing the shifts in one fixed order.
 
-    Each entry adds the same Gaussian terms as f_direct with its default
-    radius, in increasing shift order instead of math.fsum, so it agrees
-    with f_direct to a few ulps.
+    Each entry adds the same Gaussian terms as f_direct, in increasing
+    shift order instead of math.fsum, so it agrees with f_direct to a few
+    ulps.
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
@@ -146,12 +144,6 @@ def build_kernel(delta: float, L: int) -> SmoothingKernel:
         tail_underflow=underflow,
         tail_log10=log10_tail,
     )
-
-
-def kernel_for_experiment(X: int, eps: float, delta: float) -> SmoothingKernel:
-    """Kernel with the experiment-grade truncation length L = ceil(X^eps / delta)."""
-    L = math.ceil(X ** eps / delta)
-    return build_kernel(delta, L)
 
 
 def f_fourier(x: float, kernel: SmoothingKernel) -> float:

@@ -28,12 +28,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .alpha import AngleOracle
-from .config import DEFAULT_BUDGET
+from .alpha import AngleOracle, build_angle_oracle
+from .config import ExperimentConfig
 from .expsum import CHUNK, MinSumInstance, linear_exp_sums, min_sum, standard_estimate_bound
 from .report import SumReport
-from .sieve import SmallTables, iroot
-from .smoothing import SmoothingKernel
+from .sieve import SmallTables, iroot, small_tables
+from .smoothing import SmoothingKernel, build_kernel
 
 __all__ = [
     "BudgetExceeded",
@@ -47,6 +47,7 @@ __all__ = [
     "t2_sum",
     "t3_t4_t5_split",
     "TypeIISplit",
+    "gamma_enumerable",
     "gamma_counts",
     "t2_bound_chain",
     "dyadic_h_blocks",
@@ -134,37 +135,33 @@ def vaughan_pieces(n: int, params: VaughanParams, tables: SmallTables):
 # evaluation context and dyadic blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SumContext:
     """Everything the T-sum evaluators need about one experiment instance.
 
-    The oracle must cover arguments up to X * L (type I phases l*m with
-    l <= L, m <= X^{2/3}, and the quadruple labels l up to 2XH/M).
+    Derived from the config alone:
+    - the kernel, of length config.L;
+    - the oracle, with err_target at most 2^-80, much deeper than the
+      experiment default, so that rearranged evaluation routes agree to
+      float rounding.  Its reach 2XL + X covers the type I phases l*m
+      (l <= L, m <= X^{2/3}) and the quadruple labels up to 2XH/M;
+    - the tables, up to 2 X^{2/3} + 1 and at least 16: type II blocks
+      read Lambda(m) for m <= X^{2/3} and tau(n) for n <= 2X/M + 1.
     """
 
-    X: int
-    Y: int
-    delta: float
-    eps: float
-    oracle: AngleOracle
-    kernel: SmoothingKernel
-    tables: SmallTables
-    budget: float = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if not (0 <= self.Y <= self.X):
-            raise ValueError("need 0 <= Y <= X")
-        # type II blocks touch Lambda(m) for m <= X^(2/3) and tau(n) for
-        # n <= 2X/M + 1 <= 2 X^(2/3) + 1
-        if self.tables.limit < 2 * iroot(self.X * self.X, 3) + 1:
-            raise ValueError("tables must cover 2*X^(2/3) + 1")
+    def __init__(self, config: ExperimentConfig):
+        X = config.X
+        if config.Y > X:
+            raise ValueError("need Y <= X")
+        self.X, self.Y, self.delta, self.eps = X, config.Y, config.delta, config.eps
+        self.budget = config.budget
+        self.kernel = build_kernel(config.delta, config.L)
+        self.oracle = build_angle_oracle(config.alpha, n_max=2 * X * self.kernel.L + X,
+                                         err_target=min(config.err_target, 2.0 ** -80))
+        self.tables = small_tables(max(2 * iroot(X * X, 3) + 1, 16))
 
     @property
     def L(self) -> int:
         return self.kernel.L
-
-    def frac(self, n: int) -> float:
-        return self.oracle.frac(n)[0]
 
     def m_max_type_i(self) -> int:
         # largest m with m <= X^{2/3}, i.e. m^3 <= X^2
@@ -193,21 +190,19 @@ class BilinearCoeffs:
     |b(n)| <= tau(n), |c(h)| <= 1 are checked at build time.
     """
 
-    V: float
-    b: np.ndarray  # int64 b[n] for 0 <= n <= n_limit
-    n_limit: int
+    b: np.ndarray  # int64 b[n] for 0 <= n <= the limit of build
 
     @staticmethod
-    def build(n_limit: int, V: float, tables: SmallTables) -> "BilinearCoeffs":
+    def build(limit: int, V: float, tables: SmallTables) -> "BilinearCoeffs":
         # divisor sieve: every d <= V adds mu(d) to its multiples
-        beta = np.zeros(n_limit + 1, dtype=np.int64)
-        for d in range(1, min(int(V), n_limit) + 1):
+        beta = np.zeros(limit + 1, dtype=np.int64)
+        for d in range(1, min(int(V), limit) + 1):
             if tables.mu[d]:
                 beta[d::d] += tables.mu[d]
-        bad = np.flatnonzero(np.abs(beta) > tables.tau[:n_limit + 1])
+        bad = np.flatnonzero(np.abs(beta) > tables.tau[:limit + 1])
         if bad.size:
             raise AssertionError(f"|b({bad[0]})| exceeds tau({bad[0]})")
-        return BilinearCoeffs(V=V, b=beta, n_limit=n_limit)
+        return BilinearCoeffs(b=beta)
 
 
 def dyadic_h_blocks(L: int):
@@ -549,6 +544,11 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
 # quadruple counts
 # ---------------------------------------------------------------------------
 
+def gamma_enumerable(H: int, M: int, X: int) -> bool:
+    """The enumeration budget of gamma_counts: X/M <= 512 and H <= 16."""
+    return X <= 512 * M and H <= 16
+
+
 def gamma_counts(labels, H: int, M: int, X: int, Y: int) -> list:
     """[(gamma0, gamma1)] per label l: quadruples with n1 h1 - n2 h2 = l, split by degeneracy.
 
@@ -563,7 +563,7 @@ def gamma_counts(labels, H: int, M: int, X: int, Y: int) -> list:
     labels = [int(l) for l in labels]
     if any(abs(l) * M > 2 * X * H for l in labels):
         raise ValueError("l outside [-2XH/M, 2XH/M]")
-    if X > 512 * M or H > 16:
+    if not gamma_enumerable(H, M, X):
         raise BudgetExceeded("enumeration budget: need X/M <= 512 and H <= 16")
     n_lo = X // (2 * M) + 1
     n_hi = 2 * X // M

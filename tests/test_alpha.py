@@ -265,4 +265,4 @@ def test_oracle_against_mpmath_sweep():
                 got, err = oracle.dist(n)
                 x = n * value
                 want = float(abs(x - mp.nint(x)))
-                assert abs(got - want) <= err + 1e-15, (spec.describe(), n)
+                assert abs(got - want) <= err + 1e-15, (spec.canonical(), n)

@@ -38,6 +38,17 @@ def test_angle(capsys):
     assert doc["certified_error"] <= 2.0 ** -40
 
 
+def test_angle_of_negative_and_zero_n(capsys):
+    # ||n alpha|| is defined for every |n| <= n_max, which defaults to max(1, |n|)
+    pos = run_json(["angle", "--alpha", "sqrt:2", "--n", "5"], capsys)
+    neg = run_json(["angle", "--alpha", "sqrt:2", "--n", "-5"], capsys)
+    assert neg["angle"] == pos["angle"]
+    assert run_json(["angle", "--alpha", "sqrt:2", "--n", "0"], capsys)["angle"] == 0.0
+    # an explicit --n-max 0 is taken as given, and rejected
+    code, _, err = run_cli(["angle", "--alpha", "sqrt:2", "--n", "0", "--n-max", "0"], capsys)
+    assert code == 1 and "n_max must be >= 1" in err
+
+
 def test_sieve(capsys):
     doc = run_json(["sieve", "--lo", "50", "--hi", "100"], capsys)
     assert doc["prime_count"] == 10

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from primeangle.alpha import AlphaSpec, build_angle_oracle, convergents
+from primeangle.alpha import AlphaSpec, build_angle_oracle, convergents, parse_alpha
 from primeangle.expsum import (
     MinSumInstance,
     empirical_constant,
@@ -109,6 +109,16 @@ def test_empirical_constant_trivial_q1():
     oracle = build_angle_oracle(SQRT2, n_max=10)
     table = empirical_constant([MinSumInstance(M=10, N=50, oracle=oracle, q=1)])
     assert table["max_ratio"] <= 1.0
+
+
+def test_empirical_constant_alpha_names_parse_back():
+    specs = [SQRT2, AlphaSpec.surd(5, -2, 3, 3), AlphaSpec.golden(),
+             AlphaSpec.explicit_cf([1, 2, 3], [4, 5])]
+    instances = [MinSumInstance(M=10, N=50, oracle=build_angle_oracle(spec, n_max=10), q=1)
+                 for spec in specs]
+    rows = empirical_constant(instances)["rows"]
+    assert [parse_alpha(row["alpha"]) for row in rows] == specs
+    assert rows[3]["alpha"] == "cf:1;2,3;4,5"
 
 
 def test_empirical_constant_grid():

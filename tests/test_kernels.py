@@ -9,6 +9,7 @@ derandomized, so the examples are the same on every run.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -21,10 +22,9 @@ from primeangle import alpha as alpha_module
 from primeangle import vaughan
 from primeangle.acceptance import SPLIT_RESIDUAL_TOL
 from primeangle.alpha import AlphaSpec, build_angle_oracle
+from primeangle.config import ExperimentConfig
 from primeangle.expsum import MinSumInstance, linear_exp_sum, linear_exp_sums, min_sum
 from primeangle.reference import brute_force_quadruples, naive_type_i_block
-from primeangle.sieve import iroot, small_tables
-from primeangle.smoothing import kernel_for_experiment
 from primeangle.vaughan import (
     BudgetExceeded,
     SumContext,
@@ -39,12 +39,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 ALPHAS = (AlphaSpec.sqrt(2), AlphaSpec.golden(), AlphaSpec.sqrt(7), AlphaSpec.sqrt(13))
 
 
-def make_ctx(X, Y, alpha=ALPHAS[0], budget=1e9, delta=0.3, eps=0.05):
-    kernel = kernel_for_experiment(X, eps, delta)
-    oracle = build_angle_oracle(alpha, n_max=2 * X * kernel.L + X, err_target=2.0 ** -80)
-    tables = small_tables(max(2 * iroot(X * X, 3) + 1, 16))
-    return SumContext(X=X, Y=Y, delta=delta, eps=eps, oracle=oracle,
-                      kernel=kernel, tables=tables, budget=budget)
+# the bound-suite instance of these tests; the property tests replace X, Y and alpha
+CONFIG = ExperimentConfig(X=1000, Y=300, delta=0.3, eps=0.05, alpha=ALPHAS[0])
 
 
 def with_chunk(size, fn, *args):
@@ -172,12 +168,12 @@ def test_linear_exp_sums_empty_ranges():
        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4),
        st.sampled_from([1, 7, 64, 4096]))
 def test_type_i_kernel_matches_naive_block(X, y_pct, alpha, coeffs, chunk):
-    ctx = make_ctx(X, X * y_pct // 100, alpha)
+    ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
     rows = vaughan._type_i_rows(ctx, len(coeffs))
     got = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows,
                      list(enumerate(coeffs, start=1)))
     for (m, n_lo, n_hi), g in zip(rows, got.tolist()):
-        want = naive_type_i_block(m, n_lo, n_hi, coeffs, ctx.frac)
+        want = naive_type_i_block(m, n_lo, n_hi, coeffs, lambda j: ctx.oracle.frac(j)[0])
         assert abs(g - want) <= 1e-10 * max(1.0, want), (m, n_lo, n_hi)
 
 
@@ -221,7 +217,7 @@ def _brute_pairs(ctx, M):
 @given(st.integers(100, 3000), st.integers(0, 100), st.sampled_from(ALPHAS),
        st.sampled_from([7, 4096]), st.data())
 def test_banded_split_matches_pair_enumeration(X, y_pct, alpha, chunk, data):
-    ctx = make_ctx(X, X * y_pct // 100, alpha)
+    ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
     M = data.draw(st.sampled_from(dyadic_m_blocks(X)))
     H = data.draw(st.sampled_from(dyadic_h_blocks(ctx.L)))
     split = with_chunk(chunk, t3_t4_t5_split, H, M, ctx)
@@ -230,7 +226,7 @@ def test_banded_split_matches_pair_enumeration(X, y_pct, alpha, chunk, data):
 
 
 def test_split_is_independent_of_the_chunk():
-    ctx = make_ctx(1000, 300)
+    ctx = SumContext(CONFIG)
     small = with_chunk(7, t3_t4_t5_split, 4, 16, ctx)
     large = with_chunk(4096, t3_t4_t5_split, 4, 16, ctx)
     assert small.t3 == pytest.approx(large.t3, rel=1e-13)
@@ -256,8 +252,8 @@ def _row_cells(ctx, H, ms):
 
 def test_split_checks_the_direct_route_budget_before_any_row_walk(monkeypatch):
     H, M = 4, 16
-    cost = _row_cells(make_ctx(1000, 300), H, range(M // 2 + 1, M + 1))
-    ctx = make_ctx(1000, 300, budget=cost - 1)
+    cost = _row_cells(SumContext(CONFIG), H, range(M // 2 + 1, M + 1))
+    ctx = SumContext(replace(CONFIG, budget=cost - 1))
 
     def walked(*args):
         raise AssertionError("a row was walked before the budget check")
@@ -269,11 +265,11 @@ def test_split_checks_the_direct_route_budget_before_any_row_walk(monkeypatch):
 
 def test_t2_budget_is_its_row_cells():
     H, M = 4, 16
-    ctx = make_ctx(1000, 300)
+    ctx = SumContext(CONFIG)
     cost = _row_cells(ctx, H, [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam_p[m]])
-    assert t2_sum(H, M, make_ctx(1000, 300, budget=cost)).value > 0
+    assert t2_sum(H, M, SumContext(replace(CONFIG, budget=cost))).value > 0
     with pytest.raises(BudgetExceeded, match="type II cost"):
-        t2_sum(H, M, make_ctx(1000, 300, budget=cost - 1))
+        t2_sum(H, M, SumContext(replace(CONFIG, budget=cost - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import primeangle.sieve as sieve_mod
 from primeangle.alpha import AlphaSpec, build_angle_oracle
+from primeangle.config import ExperimentConfig
+from primeangle.experiments import run_prime_count
 from primeangle.reference import (
     divisors,
     naive_mangoldt_pk,
@@ -37,6 +39,22 @@ def test_sieve_50_100():
     s = sieve_interval(50, 100)
     assert list(s.primes()) == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     assert s.higher_powers == [(64, 2, 6), (81, 3, 4)]
+
+
+def test_higher_powers_are_computed_on_first_read(monkeypatch):
+    real, calls = sieve_mod._higher_powers, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sieve_mod, "_higher_powers", counting)
+    config = ExperimentConfig(X=10 ** 5, Y=2000, delta=0.1, eps=0.01, alpha=SQRT2)
+    assert run_prime_count(config, force=True).value > 0
+    s = sieve_interval(50, 100)
+    assert s.prime_count() == 10 and calls == []
+    assert s.higher_powers == [(64, 2, 6), (81, 3, 4)]
+    assert s.higher_powers is s.higher_powers and len(calls) == 1
 
 
 def test_sieve_tiny():
@@ -205,8 +223,12 @@ def test_primes_small_angle_hand_checked():
     oracle = build_angle_oracle(SQRT2, n_max=30)
     res = primes_with_small_angle(s, oracle, 0.1)
     assert res.count == 3
-    assert [p for p, _ in res.sample] == [5, 17, 29]
+    primes = s.primes()
+    assert primes[oracle.classify(primes, 0.1)[1]].tolist() == [5, 17, 29]
     assert res.boundary_count == 0
+    # at delta = 1/2 every prime in (2, 100] counts; the endpoint 2 is excluded
+    res = primes_with_small_angle(sieve_interval(2, 100), build_angle_oracle(SQRT2, n_max=100), 0.5)
+    assert res.count == 24
 
 
 def test_primes_small_angle_equidistribution():
@@ -251,10 +273,3 @@ def test_sieve_multi_segment_window():
     for n in range(boundary - 3, boundary + 4):
         assert s.is_prime(n) == all(n % p for p in range(2, int(n ** 0.5) + 1))
 
-
-def test_small_angle_sample_cap():
-    s = sieve_interval(2, 100)
-    oracle = build_angle_oracle(SQRT2, n_max=100)
-    res = primes_with_small_angle(s, oracle, 0.5, sample_cap=3)
-    assert len(res.sample) == 3
-    assert res.count == 24  # every prime in (2, 100]; the endpoint 2 is excluded

@@ -5,15 +5,17 @@ import random
 
 import pytest
 
+from primeangle.alpha import AlphaSpec
+from primeangle.config import ExperimentConfig
 from primeangle.smoothing import (
     build_kernel,
     default_direct_terms,
     f_direct,
     f_fourier,
-    kernel_for_experiment,
     truncation_bound,
     truncation_bound_log10,
 )
+from primeangle.vaughan import SumContext
 
 
 def test_f_direct_at_zero_wide():
@@ -60,11 +62,12 @@ def test_indicator_imitation_properties():
 
 
 def test_default_direct_terms_tail():
-    # dropped tail below 1e-30: compare radius-terms sum against radius+8
+    # dropped tail below 1e-30: compare f_direct against the sum at radius + 8
     for delta in (0.05, 0.1, 0.5):
-        t = default_direct_terms(delta)
-        for x in (0.0, 0.25, 0.49):
-            assert abs(f_direct(x, delta, t) - f_direct(x, delta, t + 8)) < 1e-30
+        wide, inv = default_direct_terms(delta) + 8, math.pi / (delta * delta)
+        for x in (0.0, 0.25, 0.49):  # round(x) = 0
+            want = math.fsum(math.exp(-inv * (x - n) * (x - n)) for n in range(-wide, wide + 1))
+            assert abs(f_direct(x, delta) - want) < 1e-30
 
 
 def test_truncation_bound_closed_form():
@@ -103,8 +106,11 @@ def test_fourier_at_zero_matches_direct():
     assert abs(f_fourier(0.0, kernel) - 1.0000069746847124) < 1e-12
 
 
-def test_kernel_for_experiment_length():
-    k = kernel_for_experiment(10 ** 6, 0.01, 0.45)
+def test_experiment_kernel_length():
+    config = ExperimentConfig(X=10 ** 6, Y=10 ** 5, delta=0.45, eps=0.01,
+                              alpha=AlphaSpec.sqrt(2))
+    k = SumContext(config).kernel
+    assert k.L == config.L
     assert k.L == math.ceil((10 ** 6) ** 0.01 / 0.45)
     assert k.L >= (10 ** 6) ** 0.01 / 0.45
 

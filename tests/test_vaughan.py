@@ -1,10 +1,12 @@
 """Decomposition identity, T-sums vs naive re-summation, quadruple counts."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from primeangle.alpha import AlphaSpec, build_angle_oracle
+from primeangle.alpha import AlphaSpec
+from primeangle.config import ExperimentConfig
 from primeangle.reference import (
     brute_force_quadruples,
     naive_tau,
@@ -12,7 +14,6 @@ from primeangle.reference import (
     naive_type_ii_block,
 )
 from primeangle.sieve import iroot, small_tables
-from primeangle.smoothing import kernel_for_experiment
 from primeangle.vaughan import (
     BilinearCoeffs,
     BudgetExceeded,
@@ -33,15 +34,8 @@ from primeangle.vaughan import (
 SQRT2 = AlphaSpec.sqrt(2)
 
 TABLES_5K = small_tables(5000)
-
-
-def make_ctx(X, Y, delta, eps, alpha=SQRT2, budget=1e9):
-    kernel = kernel_for_experiment(X, eps, delta)
-    oracle = build_angle_oracle(alpha, n_max=X * kernel.L + 2 * X * kernel.L,
-                                err_target=2.0 ** -80)
-    tables = small_tables(max(2 * iroot(X * X, 3) + 1, 16))
-    return SumContext(X=X, Y=Y, delta=delta, eps=eps, oracle=oracle,
-                      kernel=kernel, tables=tables, budget=budget)
+# the bound-suite instance of the T-sum tests; others replace X, Y or the budget
+CONFIG = ExperimentConfig(X=200, Y=60, delta=0.3, eps=0.05, alpha=SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,51 +106,64 @@ def test_params_validated():
         VaughanParams(U=20, V=20, X=100)
 
 
+def test_sum_context_derives_from_config():
+    ctx = SumContext(CONFIG)
+    assert (ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.budget) == (200, 60, 0.3, 0.05, CONFIG.budget)
+    assert ctx.L == ctx.kernel.L == CONFIG.L
+    assert ctx.oracle.alpha == SQRT2
+    assert ctx.oracle.n_max == 2 * 200 * CONFIG.L + 200
+    assert ctx.oracle.ebound <= 2.0 ** -80
+    assert ctx.tables.limit == 2 * iroot(200 * 200, 3) + 1
+    assert SumContext(replace(CONFIG, X=10, Y=5)).tables.limit == 16
+    with pytest.raises(ValueError, match="Y <= X"):
+        SumContext(replace(CONFIG, Y=201))
+
+
 # ---------------------------------------------------------------------------
 # type I sums vs naive re-summation
 # ---------------------------------------------------------------------------
 
 def test_s1_matches_naive():
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05)
+    ctx = SumContext(CONFIG)
     report = s1_type_i(ctx, q=29)
     coeffs = [ctx.kernel.c(l) for l in range(1, ctx.L + 1)]
     naive_total = 0.0
     for m in range(1, ctx.m_max_type_i() + 1):
         n_hi = ctx.X // m
         n_lo = (ctx.X - ctx.Y) // m + 1
-        naive_total += naive_type_i_block(m, n_lo, n_hi, coeffs, ctx.frac)
+        naive_total += naive_type_i_block(m, n_lo, n_hi, coeffs, lambda j: ctx.oracle.frac(j)[0])
     assert naive_total > 0
     assert abs(report.value - naive_total) <= 1e-8 * max(1.0, abs(naive_total))
 
 
 def test_s1_degenerate_empty_window():
-    ctx = make_ctx(X=200, Y=0, delta=0.3, eps=0.05)
+    ctx = SumContext(replace(CONFIG, Y=0))
     report = s1_type_i(ctx, q=29)
     assert report.value == 0.0
     assert report.ratio is None
 
 
 def test_t1_single_h_matches_naive():
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05)
+    ctx = SumContext(CONFIG)
     report = t1_sum(1, ctx, q=29)
     naive_total = 0.0
     for m in range(1, ctx.m_max_type_i() + 1):
         n_hi = ctx.X // m
         n_lo = (ctx.X - ctx.Y) // m + 1
         naive_total += abs(ctx.kernel.c(1)) * naive_type_i_block(
-            m, n_lo, n_hi, [1.0], ctx.frac)
+            m, n_lo, n_hi, [1.0], lambda j: ctx.oracle.frac(j)[0])
     assert abs(report.value - naive_total) <= 1e-8 * max(1.0, naive_total)
 
 
 def test_t1_h2_matches_naive():
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05)
+    ctx = SumContext(CONFIG)
     report = t1_sum(2, ctx, q=29)
     naive_total = 0.0
     for h in (2,):
         for m in range(1, ctx.m_max_type_i() + 1):
             n_hi = ctx.X // m
             n_lo = (ctx.X - ctx.Y) // m + 1
-            x = ctx.frac(h * m)
+            x = ctx.oracle.frac(h * m)[0]
             best, running = 0.0, 0j
             for n in range(n_hi, n_lo - 1, -1):
                 running += complex(math.cos(2 * math.pi * x * n),
@@ -168,7 +175,7 @@ def test_t1_h2_matches_naive():
 
 def test_t1_comparator_terms():
     # plug-in shape: M=8, H=2, q=29, Y=60 -> MH = 16 > q/2, bound HY/q + MH log q
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05)
+    ctx = SumContext(CONFIG)
     report = t1_sum(2, ctx, q=29)
     assert report.bound_terms["chain.M8.k_range"] == 16.0
     assert report.bound_terms["chain.M8.large_branch"] == 1.0
@@ -184,7 +191,7 @@ def test_t1_comparator_terms():
 
 
 def test_t1_budget_guard():
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05, budget=10)
+    ctx = SumContext(replace(CONFIG, budget=10))
     with pytest.raises(BudgetExceeded):
         t1_sum(2, ctx, q=29)
 
@@ -196,7 +203,7 @@ def test_t1_budget_guard():
 @pytest.mark.parametrize("X,Y,H,M", [(500, 150, 2, 16), (1000, 300, 4, 16),
                                      (1000, 300, 4, 64)])
 def test_t2_matches_naive(X, Y, H, M):
-    ctx = make_ctx(X=X, Y=Y, delta=0.3, eps=0.05)
+    ctx = SumContext(replace(CONFIG, X=X, Y=Y))
     report = t2_sum(H, M, ctx)
     hs = list(range(H // 2 + 1, H + 1))
     coeffs_b = {n: b_coeff(n, float(ctx.n_cut_type_ii()), ctx.tables)
@@ -209,7 +216,7 @@ def test_t2_matches_naive(X, Y, H, M):
                               ctx.X // m),
         h_range=hs,
         c_of=lambda h: ctx.kernel.c(h),
-        frac_of=ctx.frac,
+        frac_of=lambda j: ctx.oracle.frac(j)[0],
     )
     assert abs(report.value - abs(naive)) <= 1e-8 * max(1.0, abs(naive))
     assert report.bound_terms["t2_re"] == pytest.approx(naive.real, abs=1e-8)
@@ -218,13 +225,13 @@ def test_t2_matches_naive(X, Y, H, M):
 def test_t2_empty_block_is_zero():
     # whole m-block beyond X^{2/3} is rejected by the precondition;
     # an admissible block whose n-ranges vanish gives value 0
-    ctx = make_ctx(X=512, Y=8, delta=0.3, eps=0.05)
+    ctx = SumContext(replace(CONFIG, X=512, Y=8))
     report = t2_sum(1, 64, ctx)  # (X-Y)/m close to X/m: tiny or empty n-ranges
     assert report.value >= 0.0
 
 
 def test_t2_block_validation():
-    ctx = make_ctx(X=500, Y=150, delta=0.3, eps=0.05)
+    ctx = SumContext(replace(CONFIG, X=500, Y=150))
     with pytest.raises(ValueError):
         t2_sum(2, 4, ctx)     # M below X^{1/3}
     with pytest.raises(ValueError):
@@ -238,7 +245,7 @@ def test_t2_block_validation():
     (1000, 300, 4, 64),
 ])
 def test_t3_equals_t4_plus_t5(X, Y, H, M):
-    ctx = make_ctx(X=X, Y=Y, delta=0.3, eps=0.05)
+    ctx = SumContext(replace(CONFIG, X=X, Y=Y))
     split = t3_t4_t5_split(H, M, ctx)
     assert split.identity_residual <= 1e-9
     assert abs((split.t4 + split.t5).imag) <= 1e-9 * max(1.0, split.t3)
@@ -246,7 +253,7 @@ def test_t3_equals_t4_plus_t5(X, Y, H, M):
 
 @pytest.mark.parametrize("X,Y,H,M", [(500, 150, 2, 16), (1000, 300, 2, 32)])
 def test_cauchy_schwarz_inequality(X, Y, H, M):
-    ctx = make_ctx(X=X, Y=Y, delta=0.3, eps=0.05)
+    ctx = SumContext(replace(CONFIG, X=X, Y=Y))
     split = t3_t4_t5_split(H, M, ctx)
     t2 = t2_sum(H, M, ctx)
     assert t2.value ** 2 <= split.lambda_sq_sum * split.t3 * (1 + 1e-9) + 1e-9
@@ -257,7 +264,7 @@ def test_cauchy_schwarz_inequality(X, Y, H, M):
 def test_m_range_length_bound():
     # every nonempty rearranged m-range has integer length <= 2MY/X + 1
     for X, Y, H, M in [(500, 150, 2, 16), (1000, 300, 2, 32)]:
-        ctx = make_ctx(X=X, Y=Y, delta=0.3, eps=0.05)
+        ctx = SumContext(replace(CONFIG, X=X, Y=Y))
         split = t3_t4_t5_split(H, M, ctx)
         assert split.max_m_range_len <= 2 * M * Y / X + 1
 
@@ -379,13 +386,13 @@ def test_gamma0_divisor_bound_negative_l():
 
 @pytest.mark.parametrize("V", [1, 3, 10, 10 ** 6])
 def test_coeffs_build_matches_b_coeff(V):
-    n_limit = 400
-    coeffs = BilinearCoeffs.build(n_limit, V, TABLES_5K)
-    assert len(coeffs.b) == n_limit + 1
-    assert all(coeffs.b[n] == b_coeff(n, V, TABLES_5K) for n in range(1, n_limit + 1))
+    limit = 400
+    coeffs = BilinearCoeffs.build(limit, V, TABLES_5K)
+    assert len(coeffs.b) == limit + 1
+    assert all(coeffs.b[n] == b_coeff(n, V, TABLES_5K) for n in range(1, limit + 1))
 
 
 def test_s1_budget_guard():
-    ctx = make_ctx(X=200, Y=60, delta=0.3, eps=0.05, budget=10)
+    ctx = SumContext(replace(CONFIG, budget=10))
     with pytest.raises(BudgetExceeded, match="type I cost"):
         s1_type_i(ctx, q=29)
