@@ -276,7 +276,9 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    criteria = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
+    criteria = None
+    if args.criteria is not None:
+        criteria = [int(tok) for tok in args.criteria.split(",")] if args.criteria.strip() else []
     payload = run_acceptance(criteria, seed=args.seed, progress=sys.stderr)
     _emit(args, payload)
     return 0 if payload["all_passed"] else 1

@@ -45,6 +45,9 @@ SEGMENT_SIZE = 2 ** 20
 # (half of them odd) strike by slice assignment; sparser ones strike
 # together in vectorised rounds.
 SLICE_HITS = 64
+# Relative margin around float k-th roots of window ends: the float root is
+# within a few ulps (~1e-15) of the exact one for every hi <= SIEVE_CEILING.
+ROOT_MARGIN = 2.0 ** -30
 # The presieve tile: _PRESIEVE[j] is False iff the odd number 2j + 1 is a
 # multiple of a wheel prime.  Two periods, so any run of one period is a
 # plain slice.
@@ -194,10 +197,18 @@ def _higher_powers(lo: int, hi: int, bases: np.ndarray) -> list:
     """(n, p, k) for every n = p^k in (lo, hi] with k >= 2, sorted by n.
 
     For each k the bases p with lo < p^k <= hi are those in
-    (iroot(lo, k), iroot(hi, k)].
+    (iroot(lo, k), iroot(hi, k)].  Float k-th roots widened by ROOT_MARGIN
+    bracket the exact ones, so the exact pair of iroots is taken only
+    where the brackets cannot prove that interval empty or iroot(hi, k) < 2.
     """
     powers = []
+    lo_f, hi_f = float(lo), float(hi)
     for k in range(2, hi.bit_length()):
+        up = hi_f ** (1.0 / k) * (1.0 + ROOT_MARGIN)
+        if up < 2.0:
+            break
+        if math.floor(lo_f ** (1.0 / k) * (1.0 - ROOT_MARGIN)) == math.floor(up):
+            continue
         top = iroot(hi, k)
         if top < 2:
             break

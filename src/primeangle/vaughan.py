@@ -117,11 +117,12 @@ def vaughan_pieces(n: int, params: VaughanParams, tables: SmallTables):
             continue
         rest = n // b
         a1_terms.append(mu_b * math.log(rest))
-        # c runs over prime powers <= U dividing rest
-        for c in _divisors(rest):
+        # c runs over prime powers <= U dividing rest; the divisors of rest
+        # are those of n that divide it, in the same increasing order
+        for c in divs:
             if c > U:
                 break
-            if tables.lam_p[c]:
+            if rest % c == 0 and tables.lam_p[c]:
                 a2_terms.append(mu_b * math.log(int(tables.lam_p[c])))
     for d in divs:
         if d > U and tables.lam_p[d]:

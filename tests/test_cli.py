@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from primeangle import sieve
+from primeangle import acceptance, sieve
 from primeangle.cli import build_parser, main
 
 RUN = [sys.executable, "-m", "primeangle.cli"]
@@ -318,6 +318,15 @@ def test_verify_unknown_criterion(capsys):
     assert code == 1
     assert out == ""
     assert "unknown criteria" in err
+
+
+def test_verify_empty_criteria(capsys, monkeypatch):
+    for k in acceptance.CRITERIA:
+        monkeypatch.setitem(acceptance.CRITERIA, k, lambda seed, *first: {"name": "fake", "passed": True})
+    code, out, err = run_cli(["verify", "--criteria", ""], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no criteria selected" in err
 
 
 def test_admissible_keeps_the_config_file_alpha(tmp_path, capsys):

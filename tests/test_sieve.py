@@ -57,6 +57,37 @@ def test_higher_powers_are_computed_on_first_read(monkeypatch):
     assert s.higher_powers is s.higher_powers and len(calls) == 1
 
 
+def exact_higher_powers(lo, hi, bases):
+    """_higher_powers with the exact pair of iroots for every k: the reference."""
+    powers = []
+    for k in range(2, hi.bit_length()):
+        top = sieve_mod.iroot(hi, k)
+        if top < 2:
+            break
+        low = sieve_mod.iroot(lo, k)
+        if low < top:
+            cut = np.searchsorted(bases, [low, top], side="right")
+            powers.extend((p ** k, p, k) for p in bases[cut[0]: cut[1]].tolist())
+    powers.sort()
+    return powers
+
+
+def test_higher_powers_float_filter_matches_exact_roots():
+    ceiling = sieve_mod.SIEVE_CEILING
+    edges = {p ** k + d for p in (2, 3, 5, 7, 13, 101, 65521, 16777213)
+             for k in range(2, 41) if p ** k < ceiling for d in (-1, 0, 1)}
+    edges |= {ceiling - d for d in range(4)}
+    windows = {(n - w, n) for n in edges for w in (1, 2, 1000)}
+    windows |= {(n, n + w) for n in edges for w in (1, 2, 1000)}
+    windows |= {(ceiling - w, ceiling) for w in (10 ** 6, 2 ** 25)}
+    windows = [(lo, hi) for lo, hi in windows if 2 <= lo < hi <= ceiling]
+    assert len(windows) > 1000
+    base_primes(math.isqrt(ceiling))  # sieved once; each window slices it
+    for lo, hi in windows:
+        bases = base_primes(math.isqrt(hi))
+        assert sieve_mod._higher_powers(lo, hi, bases) == exact_higher_powers(lo, hi, bases), (lo, hi)
+
+
 def test_sieve_tiny():
     s = sieve_interval(2, 4)
     assert list(s.primes()) == [3]
