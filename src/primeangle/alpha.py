@@ -49,8 +49,8 @@ CF_ITERATION_CAP = 100_000
 # from p/q.
 COMPARE_DEPTH = 64
 
-# Anchors with Q below this take the int64 residue path: residues are exact
-# in int64 and every m and Q converts to float64 exactly.
+# Anchors with Q below this take the int64 residue path: n mod Q, m and Q
+# convert to float64 exactly, so a float64 quotient estimate is within 2.
 INT64_EXACT_Q = 2 ** 53
 # Distance from a threshold beyond which the float64 classification filter
 # decides; it exceeds the 2^-51 rounding bound of the filter's arithmetic.
@@ -393,42 +393,45 @@ class AngleOracle:
     ebound: float
 
     def dist(self, n: int):
-        """(||n*P/Q||, certified error).  Requires |n| <= n_max."""
-        if abs(n) > self.n_max:
-            raise ValueError(f"|n|={abs(n)} exceeds oracle n_max={self.n_max}")
-        Q = self.anchor.q
-        t = (n % Q) * self.residue % Q
+        """(||n*P/Q||, certified error).  Requires an integer |n| <= n_max."""
+        Q, t = self.anchor.q, self._residue(n)
         return min(t, Q - t) / Q, self.ebound
 
     def frac(self, n: int):
         """({n*P/Q}, certified error), valid as a mod-1 position for |n| <= n_max."""
-        if abs(n) > self.n_max:
-            raise ValueError(f"|n|={abs(n)} exceeds oracle n_max={self.n_max}")
-        Q = self.anchor.q
-        return ((n % Q) * self.residue % Q) / Q, self.ebound
+        return self._residue(n) / self.anchor.q, self.ebound
+
+    def _residue(self, n: int) -> int:
+        """Exact n*P mod Q for one integer (not bool) n with |n| <= n_max."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"n must be an integer, got {n!r}")
+        if abs(int(n)) > self.n_max:
+            raise ValueError(f"|n|={abs(int(n))} exceeds oracle n_max={self.n_max}")
+        return int(n) % self.anchor.q * self.residue % self.anchor.q
 
     def residues(self, ns: np.ndarray) -> np.ndarray:
-        """Exact n*P mod Q for every n of an integer array, |n| <= n_max.
+        """Exact n*P mod Q for every n of an integer (not bool) array, |n| <= n_max.
 
-        With Q < 2^53 the product runs in int64: P is split into limbs of
-        63 - Q.bit_length() bits, so no product or shifted partial result
-        reaches 2^63.  Larger Q runs the same arithmetic on an object array
-        of Python integers.
+        With Q < 2^53, a = n (n mod Q when n_max >= Q) has |a| < Q, so
+        a * fl(P/Q) carries two roundings of 2^-53 on a value below 2^53:
+        its floor est is within 3 of a*P/Q, and r = a*P - est*Q formed in
+        wrapping uint64 is exact read as int64 (|r| < 3Q).  r mod Q is the
+        int64 residue.  Larger Q runs on an object array of Python integers.
         """
         ns = np.asarray(ns)
-        if ns.size and int(np.abs(ns).max()) > self.n_max:
+        if ns.dtype.kind not in "iu":
+            raise TypeError(f"n must be an integer array, got dtype {ns.dtype}")
+        if ns.size and (int(ns.min()) < -self.n_max or int(ns.max()) > self.n_max):
             raise ValueError(f"|n| exceeds oracle n_max={self.n_max}")
         Q = self.anchor.q
         if Q >= INT64_EXACT_Q:
             return ns.astype(object) % Q * self.residue % Q
-        width = 63 - Q.bit_length()
-        a = ns.astype(np.int64) % Q
-        t = np.zeros_like(a)
-        top = -(-self.residue.bit_length() // width) * width
-        for shift in range(top - width, -1, -width):
-            limb = (self.residue >> shift) & ((1 << width) - 1)
-            t = ((t << width) % Q + a * limb % Q) % Q
-        return t
+        a = ns.astype(np.uint64 if ns.dtype.kind == "u" else np.int64, copy=False)
+        if self.n_max >= Q:
+            a = a % a.dtype.type(Q)
+        est = np.floor(a * (self.residue / Q)).astype(np.int64)
+        r = a.view(np.uint64) * np.uint64(self.residue) - est.view(np.uint64) * np.uint64(Q)
+        return r.view(np.int64) % np.int64(Q)
 
     def dists(self, ns: np.ndarray):
         """(m, x): exact m = min(t, Q - t) with t = n*P mod Q, and x = m/Q.

@@ -8,6 +8,7 @@ import random
 from math import gcd
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from primeangle.alpha import (
@@ -215,6 +216,21 @@ def test_oracle_range_guard():
     oracle = build_angle_oracle(SQRT2, n_max=100)
     with pytest.raises(ValueError):
         oracle.dist(101)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(False), np.float64(3.0), "3", None])
+def test_oracle_scalar_rejects_non_integers(n):
+    oracle = build_angle_oracle(SQRT2, n_max=100)
+    for method in (oracle.dist, oracle.frac):
+        with pytest.raises(TypeError):
+            method(n)
+
+
+def test_oracle_scalar_takes_numpy_integers():
+    oracle = build_angle_oracle(SQRT2, n_max=100)
+    for n in (np.int64(5), np.uint8(5), np.int32(-5)):
+        assert oracle.dist(n) == oracle.dist(int(n))
+        assert oracle.frac(n) == oracle.frac(int(n))
 
 
 def test_oracle_frac_negative_n():

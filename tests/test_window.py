@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primeangle.alpha as alpha_mod
 import primeangle.sieve as sieve_mod
@@ -23,6 +25,7 @@ from primeangle.alpha import (
     classify_against_threshold,
     parse_alpha,
 )
+from primeangle.acceptance import ALPHA_PANEL
 from primeangle.config import ExperimentConfig
 from primeangle.experiments import run_prime_count, run_smoothed_sum
 from primeangle.reference import naive_mangoldt_pk
@@ -38,6 +41,7 @@ from primeangle.smoothing import f_direct, f_direct_array
 
 SQRT2 = AlphaSpec.sqrt(2)
 PANEL = [SQRT2, AlphaSpec.golden(), parse_alpha("sqrt:7"), parse_alpha("cf:0;;1,2,3")]
+SQRT10 = parse_alpha("sqrt:10")
 
 
 def scalar_window(X, Y, delta, alpha, err_target=2.0 ** -40):
@@ -131,20 +135,27 @@ def test_sieve_segments_tile_the_window(monkeypatch):
 
 
 @pytest.mark.parametrize("n_max,err_target", [
-    (10 ** 6, 2.0 ** -40),       # one limb
-    (2 ** 48, 2.0 ** -40),       # the sieve ceiling: several limbs
-    (2 ** 40, 2.0 ** -60),       # Q of 51 to 53 bits: the narrowest limbs
+    (10 ** 6, 2.0 ** -40),       # Q of 31 to 33 bits
+    (2 ** 48, 2.0 ** -40),       # the sieve ceiling: Q of 45 to 47 bits
+    (2 ** 40, 2.0 ** -60),       # Q of 51 to 53 bits
     (2 ** 40, 2.0 ** -61),       # Q on both sides of INT64_EXACT_Q
+    (10 ** 6, 0.2),              # n_max >= Q: n is reduced mod Q first
+    (52_000, 2.0 ** -80),        # the sqrt:10 bounds anchor at X = 4000: a 53-bit Q
     (10 ** 12, 2.0 ** -100),     # Q > 2^64: object arrays
 ])
 def test_residues_are_exact(n_max, err_target):
     rng = random.Random(n_max)
-    for spec in PANEL:
+    for spec in [SQRT10] if n_max == 52_000 else PANEL:
         oracle = build_angle_oracle(spec, n_max=n_max, err_target=err_target)
         Q, P = oracle.anchor.q, oracle.residue
         if err_target == 2.0 ** -100:
             assert Q > 2 ** 64
-        ns = [rng.randrange(1, n_max + 1) for _ in range(300)] + [1, n_max, Q - 1 if Q <= n_max else 2]
+        if err_target == 0.2:
+            assert Q <= n_max
+        if spec is SQRT10:
+            assert 2 ** 52 < Q < alpha_mod.INT64_EXACT_Q
+        edges = [0, 1, -1, n_max, -n_max] + ([Q - 1, Q, Q + 1, -Q] if Q <= n_max else [])
+        ns = [rng.randrange(-n_max, n_max + 1) for _ in range(300)] + edges
         t = oracle.residues(np.array(ns, dtype=np.int64))
         assert [int(v) for v in t] == [n * P % Q for n in ns]
         m, x = oracle.dists(np.array(ns, dtype=np.int64))
@@ -152,6 +163,22 @@ def test_residues_are_exact(n_max, err_target):
             value, _ = oracle.dist(n)
             assert int(mi) == min(n * P % Q, Q - n * P % Q)
             assert float(xi) == value
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(ALPHA_PANEL), st.integers(0, 62),
+       st.one_of(st.integers(2, 70), st.integers(48, 56)), st.data())
+def test_residues_match_python_integers(spec, k, q_bits, data):
+    # n_max of k + 1 bits and err_target 2^-bits with bits = 2 q_bits - k
+    # put Q just above 2^q_bits; half the draws sit at 48-56 bits, where
+    # int64 residues give way to object arrays at INT64_EXACT_Q
+    n_max = data.draw(st.integers(2 ** k, 2 ** (k + 1) - 1))
+    oracle = build_angle_oracle(spec, n_max=n_max, err_target=2.0 ** -max(3, 2 * q_bits - k))
+    Q, P = oracle.anchor.q, oracle.residue
+    ns = data.draw(st.lists(st.integers(-n_max, n_max), max_size=50)) + [n_max, -n_max]
+    t = oracle.residues(np.array(ns, dtype=np.int64))
+    assert t.dtype == (np.int64 if Q < alpha_mod.INT64_EXACT_Q else object)
+    assert [int(v) for v in t] == [n * P % Q for n in ns]
 
 
 def test_residue_paths_cover_both_dtypes():
@@ -162,6 +189,34 @@ def test_residue_paths_cover_both_dtypes():
     assert large.residues(np.array([5])).dtype == object
     with pytest.raises(ValueError):
         small.residues(np.array([2 ** 40 + 1]))
+
+
+@pytest.mark.parametrize("bad,error", [
+    (np.array([-2 ** 63]), ValueError),              # np.abs(-2^63) wraps to -2^63
+    (np.array([5, -(2 ** 40) - 1]), ValueError),
+    (np.array([2 ** 64 - 1], dtype=np.uint64), ValueError),
+    (np.array([2.7]), TypeError),
+    (np.array([2.0]), TypeError),
+    (np.array([True, False]), TypeError),
+    (np.array([5], dtype=object), TypeError),
+])
+def test_residues_reject_what_they_cannot_certify(bad, error):
+    for err_target in (2.0 ** -60, 2.0 ** -100):     # int64 and object paths
+        oracle = build_angle_oracle(SQRT2, n_max=2 ** 40, err_target=err_target)
+        with pytest.raises(error):
+            oracle.residues(bad)
+
+
+def test_residues_take_every_integer_dtype():
+    # n_max >= Q: each dtype is reduced mod Q in its own signedness; with
+    # P/Q > 1/2 (golden) an unreduced 2^64 - 1 would push est past 2^63
+    for spec in PANEL:
+        oracle = build_angle_oracle(spec, n_max=2 ** 64, err_target=0.2)
+        Q, P = oracle.anchor.q, oracle.residue
+        for ns in (np.array([2 ** 64 - 1, 2 ** 63, 7], dtype=np.uint64),
+                   np.array([-2 ** 31, 2 ** 31 - 1, 0], dtype=np.int32),
+                   np.array([255, 3], dtype=np.uint8)):
+            assert [int(v) for v in oracle.residues(ns)] == [n * P % Q for n in ns.tolist()]
 
 
 def exact_verdict(oracle: AngleOracle, n: int, delta: float) -> str:
