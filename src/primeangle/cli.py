@@ -265,12 +265,13 @@ def cmd_admissible(args):
 
 
 def cmd_sweep(args):
+    if not args.runs.replace(",", "").strip():
+        raise ValueError("--runs selects no runs")
     with open(args.points, "r", encoding="utf-8") as fh:
         points = json.load(fh)
     if not isinstance(points, list):
         raise ValueError("sweep file must hold a JSON list of config objects")
-    runs = tuple(args.runs.split(",")) if args.runs else ("prime_count", "smoothed_sum")
-    rows = sweep(points, runs=runs, force=args.force)
+    rows = sweep(points, runs=args.runs.split(","), force=args.force)
     _emit(args, rows, rows_for_csv=rows)
     return 0
 
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep, "run a list of config points, JSON or CSV out", force)
     p.add_argument("--points", type=str, required=True,
                    help="JSON file holding a list of config objects")
-    p.add_argument("--runs", type=str, default=None,
+    p.add_argument("--runs", type=str, default="prime_count,smoothed_sum",
                    help="comma list from: prime_count,smoothed_sum,bound_suite")
 
     p = add("verify", cmd_verify, "run the acceptance suite")

@@ -46,98 +46,94 @@ __all__ = [
 ]
 
 GAMMA_SAMPLE_OFFSETS = (0, -1, 1, -2, 3)
+WINDOW_KINDS = ("prime_count", "smoothed_sum")
 
 
-def _window_report(kind: str, config: ExperimentConfig, force: bool, measure) -> SumReport:
-    """The prologue shared by the window runners, then ``measure``.
+def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
+    """One pass over the window (X-Y, X]: {kind: SumReport} for each of ``kinds``.
 
-    An empty window (Y = 0) gives an empty report.  Otherwise the point
+    An empty window (Y = 0) gives empty reports.  Otherwise the point
     passes the admissibility gate and the budget check, q is selected and
-    the angle oracle built; ``measure(oracle, flags)`` then streams the
-    window, may append flags, and returns the remaining report fields.
+    the angle oracle built, once for all kinds; the window is then sieved
+    one segment at a time, and each segment feeds the kinds in the order
+    given.  A kind not asked for costs nothing: a count alone never builds
+    the prime powers.
     """
-    if config.Y == 0:
-        return SumReport(kind=kind, value=0.0, main_term=0.0, ratio=None,
-                         flags=["empty-window"])
+    X, Y, delta = config.X, config.Y, config.delta
+    if Y == 0:
+        return {kind: SumReport(kind=kind, value=0.0, main_term=0.0, ratio=None,
+                                flags=["empty-window"]) for kind in kinds}
     adm = require_admissible(config, force)
-    if config.Y > config.budget:
-        raise BudgetExceeded(f"window length {config.Y} exceeds budget {config.budget}")
+    if Y > config.budget:
+        raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")
     conv, in_window = select_q(config)
-    oracle = build_angle_oracle(config.alpha, n_max=config.X, err_target=config.err_target)
+    oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
+    count = boundary = interval_primes = 0
+    value_sum, psi_sum = ExactSum(), ExactSum()
+    for segment in sieve_segments(X - Y, X):
+        for kind in kinds:
+            if kind == "prime_count":
+                res = primes_with_small_angle(segment, oracle, delta)
+                count += res.count
+                boundary += res.boundary_count
+                interval_primes += segment.prime_count()
+            else:
+                n, lam = segment.mangoldt_terms()
+                _, angles = oracle.dists(n)
+                value_sum.add(lam * f_direct_array(angles, delta))
+                psi_sum.add(lam)
     flags = [] if in_window else ["q-out-of-window"]
     if not adm.ok:
         flags.append("inadmissible-forced")
-    fields = measure(oracle, flags)
-    return SumReport(kind=kind, q_used=conv.q, q_window=config.q_window(),
-                     q_in_window=in_window, flags=flags, **fields)
-
-
-def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport:
-    """Smoothed count: sum of Lambda(n) F(n alpha) over (X-Y, X] vs delta*Y.
-
-    Streams the window one sieve segment at a time.  F is evaluated
-    directly at the certified ||n alpha|| of every prime power of the
-    segment at once, and both sums are added exactly (ExactSum), so they
-    are correctly rounded whatever the segment size.  The report also
-    carries the centered error sum  sum Lambda(n) (F(n alpha) - delta)
-    and its measured decay exponent.
-    """
-    X, Y, delta = config.X, config.Y, config.delta
-
-    def measure(oracle, flags):
-        value_sum, psi_sum = ExactSum(), ExactSum()
-        for segment in sieve_segments(X - Y, X):
-            n, lam = segment.mangoldt_terms()
-            _, angles = oracle.dists(n)
-            value_sum.add(lam * f_direct_array(angles, delta))
-            psi_sum.add(lam)
-        value = value_sum.value()
-        psi_window = psi_sum.value()
-        error_sum = value - delta * psi_window
-        main = delta * Y
-        err_ratio = abs(error_sum) / main if main else None
-        return {
-            "value": value,
-            "main_term": main,
-            "measured_exponent": -math.log(err_ratio) / math.log(X) if err_ratio else None,
-            "bound_terms": {
-                "psi_window": psi_window,
-                "error_sum": error_sum,
-                "error_over_main": err_ratio if err_ratio is not None else 0.0,
-            },
-        }
-
-    return _window_report("smoothed_sum", config, force, measure)
-
-
-def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
-    """Prime count with small angle: #{p in (X-Y, X]: ||p alpha|| < delta}.
-
-    Streams the window one sieve segment at a time.  Main term
-    2 delta Y / log X; boundary straddles are flagged and reported
-    separately (zero at default precision).
-    """
-    X, Y, delta = config.X, config.Y, config.delta
-
-    def measure(oracle, flags):
-        count = boundary = interval_primes = 0
-        for segment in sieve_segments(X - Y, X):
-            res = primes_with_small_angle(segment, oracle, delta)
-            count += res.count
-            boundary += res.boundary_count
-            interval_primes += segment.prime_count()
-        if boundary:
-            flags.append(f"boundary:{boundary}")
-        return {
+    fields = {}
+    if "prime_count" in kinds:
+        fields["prime_count"] = {
             "value": float(count),
             "main_term": 2 * delta * Y / math.log(X),
             "bound_terms": {
                 "boundary_count": float(boundary),
                 "interval_primes": float(interval_primes),
             },
+            "flags": flags + ([f"boundary:{boundary}"] if boundary else []),
         }
+    if "smoothed_sum" in kinds:
+        value, psi_window = value_sum.value(), psi_sum.value()
+        error_sum = value - delta * psi_window
+        err_ratio = abs(error_sum) / (delta * Y)
+        fields["smoothed_sum"] = {
+            "value": value,
+            "main_term": delta * Y,
+            "measured_exponent": -math.log(err_ratio) / math.log(X) if err_ratio else None,
+            "bound_terms": {
+                "psi_window": psi_window,
+                "error_sum": error_sum,
+                "error_over_main": err_ratio,
+            },
+            "flags": list(flags),
+        }
+    return {kind: SumReport(kind=kind, q_used=conv.q, q_window=config.q_window(),
+                            q_in_window=in_window, **fields[kind]) for kind in kinds}
 
-    return _window_report("prime_count", config, force, measure)
+
+def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport:
+    """Smoothed count: sum of Lambda(n) F(n alpha) over (X-Y, X] vs delta*Y.
+
+    F is evaluated directly at the certified ||n alpha|| of every prime
+    power of a segment at once, and both sums are added exactly
+    (ExactSum), so they are correctly rounded whatever the segment size.
+    The report also carries the centered error sum
+    sum Lambda(n) (F(n alpha) - delta) and its measured decay exponent.
+    """
+    return _window_reports(config, ("smoothed_sum",), force)["smoothed_sum"]
+
+
+def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
+    """Prime count with small angle: #{p in (X-Y, X]: ||p alpha|| < delta}.
+
+    Main term 2 delta Y / log X; boundary straddles are flagged and
+    reported separately (zero at default precision).
+    """
+    return _window_reports(config, ("prime_count",), force)["prime_count"]
 
 
 def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
@@ -206,20 +202,18 @@ ERROR_CODES = {
 }
 
 
-def sweep(configs, runs=("prime_count", "smoothed_sum"), force: bool = False) -> list:
+def sweep(configs, runs=WINDOW_KINDS, force: bool = False) -> list:
     """Run each config point in order; failures become error rows.
 
     Returns one row per input: {"index", "config", "reports" | "error"}.
-    Output order always equals input order.
+    Output order always equals input order; a row's reports follow
+    ``runs`` (duplicates collapsed), and its window kinds share one pass.
     """
-    runners = {
-        "prime_count": run_prime_count,
-        "smoothed_sum": run_smoothed_sum,
-        "bound_suite": run_bound_suite,
-    }
-    unknown = [r for r in runs if r not in runners]
+    runs = tuple(dict.fromkeys(runs))
+    unknown = [r for r in runs if r not in WINDOW_KINDS + ("bound_suite",)]
     if unknown:
         raise ValueError(f"unknown runs: {unknown}")
+    window_kinds = tuple(r for r in runs if r in WINDOW_KINDS)
     rows = []
     for index, config in enumerate(configs):
         row = {"index": index}
@@ -229,9 +223,12 @@ def sweep(configs, runs=("prime_count", "smoothed_sum"), force: bool = False) ->
             row["config"] = config.as_dict()
             reports = {}
             for name in runs:
-                out = runners[name](config, force=force)
-                reports[name] = out.as_dict() if isinstance(out, SumReport) else out
-            row["reports"] = reports
+                if name == "bound_suite":
+                    reports[name] = run_bound_suite(config, force=force)
+                elif name not in reports:
+                    for kind, report in _window_reports(config, window_kinds, force).items():
+                        reports[kind] = report.as_dict()
+            row["reports"] = {name: reports[name] for name in runs}
         except Exception as exc:  # per-point isolation is the contract
             row["error"] = ERROR_CODES.get(type(exc), "error")
             row["error_detail"] = str(exc)

@@ -42,8 +42,9 @@ __all__ = [
 SIEVE_CEILING = 2 ** 48
 SEGMENT_SIZE = 2 ** 20
 # Base primes with at least this many multiples among a segment's numbers
-# (half of them odd) strike by slice assignment; sparser ones strike
-# together in vectorised rounds.
+# (half of them odd), or below sqrt(SLICE_HITS * s) for s odd numbers, strike
+# by slice assignment; the rest strike together in vectorised rounds.  The
+# root bound (the larger only below s = 65536) caps the rounds at sqrt(s / 64).
 SLICE_HITS = 64
 # Relative margin around float k-th roots of window ends: the float root is
 # within a few ulps (~1e-15) of the exact one for every hi <= SIEVE_CEILING.
@@ -164,9 +165,9 @@ def _segment_flags(flags: np.ndarray, lo: int, bases: np.ndarray) -> None:
     number (primes past it strike nothing).  flags starts as a copy of the
     presieve tile, and the wheel primes inside the window are set back.
     Every other odd base p strikes its odd multiples from max(p * p, lo + 1)
-    on: primes with at least SLICE_HITS multiples among the segment's
-    2 * flags.size numbers by slice assignment, the rest in rounds that
-    strike one multiple of every prime still inside the segment.
+    on: primes below the split that SLICE_HITS sets by slice assignment,
+    the rest in rounds that strike one multiple of every prime still
+    inside the segment.
     """
     size = flags.size
     odd0 = lo + 1 + (lo & 1)
@@ -182,7 +183,8 @@ def _segment_flags(flags: np.ndarray, lo: int, bases: np.ndarray) -> None:
     offsets *= primes
     offsets -= odd0
     offsets >>= 1
-    split = int(np.searchsorted(primes, 2 * size // SLICE_HITS + 1))
+    split = int(np.searchsorted(primes, max(2 * size // SLICE_HITS + 1,
+                                            math.isqrt(SLICE_HITS * size))))
     for start, p in zip(offsets[:split].tolist(), primes[:split].tolist()):
         flags[start:: p] = False
     offsets, primes = offsets[split:], primes[split:]

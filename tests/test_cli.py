@@ -9,6 +9,8 @@ import pytest
 
 from primeangle import acceptance, sieve
 from primeangle.cli import build_parser, main
+from primeangle.experiments import sweep
+from primeangle.report import reports_to_csv
 
 RUN = [sys.executable, "-m", "primeangle.cli"]
 
@@ -173,6 +175,51 @@ def test_sweep_csv(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert "reports.prime_count.value" in lines[0]
     assert len(lines) == 3
+
+
+def test_sweep_csv_runs_both_window_kinds_by_default(tmp_path, capsys):
+    points = [
+        {"X": 20000, "Y": 8000, "delta": 0.45, "eps": 0.01, "alpha": "sqrt:2"},
+        {"X": 20000, "Y": 100, "delta": 0.45, "eps": 0.01, "alpha": "sqrt:2"},
+    ]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    out_path = tmp_path / "sweep.csv"
+    code, _out, _err = run_cli(["sweep", "--points", str(path), "--format", "csv",
+                                "--out", str(out_path)], capsys)
+    assert code == 0
+    text = out_path.read_text()
+    assert text == reports_to_csv(sweep(points))
+    header, first, second = text.splitlines()
+    assert "reports.prime_count.value" in header and "reports.smoothed_sum.value" in header
+    assert header.index("reports.prime_count.value") < header.index("reports.smoothed_sum.value")
+    assert "inadmissible" in second
+
+
+@pytest.mark.parametrize("runs", ["", " ", ","])
+def test_sweep_rejects_an_empty_runs_list(tmp_path, capsys, runs):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([{"X": 20000, "Y": 8000, "delta": 0.45, "eps": 0.01,
+                                 "alpha": "sqrt:2"}]))
+    code, out, err = run_cli(["sweep", "--points", str(path), "--runs", runs], capsys)
+    assert code == 1 and out == ""
+    assert "--runs" in err
+
+
+def test_sweep_collapses_duplicate_runs(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([{"X": 20000, "Y": 8000, "delta": 0.45, "eps": 0.01,
+                                 "alpha": "sqrt:2"}]))
+    once = run_json(["sweep", "--points", str(path), "--runs", "smoothed_sum,prime_count"],
+                    capsys)
+    windows = []
+    sieve_interval = sieve.sieve_interval
+    monkeypatch.setattr(sieve, "sieve_interval",
+                        lambda lo, hi: windows.append((lo, hi)) or sieve_interval(lo, hi))
+    twice = run_json(["sweep", "--points", str(path),
+                      "--runs", "smoothed_sum,prime_count,smoothed_sum,prime_count"], capsys)
+    assert twice == once
+    assert windows == [(12000, 20000)]  # one window pass for all four
 
 
 def test_sweep_error_rows(tmp_path, capsys):

@@ -2,16 +2,18 @@
 
 import pytest
 
+from primeangle import experiments, sieve
 from primeangle.alpha import AlphaSpec
-from primeangle.config import ExperimentConfig, InadmissibleConfig
+from primeangle.config import ExperimentConfig, InadmissibleConfig, config_from_dict
 from primeangle.experiments import (
+    ERROR_CODES,
     attach_envelope,
     run_bound_suite,
     run_prime_count,
     run_smoothed_sum,
     sweep,
 )
-from primeangle.report import report_to_json, reports_to_csv
+from primeangle.report import SumReport, report_to_json, reports_to_csv
 from primeangle.sieve import mangoldt_sum_interval
 from primeangle.vaughan import BilinearCoeffs
 
@@ -138,6 +140,88 @@ def test_sweep_two_points_trend():
     v0 = rows[0]["reports"]["smoothed_sum"]["value"]
     v1 = rows[1]["reports"]["smoothed_sum"]["value"]
     assert v1 > v0  # longer window, larger smoothed mass
+
+
+# X = 2e4, Y = 8000 is admissible with q in its window for sqrt:2, and
+# small enough for the bound suite
+SHARED_BASE = dict(X=20000, Y=8000, delta=0.45, eps=0.01, alpha="sqrt:2")
+SHARED_POINTS = [
+    SHARED_BASE,
+    dict(SHARED_BASE, Y=100),                            # inadmissible
+    dict(SHARED_BASE, Y=0),                              # empty window
+    dict(SHARED_BASE, alpha="cf:0;2,1000000000;1"),      # no q in the window
+    dict(SHARED_BASE, budget=1000.0),                    # window over budget
+    dict(SHARED_BASE, X=20000.5),                        # non-integral X
+]
+
+
+def separate_rows(points, runs, force):
+    """Sweep rows built from one-kind runner calls, one call per report."""
+    runners = {"prime_count": run_prime_count, "smoothed_sum": run_smoothed_sum,
+               "bound_suite": run_bound_suite}
+    rows = []
+    for index, point in enumerate(points):
+        row = {"index": index}
+        try:
+            config = config_from_dict(point)
+            row["config"] = config.as_dict()
+            reports = {}
+            for name in runs:
+                out = runners[name](config, force=force)
+                reports[name] = out.as_dict() if isinstance(out, SumReport) else out
+            row["reports"] = reports
+        except Exception as exc:
+            row["error"] = ERROR_CODES.get(type(exc), "error")
+            row["error_detail"] = str(exc)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("runs", [None, ("smoothed_sum", "bound_suite", "prime_count")])
+@pytest.mark.parametrize("force", [False, True])
+def test_sweep_shared_pass_equals_separate_runs(runs, force):
+    # runs=None is sweep's default, prime_count then smoothed_sum
+    if runs is None:
+        rows, runs = sweep(SHARED_POINTS, force=force), ("prime_count", "smoothed_sum")
+    else:
+        rows = sweep(SHARED_POINTS, runs=runs, force=force)
+    want = separate_rows(SHARED_POINTS, runs, force)
+    assert rows == want and report_to_json(rows) == report_to_json(want)
+    # dict equality and sorted JSON both ignore key order, so check it apart
+    assert [list(row["reports"]) for row in rows if "reports" in row] == [
+        list(runs)] * sum("reports" in row for row in rows)
+    if runs == ("prime_count", "smoothed_sum"):
+        flags = [row["reports"]["prime_count"]["flags"] if "reports" in row else row["error"]
+                 for row in rows]
+        assert flags == [
+            [], ["inadmissible-forced"] if force else "inadmissible", ["empty-window"],
+            ["q-out-of-window"], "budget-exceeded", "error"]
+
+
+def test_sweep_window_kinds_share_one_pass(monkeypatch):
+    # both kinds of a point take one sieve pass and one oracle, and a
+    # count alone never builds the segments' prime powers
+    calls = {"sieve": 0, "oracle": 0, "terms": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sieve, "sieve_interval", counting("sieve", sieve.sieve_interval))
+    monkeypatch.setattr(experiments, "build_angle_oracle",
+                        counting("oracle", experiments.build_angle_oracle))
+    monkeypatch.setattr(sieve.IntervalSieve, "mangoldt_terms",
+                        counting("terms", sieve.IntervalSieve.mangoldt_terms))
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 3000)  # three segments per window
+    rows = sweep([SHARED_BASE, SHARED_BASE], force=True)
+    assert all("reports" in row for row in rows)
+    assert calls == {"sieve": 6, "oracle": 2, "terms": 6}
+    calls.update(sieve=0, oracle=0, terms=0)
+    rows = sweep([SHARED_BASE], runs=("prime_count", "prime_count"), force=True)
+    assert calls == {"sieve": 3, "oracle": 1, "terms": 0}  # duplicates collapsed
+    assert list(rows[0]["reports"]) == ["prime_count"]
 
 
 def test_sweep_empty():

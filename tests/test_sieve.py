@@ -160,6 +160,27 @@ def test_window_sieve_matches_trial_division(window, segment):
         n in primes for n in range(lo + 1, hi + 1)]
 
 
+def trial_division_odd_flags(lo, size):
+    """Primality of the size odd numbers after lo, by division by every prime up to the root."""
+    n = lo + 1 + (lo & 1) + 2 * np.arange(size, dtype=np.int64)
+    prime = np.ones(size, dtype=bool)
+    for p in trial_division_primes(1, math.isqrt(int(n[-1]))):
+        prime &= (n % p != 0) | (n == p)
+    return prime
+
+
+@pytest.mark.parametrize("size", [1000, 4097, 65535, 65536, 65537, 2 ** 17])
+@pytest.mark.parametrize("lo", [2, 4, 10, 12, 4_000_001, 10 ** 7])
+def test_segment_flags_on_both_sides_of_the_split_crossover(lo, size):
+    # below 65536 odd numbers the split is isqrt(SLICE_HITS * size), from
+    # there on 2 * size // SLICE_HITS + 1; lo below 13 puts wheel primes
+    # in the segment, and lo >= 4e6 puts primes on both sides of the split
+    flags = np.empty(size, dtype=bool)
+    bases = base_primes(math.isqrt(lo + 2 * size + 1))
+    sieve_mod._segment_flags(flags, lo, bases)
+    assert np.array_equal(flags, trial_division_odd_flags(lo, size))
+
+
 def test_segment_memory_is_bounded_by_the_segment():
     # the strikes of one segment hold O(1) arrays over the base primes and
     # nothing over the segment's hits; the base-prime cache is grown first
