@@ -16,12 +16,12 @@ from .acceptance import run_acceptance
 from .alpha import build_angle_oracle, cf_terms, convergents, parse_alpha
 from .config import (
     DEFAULT_SEED,
+    Q_POLICY_ALIASES,
     ExperimentConfig,
     check_admissible,
     config_from_dict,
     parse_precision,
     require_admissible,
-    select_q,
 )
 from .experiments import (
     attach_envelope,
@@ -34,14 +34,6 @@ from .expsum import MinSumInstance, min_sum, standard_estimate_bound
 from .report import report_to_json, reports_to_csv
 from .sieve import mangoldt_sum_interval, sieve_segments, small_tables
 from .vaughan import SumContext, VaughanParams, t1_sum, t2_bound_chain, t2_sum, vaughan_pieces
-
-Q_POLICY_ALIASES = {
-    "strict": "strict-window",
-    "nearest": "nearest-convergent",
-    "strict-window": "strict-window",
-    "nearest-convergent": "nearest-convergent",
-}
-
 
 OPTIONS = {
     "--format": dict(choices=["json", "csv"]),
@@ -84,8 +76,8 @@ def _build_config(args, **defaults) -> ExperimentConfig:
         "delta": args.delta,
         "eps": args.eps,
         "alpha": args.alpha,
-        "err_target": parse_precision(args.precision) if args.precision else None,
-        "q_policy": Q_POLICY_ALIASES[args.q_policy] if args.q_policy else None,
+        "err_target": args.precision,
+        "q_policy": args.q_policy,
         "budget": args.budget,
         "seed": args.seed,
         "format": args.format,
@@ -95,7 +87,9 @@ def _build_config(args, **defaults) -> ExperimentConfig:
             data[key] = value
     for key, value in defaults.items():
         data.setdefault(key, value)
-    return config_from_dict(data)
+    config = config_from_dict(data)
+    args.format = config.format    # so the document has the format its config echo names
+    return config
 
 
 def _emit(args, payload, rows_for_csv=None) -> None:
@@ -229,10 +223,9 @@ def cmd_t1(args):
     config = _build_config(args)
     require_admissible(config, args.force)
     ctx = SumContext(config)
-    conv, in_window = select_q(config)
-    report = t1_sum(args.h, ctx, conv.q)
+    report = t1_sum(args.h, ctx)
     report.q_window = config.q_window()
-    report.q_in_window = in_window
+    report.q_in_window = ctx.q_in_window
     _emit(args, attach_envelope(report, config))
     return 0
 
@@ -241,14 +234,12 @@ def cmd_t2(args):
     config = _build_config(args)
     require_admissible(config, args.force)
     ctx = SumContext(config)
-    conv, in_window = select_q(config)
     report = t2_sum(args.h, args.m_block, ctx)
-    report.q_used = conv.q
+    report.q_used = ctx.q
     report.q_window = config.q_window()
-    report.q_in_window = in_window
+    report.q_in_window = ctx.q_in_window
     doc = attach_envelope(report, config)
-    doc["chain"] = t2_bound_chain(args.h, args.m_block, config.X, config.Y,
-                                  config.delta, config.eps, conv.q)
+    doc["chain"] = t2_bound_chain(args.h, args.m_block, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)
     _emit(args, doc)
     return 0
 

@@ -41,6 +41,8 @@ DEFAULT_ERR_TARGET = 2.0 ** -40
 DEFAULT_BUDGET = 1e9
 
 Q_POLICIES = ("strict-window", "nearest-convergent")
+Q_POLICY_ALIASES = {"strict": "strict-window", "nearest": "nearest-convergent",
+                    **{policy: policy for policy in Q_POLICIES}}
 FORMATS = ("json", "csv")
 
 
@@ -149,7 +151,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     X, Y and seed must be integers or integral floats, and delta, eps,
     budget and err_target numbers (err_target may also be a precision
-    string such as '2^-40'); booleans are never accepted.
+    string such as '2^-40'); booleans are never accepted.  q_policy may be
+    any key of Q_POLICY_ALIASES and is stored under its canonical name.
     Derived keys U, V, L are accepted only if they match their derived
     values (so an echoed report config round-trips).
     """
@@ -175,9 +178,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         err = data["err_target"]
         kwargs["err_target"] = (parse_precision(err) if isinstance(err, str)
                                 else _number("err_target", err))
-    for key in ("q_policy", "format"):
-        if key in data:
-            kwargs[key] = str(data[key])
+    if "q_policy" in data:
+        policy = str(data["q_policy"])
+        kwargs["q_policy"] = Q_POLICY_ALIASES.get(policy, policy)
+    if "format" in data:
+        kwargs["format"] = str(data["format"])
     if "budget" in data:
         kwargs["budget"] = _number("budget", data["budget"])
     if "seed" in data:

@@ -145,21 +145,20 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
     enumeration budget allows, and the closed-form chain terms.
     """
     adm = require_admissible(config, force)
-    conv, in_window = select_q(config)
     ctx = SumContext(config)
     notices = []
     result = {
-        "q_used": conv.q,
-        "q_in_window": in_window,
+        "q_used": ctx.q,
+        "q_in_window": ctx.q_in_window,
         "q_window": list(config.q_window()),
         "admissible": adm.ok,
         "t1_blocks": [],
         "t2_blocks": [],
         "notices": notices,
-        "s1": s1_type_i(ctx, conv.q).as_dict(),
+        "s1": s1_type_i(ctx).as_dict(),
     }
     for H in dyadic_h_blocks(ctx.L):
-        result["t1_blocks"].append(t1_sum(H, ctx, conv.q).as_dict())
+        result["t1_blocks"].append(t1_sum(H, ctx).as_dict())
     m_blocks = dyadic_m_blocks(config.X)
     if not m_blocks:
         notices.append("empty-grid: no dyadic M with X^(1/3) <= M <= X^(2/3)")
@@ -180,8 +179,7 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
             block["max_m_range_len"] = split.max_m_range_len
             if split.t3 == 0.0 and abs(t4_plus_t5) == 0.0:
                 empty_blocks += 1
-            chain = t2_bound_chain(H, M, config.X, config.Y, config.delta,
-                                   config.eps, conv.q)
+            chain = t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)
             block["chain"] = chain
             bound = chain["t2_bound"]
             block["measured_over_bound"] = t2.value / bound if bound else None

@@ -7,8 +7,10 @@ fixed configuration reproduces byte-identical output.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 __all__ = ["SumReport", "report_to_json", "reports_to_csv"]
@@ -84,14 +86,9 @@ def reports_to_csv(rows) -> str:
         _flatten("", row, flat)
         flat_rows.append(flat)
     headers = sorted({k for flat in flat_rows for k in flat})
-    lines = [",".join(headers)]
-    for flat in flat_rows:
-        cells = []
-        for h in headers:
-            v = flat.get(h, "")
-            text = "" if v is None else str(v)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    records = []    # the writer writes each record in one call
+    csv.writer(SimpleNamespace(write=records.append)).writerows(
+        [headers] + [[flat.get(h) for h in headers] for flat in flat_rows])
+    # its "\r\n" terminator makes it quote every cell holding "\r" or "\n" (a "\n"
+    # terminator would leave "\r" bare); each record then ends in "\n" alone
+    return "".join(record[:-2] + "\n" for record in records)

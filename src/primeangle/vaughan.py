@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .alpha import AngleOracle, build_angle_oracle
-from .config import ExperimentConfig
+from .config import ExperimentConfig, select_q
 from .expsum import CHUNK, MinSumInstance, linear_exp_sums, min_sum, standard_estimate_bound
 from .report import SumReport
 from .sieve import SmallTables, iroot, small_tables
@@ -140,6 +140,7 @@ class SumContext:
     """Everything the T-sum evaluators need about one experiment instance.
 
     Derived from the config alone:
+    - the denominator q and whether it lies in the q window, by select_q;
     - the kernel, of length config.L;
     - the oracle, with err_target at most 2^-80, much deeper than the
       experiment default, so that rearranged evaluation routes agree to
@@ -150,6 +151,8 @@ class SumContext:
     """
 
     def __init__(self, config: ExperimentConfig):
+        conv, self.q_in_window = select_q(config)
+        self.q = conv.q
         X = config.X
         if config.Y > X:
             raise ValueError("need Y <= X")
@@ -159,6 +162,7 @@ class SumContext:
         self.oracle = build_angle_oracle(config.alpha, n_max=2 * X * self.kernel.L + X,
                                          err_target=min(config.err_target, 2.0 ** -80))
         self.tables = small_tables(max(2 * iroot(X * X, 3) + 1, 16))
+        self._chains = {}
 
     @property
     def L(self) -> int:
@@ -171,6 +175,26 @@ class SumContext:
     def n_cut_type_ii(self) -> int:
         # smallest n with n > X^{1/3} is this value + 1
         return iroot(self.X, 3)
+
+    def min_sum_chain(self, H: float) -> list:
+        """[(M, K, cap, min_sum)] of the k = h*m comparator chain of the block H.
+
+        M runs over 1, 2, 4, ... <= X^{2/3} and then X^{2/3} itself; the
+        min-sum runs over k <= K = MH with the cap max(1, Y/M).  Each chain
+        is evaluated on first use and kept.
+        """
+        if H not in self._chains:
+            m_max = self.m_max_type_i()
+            labels = sorted({1 << i for i in range(m_max.bit_length())} | {m_max})
+            chain = []
+            for M in labels:
+                K = int(M * H)
+                if K >= 1:
+                    cap = max(1.0, self.Y / M)
+                    instance = MinSumInstance(M=K, N=cap, oracle=self.oracle, q=self.q)
+                    chain.append((M, K, cap, min_sum(instance).value))
+            self._chains[H] = chain
+        return self._chains[H]
 
     @cached_property
     def coeffs(self) -> "BilinearCoeffs":
@@ -302,24 +326,7 @@ def _suffix_maxima(oracle: AngleOracle, rows, weights) -> np.ndarray:
     return best
 
 
-def _min_sum_chain(ctx: SumContext, H: float, q: int):
-    """(M, K, cap, min_sum) of the k = h*m comparator chain of one dyadic H.
-
-    M runs over 1, 2, 4, ... <= X^{2/3} and then X^{2/3} itself; the
-    min-sum runs over k <= K = MH with the cap max(1, Y/M).
-    """
-    m_max = ctx.m_max_type_i()
-    labels = [1 << i for i in range(m_max.bit_length())]
-    if labels[-1:] != [m_max]:
-        labels.append(m_max)
-    for M in labels:
-        K = int(M * H)
-        if K >= 1:
-            cap = max(1.0, ctx.Y / M)
-            yield M, K, cap, min_sum(MinSumInstance(M=K, N=cap, oracle=ctx.oracle, q=q)).value
-
-
-def s1_type_i(ctx: SumContext, q: int) -> SumReport:
+def s1_type_i(ctx: SumContext) -> SumReport:
     """Exact type I sum with the full Fourier range 0 < l <= L.
 
     S1' = sum_{m <= X^{2/3}} max_w |sum_{w < n <= X/m} sum_l c(l) e(l m n alpha)|,
@@ -334,11 +341,11 @@ def s1_type_i(ctx: SumContext, q: int) -> SumReport:
     bound_terms = {}
     comparator_parts = []
     for H in dyadic_h_blocks(L):
-        for M, _K, _cap, measured in _min_sum_chain(ctx, H, q):
+        for M, _K, _cap, measured in ctx.min_sum_chain(H):
             comparator_parts.append(measured)
             bound_terms[f"chain.H{H:g}.M{M}.min_sum"] = measured
     bound_terms["comparator.total"] = math.fsum(comparator_parts)
-    return _report("s1_type_i", ctx, value, bound_terms, q)
+    return _report("s1_type_i", ctx, value, bound_terms, ctx.q)
 
 
 def _report(kind: str, ctx: SumContext, value: float, bound_terms: dict, q=None) -> SumReport:
@@ -350,7 +357,7 @@ def _report(kind: str, ctx: SumContext, value: float, bound_terms: dict, q=None)
     return report
 
 
-def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
+def t1_sum(H: float, ctx: SumContext) -> SumReport:
     """Exact dyadic type I sum T1(H) with its standard-estimate comparator.
 
     T1(H) = sum_{H/2<h<=H} |c(h)| sum_{m<=X^{2/3}} max_w |sum_{w<n<=X/m} e(hmn alpha)|,
@@ -359,7 +366,7 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
     capped at Y/M, its standard-estimate branch, and the three branch
     values of the first-chain condition.
     """
-    X, Y = ctx.X, ctx.Y
+    X, Y, q = ctx.X, ctx.Y, ctx.q
     if not (1 <= H <= ctx.L):
         raise ValueError("need 1 <= H <= L")
     hcs = _h_weights(ctx.kernel, H)
@@ -369,7 +376,7 @@ def t1_sum(H: float, ctx: SumContext, q: int) -> SumReport:
 
     bound_terms = {}
     chain_total = []
-    for M, K, cap, measured in _min_sum_chain(ctx, H, q):
+    for M, K, cap, measured in ctx.min_sum_chain(H):
         branch, bound = standard_estimate_bound(K, cap, q)
         chain_total.append(measured)
         bound_terms[f"chain.M{M}.k_range"] = float(K)
@@ -647,7 +654,7 @@ def t2_bound_chain(H: float, M: int, X: int, Y: int, delta: float, eps: float,
     }
     final_max = max(final_terms.values())
     final_rhs = delta * delta * Y * Y * Xf ** (-6 * eps)
-    implied_eta = math.log(final_rhs / final_max) / math.log(Xf) if final_max > 0 else None
+    implied_eta = math.log(final_rhs / final_max) / math.log(Xf) if final_rhs > 0 else None
 
     return {
         "selected": selected,

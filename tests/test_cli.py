@@ -1,6 +1,8 @@
 """CLI surface: every subcommand, the config grammar, and output determinism."""
 
 import argparse
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -128,6 +130,13 @@ def test_t1_t2_and_bounds(capsys):
     assert all(b["identity_residual"] <= 1e-9 for b in doc["t2_blocks"])
 
 
+def test_bounds_on_an_empty_window(capsys):
+    doc = run_json(["bounds", "--x", "20000", "--y", "0", "--delta", "0.45", "--eps", "0.01",
+                    "--alpha", "sqrt:2", "--force"], capsys)
+    assert doc["s1"]["value"] == 0.0
+    assert "empty-grid: every type II block had empty ranges" in doc["notices"]
+
+
 def test_admissible(capsys):
     doc = run_json(["admissible", "--x", "1000000", "--y", "100000",
                     "--delta", "0.45", "--eps", "0.01"], capsys)
@@ -149,6 +158,22 @@ def test_config_file_and_override(tmp_path, capsys):
     assert doc["ok"] is True
     doc = run_json(["admissible", "--config", str(path), "--y", "500001"], capsys)
     assert doc["ok"] is False
+
+
+def test_config_file_aliases_and_format(tmp_path, capsys):
+    config = {"X": 10 ** 6, "Y": 10 ** 5, "delta": 0.45, "eps": 0.01,
+              "alpha": "sqrt:2", "q_policy": "nearest", "format": "csv"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, _err = run_cli(["count", "--config", str(path)], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1
+    assert rows[0]["config_echo.format"] == "csv"
+    assert rows[0]["config_echo.q_policy"] == "nearest-convergent"
+    doc = run_json(["count", "--config", str(path), "--format", "json"], capsys)
+    assert doc["config_echo"]["format"] == "json"
+    assert rows[0]["value"] == str(doc["value"])
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

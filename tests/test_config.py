@@ -122,6 +122,16 @@ def test_config_accepts_precision_string():
     assert config.err_target == 2.0 ** -30
 
 
+@pytest.mark.parametrize("alias, policy", [("strict", "strict-window"),
+                                           ("nearest", "nearest-convergent"),
+                                           ("strict-window", "strict-window")])
+def test_config_accepts_q_policy_aliases(alias, policy):
+    config = config_from_dict({"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05,
+                               "alpha": "sqrt:2", "q_policy": alias})
+    assert config.q_policy == policy
+    assert config.as_dict()["q_policy"] == policy
+
+
 def test_derived_fields():
     config = base_config()
     assert math.isclose(config.U, 100.0, rel_tol=1e-12)

@@ -1,8 +1,13 @@
 """End-to-end runners: smoothed sums, prime counts, bound suite, sweeps."""
 
-import pytest
+import csv
+import io
 
-from primeangle import experiments, sieve
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from primeangle import experiments, sieve, vaughan
 from primeangle.alpha import AlphaSpec
 from primeangle.config import ExperimentConfig, InadmissibleConfig, config_from_dict
 from primeangle.experiments import (
@@ -107,6 +112,17 @@ def test_bound_suite_empty_grid_notice():
     # Y so small the dyadic type II ranges collapse
     result = run_bound_suite(tiny_config(X=512, Y=1, delta=0.5, eps=0.05), force=True)
     assert any(note.startswith("empty-grid") for note in result["notices"])
+
+
+def test_bound_suite_empty_window():
+    config = ExperimentConfig(X=20000, Y=0, delta=0.45, eps=0.01, alpha=SQRT2)
+    result = run_bound_suite(config, force=True)
+    assert result["s1"]["value"] == 0.0
+    assert "empty-grid: every type II block had empty ranges" in result["notices"]
+    assert all(b["chain"]["finalcondis"]["implied_eta"] is None for b in result["t2_blocks"])
+    rows = sweep([config], runs=("bound_suite", "prime_count"), force=True)
+    assert rows[0]["reports"]["bound_suite"] == result
+    assert "empty-window" in rows[0]["reports"]["prime_count"]["flags"]
 
 
 def test_sweep_order_and_error_isolation():
@@ -250,6 +266,26 @@ def test_csv_flattening():
     assert "reports.prime_count.bound_terms.boundary_count" in header
 
 
+CSV_TEXT = st.text(st.sampled_from('ab ,"\n\r;.'), max_size=6)
+CSV_CELL = st.one_of(st.none(), st.booleans(), st.integers(), CSV_TEXT,
+                     st.lists(st.one_of(st.integers(), CSV_TEXT), max_size=3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.dictionaries(st.sampled_from(["a", "b,c", 'd"e', "f\ng"]), CSV_CELL,
+                                min_size=1), max_size=4))
+def test_csv_reads_back_cell_for_cell(rows):
+    headers = sorted({key for row in rows for key in row})
+
+    def text(value):
+        if isinstance(value, list):
+            return ";".join(map(str, value))
+        return "" if value is None else str(value)
+
+    expected = [headers] + [[text(row.get(h)) for h in headers] for row in rows]
+    assert list(csv.reader(io.StringIO(reports_to_csv(rows), newline=""))) == expected
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_report_json_refuses_non_finite(bad):
     with pytest.raises(ValueError):
@@ -268,3 +304,13 @@ def test_bound_suite_builds_coeffs_once(monkeypatch):
     result = run_bound_suite(tiny_config(), force=True)
     assert len(result["t2_blocks"]) > 1
     assert len(calls) == 1
+
+
+def test_bound_suite_runs_each_min_sum_once(monkeypatch):
+    calls = []
+    counted = vaughan.min_sum
+    monkeypatch.setattr(vaughan, "min_sum", lambda inst: calls.append(inst.M) or counted(inst))
+    result = run_bound_suite(tiny_config(), force=True)
+    pairs = [key for key in result["s1"]["bound_terms"] if key.startswith("chain.")]
+    assert len(result["t1_blocks"]) > 1
+    assert len(calls) == len(pairs)    # one per (H, M) of the chain

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from primeangle import vaughan
 from primeangle.alpha import AlphaSpec
-from primeangle.config import ExperimentConfig
+from primeangle.config import ExperimentConfig, select_q
 from primeangle.reference import (
     brute_force_quadruples,
     naive_tau,
@@ -115,6 +116,11 @@ def test_sum_context_derives_from_config():
     assert ctx.oracle.ebound <= 2.0 ** -80
     assert ctx.tables.limit == 2 * iroot(200 * 200, 3) + 1
     assert SumContext(replace(CONFIG, X=10, Y=5)).tables.limit == 16
+    for config in (CONFIG, replace(CONFIG, Y=20)):
+        conv, in_window = select_q(config)
+        other = SumContext(config)
+        assert (other.q, other.q_in_window) == (conv.q, in_window)
+    assert (ctx.q, ctx.q_in_window) == (29, True)
     with pytest.raises(ValueError, match="Y <= X"):
         SumContext(replace(CONFIG, Y=201))
 
@@ -125,7 +131,7 @@ def test_sum_context_derives_from_config():
 
 def test_s1_matches_naive():
     ctx = SumContext(CONFIG)
-    report = s1_type_i(ctx, q=29)
+    report = s1_type_i(ctx)
     coeffs = [ctx.kernel.c(l) for l in range(1, ctx.L + 1)]
     naive_total = 0.0
     for m in range(1, ctx.m_max_type_i() + 1):
@@ -138,14 +144,14 @@ def test_s1_matches_naive():
 
 def test_s1_degenerate_empty_window():
     ctx = SumContext(replace(CONFIG, Y=0))
-    report = s1_type_i(ctx, q=29)
+    report = s1_type_i(ctx)
     assert report.value == 0.0
     assert report.ratio is None
 
 
 def test_t1_single_h_matches_naive():
     ctx = SumContext(CONFIG)
-    report = t1_sum(1, ctx, q=29)
+    report = t1_sum(1, ctx)
     naive_total = 0.0
     for m in range(1, ctx.m_max_type_i() + 1):
         n_hi = ctx.X // m
@@ -157,7 +163,7 @@ def test_t1_single_h_matches_naive():
 
 def test_t1_h2_matches_naive():
     ctx = SumContext(CONFIG)
-    report = t1_sum(2, ctx, q=29)
+    report = t1_sum(2, ctx)
     naive_total = 0.0
     for h in (2,):
         for m in range(1, ctx.m_max_type_i() + 1):
@@ -176,7 +182,7 @@ def test_t1_h2_matches_naive():
 def test_t1_comparator_terms():
     # plug-in shape: M=8, H=2, q=29, Y=60 -> MH = 16 > q/2, bound HY/q + MH log q
     ctx = SumContext(CONFIG)
-    report = t1_sum(2, ctx, q=29)
+    report = t1_sum(2, ctx)
     assert report.bound_terms["chain.M8.k_range"] == 16.0
     assert report.bound_terms["chain.M8.large_branch"] == 1.0
     expected = 16 * (60 / 8) / 29 + 16 * math.log(29)
@@ -190,10 +196,32 @@ def test_t1_comparator_terms():
     assert report.bound_terms["chain.M8.min_sum"] == pytest.approx(direct, rel=1e-12)
 
 
+def test_t1_non_dyadic_h():
+    # H = 2.5 sums the same h = 2 as H = 2, but its chain runs over k <= 2.5 M
+    ctx = SumContext(CONFIG)
+    report, dyadic = t1_sum(2.5, ctx), t1_sum(2, ctx)
+    assert report.value == dyadic.value
+    assert report.bound_terms["chain.M8.k_range"] == 20.0
+    assert ctx.min_sum_chain(2.5) != ctx.min_sum_chain(2)
+
+
+def test_chains_evaluated_once_per_context(monkeypatch):
+    calls = []
+    counted = vaughan.min_sum
+    monkeypatch.setattr(vaughan, "min_sum", lambda inst: calls.append(inst.M) or counted(inst))
+    ctx = SumContext(CONFIG)
+    s1 = s1_type_i(ctx)
+    assert len(calls) == sum(key.startswith("chain.") for key in s1.bound_terms)
+    before = len(calls)
+    for H in dyadic_h_blocks(ctx.L):
+        t1_sum(H, ctx)
+    assert len(calls) == before
+
+
 def test_t1_budget_guard():
     ctx = SumContext(replace(CONFIG, budget=10))
     with pytest.raises(BudgetExceeded):
-        t1_sum(2, ctx, q=29)
+        t1_sum(2, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -395,4 +423,4 @@ def test_coeffs_build_matches_b_coeff(V):
 def test_s1_budget_guard():
     ctx = SumContext(replace(CONFIG, budget=10))
     with pytest.raises(BudgetExceeded, match="type I cost"):
-        s1_type_i(ctx, q=29)
+        s1_type_i(ctx)
