@@ -48,6 +48,11 @@ CF_ITERATION_CAP = 100_000
 # Convergents compare_to_rational walks to separate an explicit expansion
 # from p/q.
 COMPARE_DEPTH = 64
+# Convergents kept per alpha, and alphas kept, by convergent_stream's memo.
+# 256 golden-ratio convergents reach q ~ 2^177, past every anchor and
+# q window the runners ask for.
+MEMO_DEPTH = 256
+MEMO_ALPHAS = 64
 
 # Anchors with Q below this take the int64 residue path: n mod Q, m and Q
 # convert to float64 exactly, so a float64 quotient estimate is within 2.
@@ -243,7 +248,7 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-def convergent_stream(alpha: AlphaSpec) -> Iterator[Convergent]:
+def _convergent_walk(alpha: AlphaSpec) -> Iterator[Convergent]:
     """Convergents p0/q0, p1/q1, ... via the standard recurrence."""
     p_prev, q_prev = 1, 0
     p_cur, q_cur = None, None
@@ -254,6 +259,30 @@ def convergent_stream(alpha: AlphaSpec) -> Iterator[Convergent]:
             p_prev, p_cur = p_cur, a * p_cur + p_prev
             q_prev, q_cur = q_cur, a * q_cur + q_prev
         yield Convergent(n=n, p=p_cur, q=q_cur)
+
+
+# alpha -> (the first convergents, the walk that extends them); the
+# oldest alpha is dropped past MEMO_ALPHAS entries.
+_CONVERGENT_MEMO: dict = {}
+
+
+def convergent_stream(alpha: AlphaSpec) -> Iterator[Convergent]:
+    """Convergents p0/q0, p1/q1, ... of alpha.
+
+    The first MEMO_DEPTH are walked once per process and kept, grown on
+    demand; a stream that goes deeper walks the rest afresh.
+    """
+    memo = _CONVERGENT_MEMO.get(alpha)
+    if memo is None:
+        if len(_CONVERGENT_MEMO) >= MEMO_ALPHAS:
+            del _CONVERGENT_MEMO[next(iter(_CONVERGENT_MEMO))]
+        memo = _CONVERGENT_MEMO[alpha] = ([], _convergent_walk(alpha))
+    known, walk = memo
+    for n in range(MEMO_DEPTH):
+        if n == len(known):
+            known.append(next(walk))
+        yield known[n]
+    yield from itertools.islice(_convergent_walk(alpha), MEMO_DEPTH, None)
 
 
 def convergents(alpha: AlphaSpec, count: int) -> list:
@@ -458,6 +487,15 @@ class AngleOracle:
     def classify(self, ns: np.ndarray, delta):
         """(x, below, boundary) for ||n*alpha|| < delta over an integer array.
 
+        The dists of ns, then their verdicts.
+        """
+        m, x = self.dists(ns)
+        below, boundary = self.verdicts(m, x, delta)
+        return x, below, boundary
+
+    def verdicts(self, m: np.ndarray, x: np.ndarray, delta):
+        """(below, boundary) for ||n*alpha|| < delta, given (m, x) = dists(ns).
+
         delta is a float or an exact rational (a Fraction).  The certified
         verdict for one n is "below" iff m/Q + n_max/Q^2 < delta, "above"
         iff m/Q - n_max/Q^2 >= delta, else "boundary".  A float64 filter
@@ -466,7 +504,6 @@ class AngleOracle:
         difference carry less than 2^-51 of rounding, all being at most
         1); the rest are decided exactly in integers by _decide_exactly.
         """
-        m, x = self.dists(ns)
         d, e = float(delta), self.ebound
         below = (d - (x + e)) > FILTER_MARGIN
         above = ((x - e) - d) > FILTER_MARGIN
@@ -475,7 +512,7 @@ class AngleOracle:
             verdicts = _decide_exactly(m[unsure].tolist(), self.anchor.q, self.n_max, delta)
             below[unsure] = [v == "below" for v in verdicts]
             above[unsure] = [v == "above" for v in verdicts]
-        return x, below, ~(below | above)
+        return below, ~(below | above)
 
 
 def build_angle_oracle(alpha: AlphaSpec, n_max: int,

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .alpha import build_angle_oracle
 from .config import (
     ExperimentConfig,
     InadmissibleConfig,
+    QWindowMiss,
     config_from_dict,
     require_admissible,
     select_q,
@@ -55,9 +58,10 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     An empty window (Y = 0) gives empty reports.  Otherwise the point
     passes the admissibility gate and the budget check, q is selected and
     the angle oracle built, once for all kinds; the window is then sieved
-    one segment at a time, and each segment feeds the kinds in the order
-    given.  A kind not asked for costs nothing: a count alone never builds
-    the prime powers.
+    one segment at a time.  The primes of a segment and their dists are
+    computed once and shared: the count takes its verdicts from them, and
+    the smoothed sum adds the dists of the higher powers only.  A kind not
+    asked for costs nothing: a count alone never builds the prime powers.
     """
     X, Y, delta = config.X, config.Y, config.delta
     if Y == 0:
@@ -71,17 +75,20 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     count = boundary = interval_primes = 0
     value_sum, psi_sum = ExactSum(), ExactSum()
     for segment in sieve_segments(X - Y, X):
-        for kind in kinds:
-            if kind == "prime_count":
-                res = primes_with_small_angle(segment, oracle, delta)
-                count += res.count
-                boundary += res.boundary_count
-                interval_primes += segment.prime_count()
-            else:
-                n, lam = segment.mangoldt_terms()
-                _, angles = oracle.dists(n)
-                value_sum.add(lam * f_direct_array(angles, delta))
-                psi_sum.add(lam)
+        primes = segment.primes()
+        dists = oracle.dists(primes)
+        if "prime_count" in kinds:
+            res = primes_with_small_angle(segment, oracle, delta, dists)
+            count += res.count
+            boundary += res.boundary_count
+            interval_primes += primes.size
+        if "smoothed_sum" in kinds:
+            n, lam = segment.mangoldt_terms(primes)
+            angles = dists[1]
+            if n.size > primes.size:
+                angles = np.concatenate([angles, oracle.dists(n[primes.size:])[1]])
+            value_sum.add(lam * f_direct_array(angles, delta))
+            psi_sum.add(lam)
     flags = [] if in_window else ["q-out-of-window"]
     if not adm.ok:
         flags.append("inadmissible-forced")
@@ -197,6 +204,7 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
 ERROR_CODES = {
     InadmissibleConfig: "inadmissible",
     BudgetExceeded: "budget-exceeded",
+    QWindowMiss: "q-window-miss",
 }
 
 

@@ -133,6 +133,8 @@ class MinSumInstance:
     q: int
 
     def __post_init__(self):
+        if not math.isfinite(self.N):
+            raise ValueError(f"the cap N must be finite, got {self.N!r}")
         if self.M < 1 or self.N < 1 or self.q < 1:
             raise ValueError("need M, N, q >= 1")
         if self.M > self.oracle.n_max:

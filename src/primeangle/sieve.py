@@ -124,12 +124,14 @@ class IntervalSieve:
         merged.sort()
         return merged
 
-    def mangoldt_terms(self):
+    def mangoldt_terms(self, primes=None):
         """(n, Lambda(n)) as arrays over every prime power n in the window.
 
         Primes come first in increasing order, then the higher powers.
+        primes, if given, is self.primes(), from a caller that has it.
         """
-        primes = self.primes()
+        if primes is None:
+            primes = self.primes()
         if not self.higher_powers:
             return primes, np.log(primes.astype(np.float64))
         powers = np.array(self.higher_powers, dtype=np.int64)
@@ -254,15 +256,22 @@ def sieve_segments(lo: int, hi: int):
 class ExactSum:
     """Exact running sum of float64 arrays; value() rounds the total once.
 
-    Each float is M * 2^(e - 53) with an integer |M| < 2^53 (np.frexp).
-    Per exponent e, the high and low 26-bit halves of the M are summed
-    with bincount, whose float64 partial sums stay exact integers below
-    2^53 for up to 2^26 values per call.  The total is an integer
+    Each float is M * 2^(s - 1126) with an integer |M| < 2^53 and a slot
+    s = e + 1073 in [0, 2098) (np.frexp).  Slots group into buckets of
+    2^_BUCKET_BITS consecutive ones: per bucket, the high and low 26-bit
+    halves of the M, each shifted left by its slot's offset inside the
+    bucket, are summed in int64 (np.add.at), so Python loops over the at
+    most 132 buckets, not over every distinct exponent (R. M. Neal's
+    "small superaccumulator", arXiv:1505.05571).  The total is an integer
     multiple of 2^-1126, so value() is the correctly rounded sum of
     everything added, whatever the order or the split into calls.
     """
 
-    _CHUNK = 2 ** 26
+    # A shifted half is at most 2^27 * 2^15 = 2^42 in magnitude, so the
+    # int64 sums of a chunk of 2^20 of them stay within 2^62 < 2^63.
+    _CHUNK = 2 ** 20
+    _BUCKET_BITS = 4
+    _BUCKETS = 132  # 2098 slots in buckets of 16
     _LOW = (1 << 26) - 1
 
     def __init__(self):
@@ -273,13 +282,19 @@ class ExactSum:
         if not np.isfinite(values).all():
             raise ValueError("ExactSum needs finite values")
         for start in range(0, values.size, self._CHUNK):
-            mant, exp = np.frexp(values[start: start + self._CHUNK])
+            mant, bucket = np.frexp(values[start: start + self._CHUNK])
             ints = np.ldexp(mant, 53).astype(np.int64)
-            slot = exp + 1073
-            high = np.bincount(slot, weights=ints >> 26)
-            low = np.bincount(slot, weights=ints & self._LOW)
-            for s in np.flatnonzero((high != 0) | (low != 0)).tolist():
-                self._total += ((int(high[s]) << 26) + int(low[s])) << s
+            bucket += 1073  # the slot, until the shift below
+            offset = bucket & ((1 << self._BUCKET_BITS) - 1)
+            bucket >>= self._BUCKET_BITS
+            high = np.zeros(self._BUCKETS, dtype=np.int64)
+            low = np.zeros(self._BUCKETS, dtype=np.int64)
+            np.add.at(high, bucket, (ints >> 26) << offset)
+            ints &= self._LOW
+            ints <<= offset
+            np.add.at(low, bucket, ints)
+            for b in np.flatnonzero(high | low).tolist():
+                self._total += ((int(high[b]) << 26) + int(low[b])) << (b << self._BUCKET_BITS)
 
     def value(self) -> float:
         return self._total / (1 << 1126)
@@ -355,17 +370,21 @@ class SmallAngleCount:
 
 
 def primes_with_small_angle(sieve: IntervalSieve, oracle: AngleOracle,
-                            delta: float) -> SmallAngleCount:
+                            delta: float, dists=None) -> SmallAngleCount:
     """Count primes p in the sieve window with certified ||p*alpha|| < delta.
 
-    Verdicts come from AngleOracle.classify (float filter, exact integer
-    fallback); straddles are counted separately as boundary cases
-    (expected zero at default precision).
+    Verdicts come from AngleOracle.verdicts (float filter, exact integer
+    fallback) on dists, which is oracle.dists(sieve.primes()) and is
+    computed here unless a caller that needs it for other sums passes it;
+    straddles are counted separately as boundary cases (expected zero at
+    default precision).
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
     if sieve.hi > oracle.n_max:
         raise ValueError("oracle does not cover the sieve window")
-    _, below, boundary = oracle.classify(sieve.primes(), delta)
+    if dists is None:
+        dists = oracle.dists(sieve.primes())
+    below, boundary = oracle.verdicts(*dists, delta)
     return SmallAngleCount(count=int(np.count_nonzero(below)),
                            boundary_count=int(np.count_nonzero(boundary)))

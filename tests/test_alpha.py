@@ -5,12 +5,14 @@ and frozen; structural checks run on exact integers.
 """
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import primeangle.alpha as alpha_mod
+from primeangle.acceptance import ALPHA_PANEL
 from primeangle.alpha import (
     AlphaSpec,
     bounded_terms_constant,
@@ -132,6 +134,59 @@ def test_gcd_is_one():
     for spec in [SQRT2, GOLDEN, AlphaSpec.sqrt(61)]:
         for c in convergents(spec, 25):
             assert gcd(c.p, c.q) == 1
+
+
+def recurrence_convergents(spec, count):
+    """(p, q) from the partial quotients by the plain recurrence, no memo."""
+    (p_prev, q_prev), (p, q) = (1, 0), (None, None)
+    out = []
+    for n, a in enumerate(cf_terms(spec, count)):
+        if n == 0:
+            p, q = a, 1
+        else:
+            p_prev, p = p, a * p + p_prev
+            q_prev, q = q, a * q + q_prev
+        out.append((n, p, q))
+    return out
+
+
+def test_convergent_memo_matches_the_recurrence(monkeypatch):
+    monkeypatch.setattr(alpha_mod, "_CONVERGENT_MEMO", {})
+    count = alpha_mod.MEMO_DEPTH + 20  # past the memo, into a fresh walk
+    for spec in ALPHA_PANEL + (parse_alpha("cf:0;2,1000000000;1,3"),):
+        want = recurrence_convergents(spec, count)
+        for _ in range(2):  # the walk, then the memo
+            assert [(c.n, c.p, c.q) for c in convergents(spec, count)] == want
+
+
+def test_convergent_memo_interleaved_streams_and_one_walk(monkeypatch):
+    monkeypatch.setattr(alpha_mod, "_CONVERGENT_MEMO", {})
+    walks = []
+    walk = alpha_mod._convergent_walk
+    monkeypatch.setattr(alpha_mod, "_convergent_walk",
+                        lambda spec: walks.append(spec) or walk(spec))
+    first, second = alpha_mod.convergent_stream(SQRT2), alpha_mod.convergent_stream(SQRT2)
+    got = [next(first).q, next(first).q, next(second).q, next(first).q,
+           next(second).q, next(second).q, next(second).q]
+    assert got == [1, 2, 1, 5, 2, 5, 12]
+    find_q_in_window(SQRT2, 293, 336)
+    build_angle_oracle(SQRT2, n_max=10 ** 6)
+    assert walks == [SQRT2]
+
+
+def test_convergent_memo_is_bounded_and_not_shared_with_callers(monkeypatch):
+    monkeypatch.setattr(alpha_mod, "_CONVERGENT_MEMO", {})
+    depth = alpha_mod.MEMO_DEPTH
+    got = convergents(GOLDEN, depth + 50)
+    assert len(alpha_mod._CONVERGENT_MEMO[GOLDEN][0]) == depth
+    got[3] = None
+    del got[10:]
+    again = convergents(GOLDEN, depth + 50)
+    assert len(again) == depth + 50 and again[3].q == 3
+    for d in range(2, 2 + 2 * alpha_mod.MEMO_ALPHAS):
+        if isqrt(d) ** 2 != d:
+            convergents(AlphaSpec.sqrt(d), 2)
+    assert len(alpha_mod._CONVERGENT_MEMO) == alpha_mod.MEMO_ALPHAS
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ def test_minsum(capsys):
     assert doc["branch"] == "small-M"
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+def test_minsum_rejects_a_non_finite_cap(cap, capsys):
+    code, _, err = run_cli(["minsum", "--alpha", "sqrt:2", "--m", "10",
+                            f"--cap={cap}", "--q", "29"], capsys)
+    assert code == 1
+    assert err.strip() == f"error: the cap N must be finite, got {float(cap)!r}"
+
+
 def test_t1_t2_and_bounds(capsys):
     base = ["--x", "500", "--y", "150", "--delta", "0.3", "--eps", "0.05",
             "--alpha", "sqrt:2", "--force"]
@@ -251,12 +259,16 @@ def test_sweep_error_rows(tmp_path, capsys):
     points = [
         {"X": 10 ** 6, "Y": 10 ** 5, "delta": 0.45, "eps": 0.01, "alpha": "sqrt:2"},
         {"X": 10 ** 6, "Y": 10, "delta": 0.45, "eps": 0.01, "alpha": "sqrt:2"},
+        {"X": 10 ** 6, "Y": 10 ** 5, "delta": 0.45, "eps": 0.01, "alpha": "sqrt:2",
+         "q_policy": "strict"},
     ]
     path = tmp_path / "points.json"
     path.write_text(json.dumps(points))
     rows = run_json(["sweep", "--points", str(path), "--runs", "prime_count"], capsys)
     assert "reports" in rows[0]
     assert rows[1]["error"] == "inadmissible"
+    assert rows[2]["error"] == "q-window-miss"
+    assert rows[2]["error_detail"].startswith("no convergent denominator in [292.946, 336.347]")
 
 
 def test_verify_subset_deterministic(capsys):

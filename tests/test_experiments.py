@@ -3,12 +3,13 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeangle import experiments, sieve, vaughan
-from primeangle.alpha import AlphaSpec
+from primeangle.alpha import AlphaSpec, AngleOracle
 from primeangle.config import ExperimentConfig, InadmissibleConfig, config_from_dict
 from primeangle.experiments import (
     ERROR_CODES,
@@ -215,28 +216,32 @@ def test_sweep_shared_pass_equals_separate_runs(runs, force):
 
 
 def test_sweep_window_kinds_share_one_pass(monkeypatch):
-    # both kinds of a point take one sieve pass and one oracle, and a
-    # count alone never builds the segments' prime powers
-    calls = {"sieve": 0, "oracle": 0, "terms": 0}
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(sieve, "sieve_interval", counting("sieve", sieve.sieve_interval))
+    # both kinds of a point take one sieve pass, one oracle and one residues
+    # call over each segment's primes; the smoothed sum adds one residues
+    # call over the segment's higher powers, and a count alone never builds
+    # the prime powers
+    segments, oracles, residues, powers = [], [], [], []
+    interval, build = sieve.sieve_interval, experiments.build_angle_oracle
+    exact, higher = AngleOracle.residues, sieve._higher_powers
+    monkeypatch.setattr(sieve, "sieve_interval",
+                        lambda lo, hi: segments.append(interval(lo, hi)) or segments[-1])
     monkeypatch.setattr(experiments, "build_angle_oracle",
-                        counting("oracle", experiments.build_angle_oracle))
-    monkeypatch.setattr(sieve.IntervalSieve, "mangoldt_terms",
-                        counting("terms", sieve.IntervalSieve.mangoldt_terms))
+                        lambda *a, **k: oracles.append(build(*a, **k)) or oracles[-1])
+    monkeypatch.setattr(AngleOracle, "residues",
+                        lambda self, ns: residues.append(np.asarray(ns).tolist()) or exact(self, ns))
+    monkeypatch.setattr(sieve, "_higher_powers", lambda *a: powers.append(a) or higher(*a))
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 3000)  # three segments per window
     rows = sweep([SHARED_BASE, SHARED_BASE], force=True)
     assert all("reports" in row for row in rows)
-    assert calls == {"sieve": 6, "oracle": 2, "terms": 6}
-    calls.update(sieve=0, oracle=0, terms=0)
+    assert len(segments) == 6 and len(oracles) == 2 and len(powers) == 6
+    assert all(segment.higher_powers for segment in segments)
+    assert residues == [ns for segment in segments
+                        for ns in (segment.primes().tolist(),
+                                   [n for n, _, _ in segment.higher_powers])]
+    segments.clear(), oracles.clear(), residues.clear(), powers.clear()
     rows = sweep([SHARED_BASE], runs=("prime_count", "prime_count"), force=True)
-    assert calls == {"sieve": 3, "oracle": 1, "terms": 0}  # duplicates collapsed
+    assert len(segments) == 3 and len(oracles) == 1 and powers == []  # duplicates collapsed
+    assert residues == [segment.primes().tolist() for segment in segments]
     assert list(rows[0]["reports"]) == ["prime_count"]
 
 

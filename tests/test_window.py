@@ -311,6 +311,49 @@ def test_exact_sum_is_correctly_rounded():
         ExactSum().add(np.array([math.inf]))
 
 
+# Floats whose exponents span the whole double range: hypothesis' own
+# floats (subnormals included), M * 2^e with every e a double can take,
+# and signed zeros.
+EVERY_EXPONENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.integers(-(2 ** 53) + 1, 2 ** 53 - 1), st.integers(-1126, 971)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.lists(EVERY_EXPONENT, max_size=80), st.lists(st.integers(0, 80), max_size=6))
+def test_exact_sum_property_is_the_correctly_rounded_fraction_sum(values, cuts):
+    acc = ExactSum()
+    bounds = [0] + sorted(cuts) + [len(values)]
+    for start, stop in zip(bounds, bounds[1:]):
+        acc.add(np.array(values[start:stop], dtype=np.float64))
+    exact = sum(map(Fraction, values), Fraction(0))
+    try:
+        want = float(exact)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            acc.value()
+        return
+    assert acc.value() == want
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_sum_at_the_chunk_bound(sign):
+    # a full chunk of the largest mantissa, all in the top slot of one
+    # bucket: every half takes its largest shift, so the int64 bucket sums
+    # come as close to 2^62 in magnitude as the chunk allows (for the
+    # negative sign they reach it); one more value starts a second chunk
+    top = (1 << ExactSum._BUCKET_BITS) - 1
+    slot = (70 << ExactSum._BUCKET_BITS) + top
+    value = sign * math.ldexp(2 ** 53 - 1, slot - 1126)
+    n = ExactSum._CHUNK
+    acc = ExactSum()
+    acc.add(np.full(n, value))
+    assert acc.value() == n * value
+    acc.add(np.array([value]))
+    assert acc.value() == float(Fraction(value) * (n + 1))
+
+
 def test_benchmark_entry_points():
     # the benchmark resolves these names and signatures; a rename must fail here
     s = sieve_interval(50, 100)
