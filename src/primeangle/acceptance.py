@@ -10,8 +10,11 @@ module constants.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
 import time
+from contextlib import nullcontext
 from math import gcd
 
 from .alpha import (
@@ -322,15 +325,75 @@ def criterion_9(seed: int) -> dict:
     }
 
 
-def criterion_10(seed: int, first: str | None = None) -> dict:
-    """Reproducibility: criteria 1-9 give byte-identical JSON when run again.
+# The fresh pass: a new interpreter that imports the primeangle package
+# found in the directory sys.argv[1] and writes the JSON of criteria 1-9 at
+# seed sys.argv[2] to stdout.
+FRESH_PASS_SOURCE = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from primeangle.acceptance import REPRODUCED, verify_json\n"
+    "sys.stdout.buffer.write(verify_json(REPRODUCED, int(sys.argv[2])).encode())\n"
+)
 
-    ``first`` is the JSON of the records that the calling run already made
-    for criteria 1-9; called on its own, the criterion makes that run too.
+
+def fresh_hash_seed(caller: str | None) -> str:
+    """PYTHONHASHSEED of the fresh pass, given the caller's: fixed, and never equal to it."""
+    base = int(caller) if caller and caller.isdigit() else 0
+    return str((base + 1) % 2 ** 32)
+
+
+class FreshPass:
+    """``verify_json(REPRODUCED, seed)`` in a fresh interpreter, started at once.
+
+    The interpreter imports the same copy of primeangle as this process,
+    under another PYTHONHASHSEED, so the two passes share no module cache
+    and no hash order.  ``result()`` waits for its JSON; leaving the
+    ``with`` block kills the process if it still runs, and reaps it.
     """
+
+    def __init__(self, seed: int):
+        import subprocess  # only a run holding criterion 10 starts a process
+
+        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ,
+                   PYTHONHASHSEED=fresh_hash_seed(os.environ.get("PYTHONHASHSEED")))
+        self.process = subprocess.Popen(
+            [sys.executable, "-c", FRESH_PASS_SOURCE, package_dir, str(seed)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+
+    def result(self) -> str:
+        out, err = self.process.communicate()
+        if self.process.returncode != 0:
+            lines = err.decode(errors="replace").strip().splitlines() or ["no message"]
+            raise RuntimeError(f"the fresh pass of criteria 1-9 exited with code "
+                               f"{self.process.returncode}: {lines[-1]}")
+        return out.decode()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.process.returncode is None:
+            self.process.kill()
+            self.process.communicate()
+        return False
+
+
+def criterion_10(seed: int, first: str | None = None, fresh: FreshPass | None = None) -> dict:
+    """Reproducibility: criteria 1-9 give byte-identical JSON in a fresh process.
+
+    ``fresh`` is the FreshPass the calling run started at its top, and
+    ``first`` the JSON of the records it made for criteria 1-9 meanwhile.
+    Called on its own, the criterion starts the fresh pass and makes the
+    first pass here while the other runs.
+    """
+    if fresh is None:
+        with FreshPass(seed) as fresh:
+            return criterion_10(seed, first, fresh)
     if first is None:
         first = verify_json(criteria=REPRODUCED, seed=seed)
-    second = verify_json(criteria=REPRODUCED, seed=seed)
+    second = fresh.result()
     return {
         "criterion": 10,
         "name": "byte-identical reports",
@@ -358,8 +421,9 @@ def run_acceptance(criteria=None, seed: int = DEFAULT_SEED, progress=None) -> di
 
     With a ``progress`` stream, each criterion prints a [PASS]/[FAIL] line
     with its wall time there; the returned record carries no times.  When
-    the run holds criteria 1-9, criterion 10 re-runs them once against the
-    JSON of their records here, instead of running them twice itself.
+    the run holds criterion 10, the fresh pass of criteria 1-9 starts
+    before any criterion runs, and is reaped however the run ends; when the
+    run also holds criteria 1-9, their records here are the first pass.
     """
     wanted = sorted(CRITERIA) if criteria is None else sorted(set(criteria))
     if not wanted:
@@ -368,17 +432,20 @@ def run_acceptance(criteria=None, seed: int = DEFAULT_SEED, progress=None) -> di
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")
     results = []
-    for k in wanted:
-        t0 = time.perf_counter()
-        args = (seed,)
-        if k == 10 and wanted[:9] == list(REPRODUCED):
-            args += (report_to_json(_document(seed, results)),)
-        record = CRITERIA[k](*args)  # looked up per call: tracers swap the entries
-        if progress is not None:
-            status = "PASS" if record["passed"] else "FAIL"
-            print(f"[{status}] criterion {k:2d}: {record['name']} "
-                  f"({time.perf_counter() - t0:.2f}s)", file=progress)
-        results.append(record)
+    with (FreshPass(seed) if 10 in wanted else nullcontext()) as fresh:
+        for k in wanted:
+            t0 = time.perf_counter()
+            args = (seed,)
+            if k == 10:
+                first = (report_to_json(_document(seed, results))
+                         if wanted[:9] == list(REPRODUCED) else None)
+                args += (first, fresh)
+            record = CRITERIA[k](*args)  # looked up per call: tracers swap the entries
+            if progress is not None:
+                status = "PASS" if record["passed"] else "FAIL"
+                print(f"[{status}] criterion {k:2d}: {record['name']} "
+                      f"({time.perf_counter() - t0:.2f}s)", file=progress)
+            results.append(record)
     return _document(seed, results)
 
 

@@ -112,6 +112,11 @@ def _emit(args, payload, rows_for_csv=None) -> None:
 def cmd_convergents(args):
     alpha = parse_alpha(args.alpha)
     convs = convergents(alpha, args.count)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = 10 ** limit
+    if limit and any(abs(c.p) >= too_long or c.q >= too_long for c in convs):
+        raise ValueError(f"--count {args.count} reaches convergents of more than {limit} "
+                         f"digits, Python's limit for integer string conversion")
     _emit(args, {
         "alpha": alpha.canonical(),
         "terms": cf_terms(alpha, args.count),

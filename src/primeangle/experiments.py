@@ -25,7 +25,7 @@ from .config import (
 )
 from .report import SumReport
 from .sieve import ExactSum, primes_with_small_angle, sieve_segments
-from .smoothing import f_direct_array
+from .smoothing import check_direct_delta, f_direct_array
 from .vaughan import (
     BudgetExceeded,
     SumContext,
@@ -55,8 +55,9 @@ WINDOW_KINDS = ("prime_count", "smoothed_sum")
 def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     """One pass over the window (X-Y, X]: {kind: SumReport} for each of ``kinds``.
 
-    An empty window (Y = 0) gives empty reports.  Otherwise the point
-    passes the admissibility gate and the budget check, q is selected and
+    An empty window (Y = 0) gives empty reports.  Otherwise a smoothed sum
+    checks that its delta has a finite direct form, the point passes the
+    admissibility gate and the budget check, q is selected and
     the angle oracle built, once for all kinds; the window is then sieved
     one segment at a time.  The primes of a segment and their dists are
     computed once and shared: the count takes its verdicts from them, and
@@ -67,6 +68,8 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     if Y == 0:
         return {kind: SumReport(kind=kind, value=0.0, main_term=0.0, ratio=None,
                                 flags=["empty-window"]) for kind in kinds}
+    if "smoothed_sum" in kinds:
+        check_direct_delta(delta)
     adm = require_admissible(config, force)
     if Y > config.budget:
         raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")

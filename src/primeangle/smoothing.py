@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "SmoothingKernel",
     "build_kernel",
+    "check_direct_delta",
     "f_direct",
     "f_direct_array",
     "f_fourier",
@@ -35,11 +36,21 @@ __all__ = [
 ]
 
 LOG10_FLOAT_MIN = math.log10(5e-324)  # below this the closed form underflows to 0
+# The smallest delta whose square is a normal float, so that the direct
+# form's pi / delta^2 is finite: sqrt of the least normal float, 2^-511.
+MIN_DIRECT_DELTA = 2.0 ** -511
 
 
 def default_direct_terms(delta: float) -> int:
     """Integer-shift radius keeping the dropped direct tail below 1e-30."""
     return max(3, math.ceil(delta * math.sqrt(30.0 / math.pi)))
+
+
+def check_direct_delta(delta: float) -> None:
+    """Raise ValueError unless the direct form can be evaluated at ``delta``."""
+    if not (MIN_DIRECT_DELTA <= delta <= 0.5):
+        raise ValueError(f"delta must lie in [{MIN_DIRECT_DELTA!r}, 1/2] for the "
+                         f"direct form of the weight, got {delta!r}")
 
 
 def f_direct(x: float, delta: float) -> float:
@@ -49,8 +60,7 @@ def f_direct(x: float, delta: float) -> float:
     so the dropped tail is below 1e-30 for every delta <= 1/2.
     1-periodic and even by construction.
     """
-    if not (0.0 < delta <= 0.5):
-        raise ValueError("delta must lie in (0, 1/2]")
+    check_direct_delta(delta)
     terms = default_direct_terms(delta)
     center = round(x)
     inv = math.pi / (delta * delta)
@@ -67,8 +77,7 @@ def f_direct_array(xs: np.ndarray, delta: float) -> np.ndarray:
     shift order instead of math.fsum, so it agrees with f_direct to a few
     ulps.
     """
-    if not (0.0 < delta <= 0.5):
-        raise ValueError("delta must lie in (0, 1/2]")
+    check_direct_delta(delta)
     terms = default_direct_terms(delta)
     xs = np.asarray(xs, dtype=np.float64)
     center = np.rint(xs)
@@ -112,6 +121,7 @@ class SmoothingKernel:
     delta: float
     L: int
     coeffs: np.ndarray = field(repr=False)          # c(1..L)
+    harmonics: np.ndarray = field(repr=False)       # 1..L as float64
     tail_bound: float
     tail_underflow: bool
     tail_log10: float
@@ -123,7 +133,7 @@ class SmoothingKernel:
 
     def cosine_sum(self, x: float) -> float:
         """sum over 0 < |l| <= L of c(|l|) e(l x)  =  2 sum c(l) cos(2 pi l x)."""
-        ang = (2.0 * np.pi * x) * np.arange(1, self.L + 1)
+        ang = (2.0 * np.pi * x) * self.harmonics
         return 2.0 * float(np.dot(self.coeffs, np.cos(ang)))
 
 
@@ -140,6 +150,7 @@ def build_kernel(delta: float, L: int) -> SmoothingKernel:
         delta=delta,
         L=L,
         coeffs=coeffs,
+        harmonics=ells,
         tail_bound=0.0 if underflow else truncation_bound(delta, L),
         tail_underflow=underflow,
         tail_log10=log10_tail,

@@ -14,18 +14,31 @@ constants:
   7  psi window within 5% of Y at X = 1e7                 (< 20 s)
   8  small-angle prime count within 15%, both alphas      (< 30 s)
   9  smoothed sum within 15% of delta*Y, admissible point (< 120 s)
-  10 the run's own criteria 1-9 vs one re-run -> byte-identical JSON
+  10 the run's own criteria 1-9 vs a re-run in a fresh process, started
+     alongside them under another hash seed -> byte-identical JSON
 
 The tests after test_criterion check how run_acceptance feeds criterion 10,
-with cheap stand-ins for criteria 1-9.
+with cheap stand-ins for criteria 1-9 and, where the process itself is not
+under test, for the fresh pass; then how the fresh pass's process is
+started, and reaped however the run ends.
 """
 
+import os
+import signal
 import time
 from collections import Counter
 
 import pytest
 
-from primeangle.acceptance import CRITERIA, REPRODUCED, run_acceptance, verify_json
+from primeangle import acceptance
+from primeangle.acceptance import (
+    CRITERIA,
+    REPRODUCED,
+    FreshPass,
+    fresh_hash_seed,
+    run_acceptance,
+    verify_json,
+)
 from primeangle.config import DEFAULT_SEED
 
 RUNTIME_LIMITS = {1: 1.0, 2: 5.0, 3: 10.0, 4: 10.0, 5: 30.0,
@@ -45,6 +58,13 @@ def test_criterion(number):
         assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s >= {limit}s"
 
 
+def test_cached_criteria_reproduce_within_one_process():
+    # the fresh pass starts with cold module caches; this re-run meets the
+    # caches that the first run of the criteria filled
+    cached = (1, 5, 6, 7, 8, 9)
+    assert verify_json(cached, seed=DEFAULT_SEED) == verify_json(cached, seed=DEFAULT_SEED)
+
+
 @pytest.fixture
 def fake_criteria(monkeypatch):
     """Cheap stand-ins for criteria 1-9; returns the count of calls to each."""
@@ -61,15 +81,41 @@ def fake_criteria(monkeypatch):
     return calls
 
 
-def test_full_run_calls_criteria_1_to_9_twice(fake_criteria):
-    # once for the run's own records, once more inside criterion 10
+@pytest.fixture
+def in_process_pass(monkeypatch):
+    """A stand-in for FreshPass that makes the second pass here, when asked
+    for its result; returns the list of stand-ins made."""
+    made = []
+
+    class InProcessPass:
+        def __init__(self, seed):
+            self.seed, self.closed = seed, False
+            made.append(self)
+
+        def result(self):
+            return verify_json(REPRODUCED, seed=self.seed)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.closed = True
+            return False
+
+    monkeypatch.setattr(acceptance, "FreshPass", InProcessPass)
+    return made
+
+
+def test_full_run_calls_criteria_1_to_9_twice(fake_criteria, in_process_pass):
+    # once for the run's own records, once more in the fresh pass
     doc = run_acceptance(seed=7)
     assert fake_criteria == {k: 2 for k in REPRODUCED}
     assert [r["criterion"] for r in doc["criteria"]] == sorted(CRITERIA)
     assert doc["criteria"][-1]["passed"] and doc["all_passed"]
+    assert [(p.seed, p.closed) for p in in_process_pass] == [(7, True)]
 
 
-def test_a_drifting_record_fails_criterion_10(fake_criteria, monkeypatch):
+def test_a_drifting_record_fails_criterion_10(fake_criteria, in_process_pass, monkeypatch):
     def drifting(seed):
         fake_criteria[5] += 1
         return {"criterion": 5, "name": "drifting", "call": fake_criteria[5], "passed": True}
@@ -81,20 +127,89 @@ def test_a_drifting_record_fails_criterion_10(fake_criteria, monkeypatch):
     assert not CRITERIA[10](7)["passed"]
 
 
-def test_full_run_and_criterion_10_alone_agree(fake_criteria):
+def test_full_run_and_criterion_10_alone_agree(fake_criteria, in_process_pass):
     alone = CRITERIA[10](7)
     in_run = run_acceptance(seed=7)["criteria"][-1]
     assert alone == in_run
     assert alone["passed"] and alone["bytes"] == len(verify_json(REPRODUCED, seed=7))
+    assert [p.closed for p in in_process_pass] == [True, True]
 
 
-def test_a_partial_run_gives_criterion_10_both_passes(fake_criteria):
+def test_a_partial_run_gives_criterion_10_both_passes(fake_criteria, in_process_pass):
     doc = run_acceptance([3, 10], seed=7)
     assert fake_criteria == {3: 3, **{k: 2 for k in REPRODUCED if k != 3}}
     assert doc["all_passed"]
+    assert len(in_process_pass) == 1
 
 
-def test_empty_selection_is_an_error(fake_criteria):
+def test_no_fresh_pass_without_criterion_10(fake_criteria, in_process_pass):
+    run_acceptance(REPRODUCED, seed=7)
+    assert not in_process_pass
+
+
+def test_empty_selection_is_an_error(fake_criteria, in_process_pass):
     with pytest.raises(ValueError, match="no criteria selected"):
         run_acceptance(criteria=[])
-    assert not fake_criteria
+    assert not fake_criteria and not in_process_pass
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Records every real FreshPass that the code under test starts."""
+    made = []
+
+    class Recorded(FreshPass):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(acceptance, "FreshPass", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+def test_a_raising_criterion_kills_and_reaps_the_fresh_pass(fake_criteria, started,
+                                                            monkeypatch, error):
+    def broken(seed):
+        raise error("criterion 2 broke")
+
+    monkeypatch.setitem(CRITERIA, 2, broken)
+    with pytest.raises(error, match="criterion 2 broke"):
+        run_acceptance(seed=7)
+    [fresh] = started
+    # the real criteria 1-9 take seconds, so the pass was still running
+    assert fresh.process.returncode == -signal.SIGKILL
+    with pytest.raises(ProcessLookupError):
+        os.kill(fresh.process.pid, 0)
+
+
+def test_a_failing_fresh_pass_raises_and_is_reaped(fake_criteria, started, monkeypatch):
+    monkeypatch.setattr(acceptance, "FRESH_PASS_SOURCE",
+                        "raise SystemExit('the fresh pass broke')")
+    with pytest.raises(RuntimeError, match="exited with code 1: the fresh pass broke"):
+        run_acceptance(seed=7)
+    assert [p.process.returncode for p in started] == [1]
+
+
+@pytest.mark.parametrize("caller", [None, "random", "0", "12345", "4294967295"])
+def test_the_fresh_pass_runs_under_another_hash_seed(monkeypatch, caller):
+    if caller is None:
+        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONHASHSEED", caller)
+    monkeypatch.setattr(acceptance, "FRESH_PASS_SOURCE",
+                        "import os, sys; sys.stdout.write(os.environ['PYTHONHASHSEED'])")
+    with FreshPass(7) as fresh:
+        seen = fresh.result()
+    assert seen != caller and seen == fresh_hash_seed(caller)  # fixed for a given caller
+    assert 0 <= int(seen) < 2 ** 32  # the interpreter accepted it
+
+
+def test_the_fresh_pass_imports_this_copy_of_primeangle(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", "")
+    monkeypatch.setattr(acceptance, "FRESH_PASS_SOURCE",
+                        "import sys; sys.path.insert(0, sys.argv[1]); import primeangle; "
+                        "sys.stdout.write(primeangle.__file__)")
+    with FreshPass(7) as fresh:
+        seen = fresh.result()
+    assert os.path.samefile(seen, acceptance.__file__.replace("acceptance.py", "__init__.py"))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from primeangle import acceptance, sieve
+from primeangle import acceptance, experiments, sieve
 from primeangle.cli import build_parser, main
 from primeangle.experiments import sweep
 from primeangle.report import reports_to_csv
@@ -33,6 +33,18 @@ def test_convergents(capsys):
     doc = run_json(["convergents", "--alpha", "sqrt:2", "--count", "6"], capsys)
     assert doc["terms"] == [1, 2, 2, 2, 2, 2]
     assert doc["convergents"][3] == {"n": 3, "p": "17", "q": "12"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on integer string conversion")
+def test_convergents_count_beyond_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    alpha = "cf:1;;" + "9" * (limit // 2 + 1)   # q_2 = a^2 + 1 has more than limit digits
+    doc = run_json(["convergents", "--alpha", alpha, "--count", "2"], capsys)
+    assert len(doc["convergents"][1]["q"]) == limit // 2 + 1
+    code, out, err = run_cli(["convergents", "--alpha", alpha, "--count", "3"], capsys)
+    assert code == 1 and out == ""
+    assert f"--count 3 reaches convergents of more than {limit} digits" in err
 
 
 def test_angle(capsys):
@@ -100,6 +112,23 @@ def test_ssum_admissible(capsys):
                     "--eps", "0.01", "--alpha", "sqrt:2"], capsys)
     assert 0.85 <= doc["ratio"] <= 1.15
     assert doc["q_used"] == 408
+
+
+def test_ssum_rejects_a_delta_whose_square_underflows(capsys, monkeypatch):
+    point = ["--x", "1000000", "--y", "100000", "--delta", "1e-300", "--eps", "0.01",
+             "--alpha", "sqrt:2", "--force"]
+
+    def no_window_work(*args):
+        raise AssertionError("the window was sieved")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "sieve_segments", no_window_work)
+        code, out, err = run_cli(["ssum"] + point, capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: delta must lie in [1.4916681462400413e-154, 1/2] for the "
+                   "direct form of the weight, got 1e-300\n")
+    doc = run_json(["count"] + point, capsys)   # the count takes no square of delta
+    assert doc["value"] == 0.0 and "inadmissible-forced" in doc["flags"]
 
 
 def test_vaughan_check(capsys):

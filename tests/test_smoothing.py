@@ -2,13 +2,17 @@
 
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from primeangle.alpha import AlphaSpec
 from primeangle.config import ExperimentConfig
 from primeangle.smoothing import (
+    MIN_DIRECT_DELTA,
     build_kernel,
+    check_direct_delta,
     default_direct_terms,
     f_direct,
     f_fourier,
@@ -129,3 +133,24 @@ def test_bad_args_rejected():
         build_kernel(0.1, 0)
     with pytest.raises(ValueError):
         truncation_bound(0.1, 0)
+
+
+def test_cosine_sum_matches_the_harmonic_formula_bit_for_bit():
+    for delta, L in ((0.5, 50), (0.05, 600)):
+        kernel = build_kernel(delta, L)
+        for i in range(0, 10 ** 4, 37):
+            x = i / 10 ** 4
+            ang = (2.0 * np.pi * x) * np.arange(1, L + 1)
+            assert kernel.cosine_sum(x) == 2.0 * float(np.dot(kernel.coeffs, np.cos(ang)))
+
+
+def test_min_direct_delta_is_the_least_with_a_normal_square():
+    tiny = sys.float_info.min
+    assert MIN_DIRECT_DELTA * MIN_DIRECT_DELTA >= tiny
+    below = math.nextafter(MIN_DIRECT_DELTA, 0.0)
+    assert below * below < tiny
+    check_direct_delta(MIN_DIRECT_DELTA)
+    assert math.isfinite(f_direct(0.25, MIN_DIRECT_DELTA))
+    for bad in (below, 0.0, -0.1, 0.5000001, math.nan):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            f_direct(0.25, bad)
