@@ -484,15 +484,6 @@ class AngleOracle:
             return (t / Q).astype(np.float64)
         return t.astype(np.float64) / float(Q)
 
-    def classify(self, ns: np.ndarray, delta):
-        """(x, below, boundary) for ||n*alpha|| < delta over an integer array.
-
-        The dists of ns, then their verdicts.
-        """
-        m, x = self.dists(ns)
-        below, boundary = self.verdicts(m, x, delta)
-        return x, below, boundary
-
     def verdicts(self, m: np.ndarray, x: np.ndarray, delta):
         """(below, boundary) for ||n*alpha|| < delta, given (m, x) = dists(ns).
 
@@ -568,7 +559,7 @@ def classify_against_threshold(value: float, err: float, threshold: float) -> st
     Returns "below", "above", or "boundary" (interval straddles the
     threshold; callers count boundary cases separately).  The comparison
     is in rounded floats, so a threshold within an ulp of value + err can
-    get the wrong verdict; AngleOracle.classify decides such items
+    get the wrong verdict; AngleOracle.verdicts decides such items
     exactly.  This scalar form is the reference the tests compare with.
     """
     if value + err < threshold:

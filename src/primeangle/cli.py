@@ -9,11 +9,12 @@ seed reproduce output byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from .acceptance import run_acceptance
-from .alpha import build_angle_oracle, cf_terms, convergents, parse_alpha
+from .alpha import build_angle_oracle, cf_terms, convergent_stream, parse_alpha
 from .config import (
     DEFAULT_SEED,
     Q_POLICY_ALIASES,
@@ -45,7 +46,7 @@ OPTIONS = {
     "--alpha": dict(help="alpha spec: sqrt:<d> | surd:<a>,<b>,<c>,<d> | cf:<a0>;<pre>;<period>"),
     "--precision": dict(help="certified angle error target, e.g. 2^-40"),
     "--q-policy": dict(choices=sorted(Q_POLICY_ALIASES)),
-    "--budget": dict(type=float, help="operation budget"),
+    "--budget": dict(type=float, help="most cells any one stage may build (default 1e9)"),
     "--seed": dict(type=int, help="seed recorded in reports"),
     "--config": dict(help="JSON config file; explicit flags override it"),
     "--force": dict(action="store_true", help="run even if the configuration is inadmissible"),
@@ -111,12 +112,16 @@ def _emit(args, payload, rows_for_csv=None) -> None:
 
 def cmd_convergents(args):
     alpha = parse_alpha(args.alpha)
-    convs = convergents(alpha, args.count)
+    if args.count < 2:
+        raise ValueError("count must be >= 2")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     too_long = 10 ** limit
-    if limit and any(abs(c.p) >= too_long or c.q >= too_long for c in convs):
-        raise ValueError(f"--count {args.count} reaches convergents of more than {limit} "
-                         f"digits, Python's limit for integer string conversion")
+    convs = []
+    for c in itertools.islice(convergent_stream(alpha), args.count):
+        if limit and (abs(c.p) >= too_long or c.q >= too_long):
+            raise ValueError(f"--count {args.count} reaches convergents of more than {limit} "
+                             f"digits, Python's limit for integer string conversion")
+        convs.append(c)
     _emit(args, {
         "alpha": alpha.canonical(),
         "terms": cf_terms(alpha, args.count),

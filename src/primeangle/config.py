@@ -92,6 +92,13 @@ class ExperimentConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if not math.isfinite(self.budget):
             raise ValueError(f"budget must be finite, got {self.budget!r}")
+        try:    # the gate's largest power, L and the q window must be finite floats
+            derived = (float(self.X) ** (2.0 / 3.0 + 10 * self.eps), self.L, *self.q_window())
+        except (OverflowError, ZeroDivisionError):
+            derived = (math.inf,)
+        if not all(map(math.isfinite, derived)):
+            raise ValueError(f"X={self.X}, Y={self.Y}, eps={self.eps!r} and delta={self.delta!r} "
+                             f"give a non-finite X^(2/3+10eps), L = ceil(X^eps/delta) or q window")
 
     @property
     def U(self) -> float:

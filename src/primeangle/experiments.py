@@ -29,6 +29,8 @@ from .smoothing import check_direct_delta, f_direct_array
 from .vaughan import (
     BudgetExceeded,
     SumContext,
+    charge,
+    charge_bound_suite,
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
@@ -71,8 +73,7 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     if "smoothed_sum" in kinds:
         check_direct_delta(delta)
     adm = require_admissible(config, force)
-    if Y > config.budget:
-        raise BudgetExceeded(f"window length {Y} exceeds budget {config.budget}")
+    charge("window", Y, config.budget)
     conv, in_window = select_q(config)
     oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
     count = boundary = interval_primes = 0
@@ -152,10 +153,12 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
     For each dyadic H: the exact T1(H) with its min-sum comparator; for
     each (H, M) with X^{1/3} <= M <= X^{2/3}: the exact T2(H, M), the
     Cauchy-Schwarz opening T3 = T4 + T5, quadruple-count samples where the
-    enumeration budget allows, and the closed-form chain terms.
+    fixed rule of gamma_enumerable allows, and the closed-form chain terms.
+    Every stage is charged before the first kernel runs (charge_bound_suite).
     """
     adm = require_admissible(config, force)
     ctx = SumContext(config)
+    charge_bound_suite(ctx)
     notices = []
     result = {
         "q_used": ctx.q,

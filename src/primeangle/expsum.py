@@ -150,7 +150,7 @@ class MinSumResult:
 def min_sum(instance: MinSumInstance) -> MinSumResult:
     """sum over 1 <= m <= M of min(N, 1/||alpha m||) with certified angles.
 
-    The cap applies where ||alpha m|| < 1/N.  AngleOracle.classify decides
+    The cap applies where ||alpha m|| < 1/N.  AngleOracle.verdicts decides
     that against the exact threshold 1/N, CHUNK values of m at a time: a
     term whose certified interval lies below 1/N is capped, one above it
     is not.  A term whose interval straddles the switch is resolved by
@@ -164,13 +164,12 @@ def min_sum(instance: MinSumInstance) -> MinSumResult:
     flags = 0
     for start in range(1, instance.M + 1, CHUNK):
         ms = np.arange(start, min(start + CHUNK, instance.M + 1))
-        v, below, boundary = oracle.classify(ms, 1 / cap)
+        t, v = oracle.dists(ms)
+        below, boundary = oracle.verdicts(t, v, 1 / cap)
         straddle = np.flatnonzero(boundary)
-        if straddle.size:
-            t, _ = oracle.dists(ms[straddle])
-            below[straddle] = [r * cap.numerator < oracle.anchor.q * cap.denominator
-                               for r in t.tolist()]
-            flags += straddle.size
+        below[straddle] = [r * cap.numerator < oracle.anchor.q * cap.denominator
+                           for r in t[straddle].tolist()]
+        flags += straddle.size
         with np.errstate(divide="ignore"):
             total.add(np.where(below, N, 1.0 / v))
     return MinSumResult(value=total.value(), switch_flags=flags)

@@ -37,6 +37,7 @@ from .smoothing import SmoothingKernel, build_kernel
 
 __all__ = [
     "BudgetExceeded",
+    "charge",
     "VaughanParams",
     "BilinearCoeffs",
     "SumContext",
@@ -46,6 +47,7 @@ __all__ = [
     "t1_sum",
     "t2_sum",
     "t3_t4_t5_split",
+    "charge_bound_suite",
     "TypeIISplit",
     "gamma_enumerable",
     "gamma_counts",
@@ -56,7 +58,13 @@ __all__ = [
 
 
 class BudgetExceeded(RuntimeError):
-    """Naive cost model of the requested sum exceeds the operation budget."""
+    """A stage would build more cells than the budget allows (see charge)."""
+
+
+def charge(stage: str, cells: int, budget: float) -> None:
+    """The budget rule: a stage may build at most ``budget`` cells, counted from its ranges."""
+    if cells > budget:
+        raise BudgetExceeded(f"{stage} cost {cells:.3g} exceeds budget {budget:.3g}")
 
 
 @dataclass(frozen=True)
@@ -157,16 +165,13 @@ class SumContext:
         if config.Y > X:
             raise ValueError("need Y <= X")
         self.X, self.Y, self.delta, self.eps = X, config.Y, config.delta, config.eps
-        self.budget = config.budget
-        self.kernel = build_kernel(config.delta, config.L)
-        self.oracle = build_angle_oracle(config.alpha, n_max=2 * X * self.kernel.L + X,
+        self.budget, self.L = config.budget, config.L
+        charge("kernel", self.L, self.budget)
+        self.kernel = build_kernel(config.delta, self.L)
+        self.oracle = build_angle_oracle(config.alpha, n_max=2 * X * self.L + X,
                                          err_target=min(config.err_target, 2.0 ** -80))
         self.tables = small_tables(max(2 * iroot(X * X, 3) + 1, 16))
         self._chains = {}
-
-    @property
-    def L(self) -> int:
-        return self.kernel.L
 
     def m_max_type_i(self) -> int:
         # largest m with m <= X^{2/3}, i.e. m^3 <= X^2
@@ -262,17 +267,14 @@ def dyadic_m_blocks(X: int):
 # ---------------------------------------------------------------------------
 
 def _type_i_rows(ctx: SumContext, phases: int) -> list:
-    """The rows (m, n_lo, n_hi) of a type I sum, after the budget check.
+    """The rows (m, n_lo, n_hi) of a type I sum, charged one cell per (m, n, phase).
 
-    m runs over m <= X^{2/3} and n over (X-Y)/m < n <= X/m.  The cost is
-    the n_hi - n_lo + 2 suffix starts of every row times ``phases``, the
-    number of phases summed at each start.
+    m runs over m <= X^{2/3} and n over (X-Y)/m < n <= X/m; ``phases`` is
+    the number of phases summed at each n.
     """
     X, Y = ctx.X, ctx.Y
     rows = [(m, (X - Y) // m + 1, X // m) for m in range(1, ctx.m_max_type_i() + 1)]
-    cost = sum(n_hi - n_lo + 2 for _, n_lo, n_hi in rows) * phases
-    if cost > ctx.budget:
-        raise BudgetExceeded(f"type I cost {cost:.3g} exceeds budget {ctx.budget:.3g}")
+    charge("type I", sum(n_hi - n_lo + 1 for _, n_lo, n_hi in rows) * phases, ctx.budget)
     return rows
 
 
@@ -396,25 +398,18 @@ def t1_sum(H: float, ctx: SumContext) -> SumReport:
 # type II sums
 # ---------------------------------------------------------------------------
 
-def _type_ii_n_range(ctx: SumContext, m):
-    """(n_lo, n_hi) arrays of the type II rows of an integer array of m."""
-    n_lo = np.maximum(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1
-    return n_lo, ctx.X // m
-
-
-def _check_type_ii_budget(ctx: SumContext, hcs, ms):
-    """Budget check of the type II rows of ms: one cell per (m, n, h)."""
-    n_lo, n_hi = _type_ii_n_range(ctx, np.asarray(ms, dtype=np.int64))
-    cost = int(np.maximum(n_hi - n_lo + 1, 0).sum()) * len(hcs)
-    if cost > ctx.budget:
-        raise BudgetExceeded(f"type II cost {cost:.3g} exceeds budget {ctx.budget:.3g}")
-
-
-def _type_ii_rows(ctx: SumContext, hcs, ms) -> np.ndarray:
-    """sum_n b(n) sum_h c(h) e(hmn alpha) over the type II n-range of each m in ms."""
-    b = ctx.coeffs.b
+def _type_ii_n_range(ctx: SumContext, hcs, ms):
+    """(m, n_lo, n_hi) arrays of the type II rows of ms, charged one cell per (m, n, h)."""
     m = np.asarray(ms, dtype=np.int64)
-    n_lo, n_hi = _type_ii_n_range(ctx, m)
+    n_lo, n_hi = np.maximum(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1, ctx.X // m
+    charge("type II", int(np.maximum(n_hi - n_lo + 1, 0).sum()) * len(hcs), ctx.budget)
+    return m, n_lo, n_hi
+
+
+def _type_ii_rows(ctx: SumContext, hcs, ranges) -> np.ndarray:
+    """sum_n b(n) sum_h c(h) e(hmn alpha) over the rows (m, n_lo, n_hi) of _type_ii_n_range."""
+    b = ctx.coeffs.b
+    m, n_lo, n_hi = ranges
     rows = np.zeros(len(m), dtype=np.complex128)
     for r0, r1, j0, j1 in _tiles(np.maximum(n_hi - n_lo + 1, 0).tolist()):
         n = n_lo[r0:r1, None] + np.arange(j0, j1)
@@ -435,9 +430,8 @@ def t2_sum(H: float, M: int, ctx: SumContext) -> SumReport:
     _check_block(H, M, ctx)
     hcs = _h_weights(ctx.kernel, H)
     ms = [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam_p[m]]
-    _check_type_ii_budget(ctx, hcs, ms)
     lam = np.array([ctx.tables.mangoldt(m) for m in ms])
-    total = complex((lam * _type_ii_rows(ctx, hcs, ms)).sum())
+    total = complex((lam * _type_ii_rows(ctx, hcs, _type_ii_n_range(ctx, hcs, ms))).sum())
     return _report("t2_sum", ctx, abs(total), {"t2_re": total.real, "t2_im": total.imag,
                                                "H": float(H), "M": float(M)})
 
@@ -471,9 +465,11 @@ class TypeIISplit:
         return t2_value ** 2 <= self.lambda_sq_sum * self.t3 * (1 + 1e-9) + 1e-9
 
 
-def _pair_bands(outer: np.ndarray, X: int, Y: int, M: int):
-    """[start, stop) indices into the sorted array outer of the n2 whose pair (n1, n2) is non-empty.
+def _pair_bands(ctx: SumContext, hcs, M: int):
+    """The non-empty pairs (n1, n2) of the block M, charged one cell per (n1, n2, h1, h2).
 
+    outer holds the n of max{X^{1/3}, (X-Y)/M} < n <= 2X/M with b(n) != 0, and
+    the n2 of outer[i] are outer[start[i]:start[i] + widths[i]].
     The m-range of a pair is max{M/2, (X-Y)/min} < m <= min{M, X/max}.
     With n2 >= n1 its floor lo1 = max{M/2, (X-Y)/n1} is fixed and it is
     non-empty iff n2 (lo1 + 1) <= X (lo1 < M, as n1 > (X-Y)/M); with
@@ -481,12 +477,17 @@ def _pair_bands(outer: np.ndarray, X: int, Y: int, M: int):
     iff M/2 < hi1 and X - Y < hi1 n2.  So the n2 of one n1 form the band
     (X-Y)/hi1 < n2 <= X/(lo1 + 1), which is empty when (n1, n1) is.
     """
+    X, Y = ctx.X, ctx.Y
+    outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
+    outer = np.flatnonzero(ctx.coeffs.b[outer_lo:2 * X // M + 1]) + outer_lo
     lo1 = np.maximum(M // 2, (X - Y) // outer)
     hi1 = np.minimum(M, X // outer)
     top = X // (lo1 + 1)
     bottom = np.where(M // 2 < hi1, (X - Y) // np.maximum(hi1, 1) + 1, X + 1)
-    return (np.searchsorted(outer, bottom, side="left"),
-            np.searchsorted(outer, top, side="right"))
+    start = np.searchsorted(outer, bottom, side="left")
+    widths = np.maximum(np.searchsorted(outer, top, side="right") - start, 0)
+    charge("pairs", int(widths.sum()) * len(hcs) ** 2, ctx.budget)
+    return outer, start, widths
 
 
 def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
@@ -497,29 +498,22 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     closed-form m-sum over max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
     Only the pairs of the bands of _pair_bands are built, CHUNK at a time,
     and their phases {(h1 n1 - h2 n2) alpha} come from one table of exact
-    residues per block.  T3 = T4 + T5 exactly; floating point leaves
-    ~1e-12 relative residue.
+    residues per block.  Both routes are charged before either runs.
+    T3 = T4 + T5 exactly; floating point leaves ~1e-12 relative residue.
     """
     X, Y = ctx.X, ctx.Y
     _check_block(H, M, ctx)
     hcs = _h_weights(ctx.kernel, H)
     b = ctx.coeffs.b
     ms = range(M // 2 + 1, M + 1)
-    _check_type_ii_budget(ctx, hcs, ms)
-    outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
-    outer_hi = 2 * X // M
-    pairs = max(0, outer_hi - outer_lo + 1) ** 2
-    if pairs * len(hcs) ** 2 > ctx.budget:
-        raise BudgetExceeded("pair enumeration cost exceeds budget")
+    ranges = _type_ii_n_range(ctx, hcs, ms)
+    outer, start, widths = _pair_bands(ctx, hcs, M)
 
     # direct route
-    t3 = math.fsum(abs(row) ** 2 for row in _type_ii_rows(ctx, hcs, ms).tolist())
+    t3 = math.fsum(abs(row) ** 2 for row in _type_ii_rows(ctx, hcs, ranges).tolist())
     lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, ms))
 
     # rearranged route: the non-empty (n1, n2) pairs, closed-form m-sums
-    outer = np.flatnonzero(b[outer_lo:outer_hi + 1]) + outer_lo
-    start, stop = _pair_bands(outer, X, Y, M)
-    widths = np.maximum(stop - start, 0)
     t4 = t5 = 0j
     max_len = 0
     if outer.size:
@@ -546,6 +540,16 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
         max_m_range_len=max_len,
         empty_pair_count=outer.size ** 2 - int(widths.sum()),
     )
+
+
+def charge_bound_suite(ctx: SumContext) -> None:
+    """Charge the suite's stages with the kernels' own counts; s1 covers T1, a split T2."""
+    _type_i_rows(ctx, ctx.L)
+    for H in dyadic_h_blocks(ctx.L):
+        hcs = _h_weights(ctx.kernel, H)
+        for M in dyadic_m_blocks(ctx.X):
+            _type_ii_n_range(ctx, hcs, range(M // 2 + 1, M + 1))
+            _pair_bands(ctx, hcs, M)
 
 
 # ---------------------------------------------------------------------------

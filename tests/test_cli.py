@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from primeangle import acceptance, experiments, sieve
+from primeangle import acceptance, cli, experiments, sieve, vaughan
 from primeangle.cli import build_parser, main
 from primeangle.experiments import sweep
 from primeangle.report import reports_to_csv
@@ -45,6 +45,31 @@ def test_convergents_count_beyond_the_digit_limit(capsys):
     code, out, err = run_cli(["convergents", "--alpha", alpha, "--count", "3"], capsys)
     assert code == 1 and out == ""
     assert f"--count 3 reaches convergents of more than {limit} digits" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on integer string conversion")
+def test_convergents_stop_at_the_first_one_past_the_digit_limit(capsys, monkeypatch):
+    walked = []
+    stream = cli.convergent_stream
+
+    def counted(alpha):
+        for c in stream(alpha):
+            walked.append(c)
+            yield c
+
+    monkeypatch.setattr(cli, "convergent_stream", counted)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(["convergents", "--alpha", "sqrt:2", "--count", "100000"],
+                                 capsys)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1 and out == ""
+    assert "--count 100000 reaches convergents of more than 640 digits" in err
+    too_long = [max(abs(c.p), c.q) >= 10 ** 640 for c in walked]
+    assert too_long == [False] * (len(walked) - 1) + [True]
 
 
 def test_angle(capsys):
@@ -331,6 +356,32 @@ def test_budget_flag_guard(capsys):
          "--alpha", "sqrt:2", "--force", "--budget", "10"], capsys)
     assert code == 1
     assert "budget" in err.lower()
+
+
+def test_bounds_charges_the_kernel_before_building_it(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(vaughan, "build_kernel", built)
+    code, out, err = run_cli(
+        ["bounds", "--x", "500", "--y", "150", "--delta", "0.3", "--eps", "5",
+         "--alpha", "sqrt:2", "--force"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: kernel cost 1.04e+14 exceeds budget 1e+09\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--delta", "0.1", "--eps", "6"],
+    ["admissible", "--delta", "0.1", "--eps", "20"],
+    ["count", "--delta", "1e-300", "--eps", "5", "--alpha", "sqrt:2", "--force"],
+    ["count", "--delta", "0.1", "--eps", "60", "--alpha", "sqrt:2", "--force"],
+    ["count", "--delta", "5e-324", "--eps", "0.05", "--alpha", "sqrt:2", "--force"],
+])
+def test_non_finite_derived_floats_rejected(argv, capsys):
+    code, out, err = run_cli(argv + ["--x", "1000000", "--y", "100000"], capsys)
+    assert (code, out) == (1, "")
+    eps, delta = float(argv[argv.index("--eps") + 1]), float(argv[argv.index("--delta") + 1])
+    assert err.startswith(f"error: X=1000000, Y=100000, eps={eps!r} and delta={delta!r} give ")
 
 
 def test_verify_byte_identical_across_processes(tmp_path):

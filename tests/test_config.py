@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -192,6 +193,19 @@ def test_config_rejects_non_finite_eps_and_budget(key, value):
     data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": "sqrt:2", key: value}
     with pytest.raises(ValueError, match=f"^{key} must be"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("delta,eps", [
+    (0.1, 6.0),         # X^(2/3+10eps) overflows
+    (0.1, 60.0),        # so does X^eps in L
+    (1e-300, 5.0),      # X^eps/delta overflows in L
+    (5e-324, 0.05),
+    (1e-250, 5.0),      # L is finite, the q window is not
+])
+def test_config_rejects_non_finite_derived_floats(delta, eps):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"X=1000000, Y=100000, eps={eps!r} and delta={delta!r} give a non-finite ")):
+        base_config(delta=delta, eps=eps)
 
 
 @pytest.mark.parametrize("value", [5, None, 2.5, True, ["sqrt:2"], {"sqrt": 2}])

@@ -9,6 +9,8 @@ derandomized, so the examples are the same on every run.
 """
 
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from primeangle import vaughan
 from primeangle.acceptance import SPLIT_RESIDUAL_TOL
 from primeangle.alpha import AlphaSpec, build_angle_oracle
 from primeangle.config import ExperimentConfig
+from primeangle.experiments import run_bound_suite
 from primeangle.expsum import MinSumInstance, linear_exp_sum, linear_exp_sums, min_sum
 from primeangle.reference import brute_force_quadruples, naive_type_i_block
 from primeangle.vaughan import (
@@ -31,6 +34,8 @@ from primeangle.vaughan import (
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
+    s1_type_i,
+    t1_sum,
     t2_sum,
     t3_t4_t5_split,
 )
@@ -198,6 +203,7 @@ def test_gamma_counts_match_brute_force_for_every_label(X, y_pct, H, data):
 # ---------------------------------------------------------------------------
 
 def _brute_pairs(ctx, M):
+    """(empty pairs, longest m-range, non-empty pairs) of the block M, pair by pair."""
     X, Y = ctx.X, ctx.Y
     outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
     outer = [n for n in range(outer_lo, 2 * X // M + 1) if ctx.coeffs.b[n]]
@@ -210,7 +216,7 @@ def _brute_pairs(ctx, M):
                 empties += 1
             else:
                 longest = max(longest, hi - lo)
-    return empties, longest
+    return empties, longest, len(outer) ** 2 - empties
 
 
 @PROPERTY
@@ -221,7 +227,7 @@ def test_banded_split_matches_pair_enumeration(X, y_pct, alpha, chunk, data):
     M = data.draw(st.sampled_from(dyadic_m_blocks(X)))
     H = data.draw(st.sampled_from(dyadic_h_blocks(ctx.L)))
     split = with_chunk(chunk, t3_t4_t5_split, H, M, ctx)
-    assert (split.empty_pair_count, split.max_m_range_len) == _brute_pairs(ctx, M)
+    assert (split.empty_pair_count, split.max_m_range_len) == _brute_pairs(ctx, M)[:2]
     assert split.identity_residual <= SPLIT_RESIDUAL_TOL
 
 
@@ -272,6 +278,92 @@ def test_t2_budget_is_its_row_cells():
         t2_sum(H, M, SumContext(replace(CONFIG, budget=cost - 1)))
 
 
+def _spy(monkeypatch):
+    """Counters of the cells charged and the cells built per stage, filled as kernels run.
+
+    Type I and type II count the live cells of each tile times the phases
+    the kernel sums over it; the pairs count the elements handed to
+    linear_exp_sums.
+    """
+    charged, built, phases = Counter(), Counter(), []
+    charge, tiles, sums = vaughan.charge, vaughan._tiles, vaughan.linear_exp_sums
+
+    def spy_charge(stage, cells, budget):
+        charged[stage] += cells
+        charge(stage, cells, budget)
+
+    def spy_tiles(lengths):
+        for r0, r1, j0, j1 in tiles(lengths):
+            if phases:
+                stage, count = phases[-1]
+                built[stage] += count * sum(max(0, min(j1, n) - j0) for n in lengths[r0:r1])
+            yield r0, r1, j0, j1
+
+    def spy_sums(lo, hi, x):
+        built["pairs"] += len(lo)
+        return sums(lo, hi, x)
+
+    def kernel(stage, fn, count):
+        def run(*args):
+            phases.append((stage, count(args)))
+            try:
+                return fn(*args)
+            finally:
+                phases.pop()
+        return run
+
+    monkeypatch.setattr(vaughan, "charge", spy_charge)
+    monkeypatch.setattr(vaughan, "_tiles", spy_tiles)
+    monkeypatch.setattr(vaughan, "linear_exp_sums", spy_sums)
+    monkeypatch.setattr(vaughan, "_suffix_maxima",
+                        kernel("type I", vaughan._suffix_maxima, lambda args: len(args[2])))
+    monkeypatch.setattr(vaughan, "_type_ii_rows",
+                        kernel("type II", vaughan._type_ii_rows, lambda args: len(args[1])))
+    return charged, built
+
+
+@pytest.mark.parametrize("X,Y", [(1000, 300), (500, 150), (2000, 0), (2000, 1000)])
+def test_each_stage_is_charged_the_cells_its_kernel_builds(X, Y, monkeypatch):
+    ctx = SumContext(replace(CONFIG, X=X, Y=Y))
+    charged, built = _spy(monkeypatch)
+    s1_type_i(ctx)
+    for H in dyadic_h_blocks(ctx.L):
+        t1_sum(H, ctx)
+        for M in dyadic_m_blocks(X):
+            t2_sum(H, M, ctx)
+            t3_t4_t5_split(H, M, ctx)
+    assert charged == built
+    assert sorted(stage for stage, cells in built.items() if cells) == \
+        (["pairs", "type I", "type II"] if Y else [])
+
+
+def test_the_split_is_charged_its_band_not_its_box():
+    # the (n1, n2) box of this block holds 6724 pairs, its band 303
+    H, M = 5, 16
+    ctx = SumContext(CONFIG)
+    cost = _brute_pairs(ctx, M)[2] * len(vaughan._h_weights(ctx.kernel, H)) ** 2
+    split = t3_t4_t5_split(H, M, SumContext(replace(CONFIG, budget=cost)))
+    assert split.identity_residual <= SPLIT_RESIDUAL_TOL
+    with pytest.raises(BudgetExceeded, match=re.escape(f"pairs cost {cost:.3g} exceeds budget")):
+        t3_t4_t5_split(H, M, SumContext(replace(CONFIG, budget=cost - 1)))
+
+
+def test_bounds_charges_every_stage_before_its_first_kernel(monkeypatch):
+    # the type I cost of s1 fits this budget, the band of some block does not
+    X, Y = 30000, 7500
+    config = replace(CONFIG, X=X, Y=Y)
+    ctx = SumContext(config)
+    type_i = sum(X // m - (X - Y) // m for m in range(1, ctx.m_max_type_i() + 1)) * ctx.L
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran before the budget was charged")
+
+    for name in ("_suffix_maxima", "min_sum", "_type_ii_rows", "linear_exp_sums"):
+        monkeypatch.setattr(vaughan, name, kernel)
+    with pytest.raises(BudgetExceeded, match="^pairs cost"):
+        run_bound_suite(replace(config, budget=type_i), force=True)
+
+
 # ---------------------------------------------------------------------------
 # the min-sum cap switch
 # ---------------------------------------------------------------------------
@@ -316,9 +408,9 @@ def test_min_sum_cap_switch_within_one_ulp_is_exact():
     assert all(wrong.values()), wrong
 
 
-def test_min_sum_decides_the_cap_switch_through_classify(monkeypatch):
+def test_min_sum_decides_the_cap_switch_through_verdicts(monkeypatch):
     # a term whose 1/N lies within an ulp of ||alpha|| is left to the
-    # exact integer path of AngleOracle.classify; a term far from the
+    # exact integer path of AngleOracle.verdicts; a term far from the
     # switch is settled by the float filter
     decide = alpha_module._decide_exactly
     seen = []

@@ -276,7 +276,7 @@ def test_primes_small_angle_hand_checked():
     res = primes_with_small_angle(s, oracle, 0.1)
     assert res.count == 3
     primes = s.primes()
-    assert primes[oracle.classify(primes, 0.1)[1]].tolist() == [5, 17, 29]
+    assert primes[oracle.verdicts(*oracle.dists(primes), 0.1)[0]].tolist() == [5, 17, 29]
     assert res.boundary_count == 0
     # at delta = 1/2 every prime in (2, 100] counts; the endpoint 2 is excluded
     res = primes_with_small_angle(sieve_interval(2, 100), build_angle_oracle(SQRT2, n_max=100), 0.5)

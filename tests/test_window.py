@@ -272,7 +272,7 @@ def test_float_filter_never_contradicts_the_exact_verdict():
     oracle = build_angle_oracle(PANEL[1], n_max=X)
     ns = np.array(sorted(rng.sample(range(1, X + 1), 3000)), dtype=np.int64)
     for delta in (0.05, 0.2, 0.5):
-        _, below, boundary = oracle.classify(ns, delta)
+        below, boundary = oracle.verdicts(*oracle.dists(ns), delta)
         for n, b, s in zip(ns.tolist(), below, boundary):
             want = exact_verdict(oracle, n, delta)
             assert (bool(b), bool(s)) == (want == "below", want == "boundary"), n
