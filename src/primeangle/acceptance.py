@@ -31,16 +31,7 @@ from .report import report_to_json
 from .sieve import mangoldt_sum_interval, small_tables
 from .smoothing import build_kernel, f_direct, f_fourier
 from .experiments import run_prime_count, run_smoothed_sum
-from .vaughan import (
-    SumContext,
-    VaughanParams,
-    dyadic_h_blocks,
-    dyadic_m_blocks,
-    gamma_counts,
-    t2_sum,
-    t3_t4_t5_split,
-    vaughan_pieces,
-)
+from .vaughan import SumContext, VaughanParams, gamma_counts, suite_plan, vaughan_pieces
 
 __all__ = ["run_acceptance", "CRITERIA"]
 
@@ -228,6 +219,7 @@ SUITE_INSTANCES = (
     (500, 150, 0.3, 0.05),
     (1000, 300, 0.3, 0.05),
 )
+BLOCK_KEYS = ("H", "M", "identity_residual", "cauchy_ok")  # what criterion 6 keeps of a block
 GAMMA_INSTANCES = (
     # X, Y, M, H
     (256, 64, 32, 4),
@@ -241,17 +233,10 @@ def criterion_6(seed: int) -> dict:
     ok = True
     for X, Y, delta, eps in SUITE_INSTANCES:
         config = ExperimentConfig(X=X, Y=Y, delta=delta, eps=eps, alpha=SQRT2)
-        ctx = SumContext(config)
-        for M in dyadic_m_blocks(X):
-            for H in dyadic_h_blocks(ctx.L):
-                split = t3_t4_t5_split(H, M, ctx)
-                t2 = t2_sum(H, M, ctx)
-                cauchy = split.cauchy_ok(t2.value)
-                good = split.identity_residual <= SPLIT_RESIDUAL_TOL and cauchy
-                rows.append({"X": X, "H": H, "M": M,
-                             "identity_residual": split.identity_residual,
-                             "cauchy_ok": cauchy})
-                ok = ok and good
+        plan = suite_plan(SumContext(config))
+        for block in (task.run() for task in plan if task.slot == "t2_blocks"):
+            rows.append({"X": X, **{key: block[key] for key in BLOCK_KEYS}})
+            ok = ok and block["identity_residual"] <= SPLIT_RESIDUAL_TOL and block["cauchy_ok"]
     gamma_rows = []
     for X, Y, M, H in GAMMA_INSTANCES:
         brute = brute_force_quadruples(X, Y, M, H)

@@ -34,7 +34,7 @@ from .experiments import (
 from .expsum import MinSumInstance, min_sum, standard_estimate_bound
 from .report import report_to_json, reports_to_csv
 from .sieve import mangoldt_sum_interval, sieve_segments, small_tables
-from .vaughan import SumContext, VaughanParams, t1_sum, t2_bound_chain, t2_sum, vaughan_pieces
+from .vaughan import SumContext, VaughanParams, t1_task, t2_task, vaughan_pieces
 
 OPTIONS = {
     "--format": dict(choices=["json", "csv"]),
@@ -229,29 +229,25 @@ def cmd_minsum(args):
     return 0
 
 
-def cmd_t1(args):
+def _run_task(args, make_task):
+    """One task of the bound suite, on the config of the flags, with the q fields."""
     config = _build_config(args)
     require_admissible(config, args.force)
     ctx = SumContext(config)
-    report = t1_sum(args.h, ctx)
-    report.q_window = config.q_window()
-    report.q_in_window = ctx.q_in_window
-    _emit(args, attach_envelope(report, config))
+    task = make_task(ctx)
+    task.charge()
+    doc = task.run()
+    doc.update(q_used=ctx.q, q_window=list(config.q_window()), q_in_window=ctx.q_in_window)
+    _emit(args, attach_envelope(doc, config))
     return 0
+
+
+def cmd_t1(args):
+    return _run_task(args, lambda ctx: t1_task(ctx, args.h))
 
 
 def cmd_t2(args):
-    config = _build_config(args)
-    require_admissible(config, args.force)
-    ctx = SumContext(config)
-    report = t2_sum(args.h, args.m_block, ctx)
-    report.q_used = ctx.q
-    report.q_window = config.q_window()
-    report.q_in_window = ctx.q_in_window
-    doc = attach_envelope(report, config)
-    doc["chain"] = t2_bound_chain(args.h, args.m_block, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)
-    _emit(args, doc)
-    return 0
+    return _run_task(args, lambda ctx: t2_task(ctx, args.h, args.m_block))
 
 
 def cmd_bounds(args):

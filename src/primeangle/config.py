@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.X < 1 or self.Y < 0:
             raise ValueError("need X >= 1 and Y >= 0")
+        if self.Y > self.X:    # the window (X-Y, X] would reach below 0
+            raise ValueError(f"need Y <= X, got X={self.X} and Y={self.Y}")
         if self.q_policy not in Q_POLICIES:
             raise ValueError(f"q_policy must be one of {Q_POLICIES}")
         if self.format not in FORMATS:

@@ -26,21 +26,7 @@ from .config import (
 from .report import SumReport
 from .sieve import ExactSum, primes_with_small_angle, sieve_segments
 from .smoothing import check_direct_delta, f_direct_array
-from .vaughan import (
-    BudgetExceeded,
-    SumContext,
-    charge,
-    charge_bound_suite,
-    dyadic_h_blocks,
-    dyadic_m_blocks,
-    gamma_counts,
-    gamma_enumerable,
-    s1_type_i,
-    t1_sum,
-    t2_bound_chain,
-    t2_sum,
-    t3_t4_t5_split,
-)
+from .vaughan import BudgetExceeded, SumContext, charge, suite_plan
 
 __all__ = [
     "run_smoothed_sum",
@@ -50,7 +36,6 @@ __all__ = [
     "attach_envelope",
 ]
 
-GAMMA_SAMPLE_OFFSETS = (0, -1, 1, -2, 3)
 WINDOW_KINDS = ("prime_count", "smoothed_sum")
 
 
@@ -148,62 +133,34 @@ def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
 
 
 def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
-    """Dyadic grid of type I/II blocks with their bound chains.
+    """Dyadic grid of type I/II blocks with their bound chains: the tasks of vaughan.suite_plan.
 
-    For each dyadic H: the exact T1(H) with its min-sum comparator; for
-    each (H, M) with X^{1/3} <= M <= X^{2/3}: the exact T2(H, M), the
-    Cauchy-Schwarz opening T3 = T4 + T5, quadruple-count samples where the
-    fixed rule of gamma_enumerable allows, and the closed-form chain terms.
-    Every stage is charged before the first kernel runs (charge_bound_suite).
+    s1; for each dyadic H, the exact T1(H) with its min-sum comparator; for
+    each (H, M) with X^{1/3} <= M <= X^{2/3}, the Cauchy-Schwarz opening
+    T3 = T4 + T5, the exact T2(H, M) read off its rows, quadruple-count
+    samples where gamma_enumerable allows, and the closed-form chain terms.
+    Every task is charged before the first one runs, and the fragments are
+    assembled in plan order.
     """
     adm = require_admissible(config, force)
     ctx = SumContext(config)
-    charge_bound_suite(ctx)
-    notices = []
-    result = {
-        "q_used": ctx.q,
-        "q_in_window": ctx.q_in_window,
-        "q_window": list(config.q_window()),
-        "admissible": adm.ok,
-        "t1_blocks": [],
-        "t2_blocks": [],
-        "notices": notices,
-        "s1": s1_type_i(ctx).as_dict(),
-    }
-    for H in dyadic_h_blocks(ctx.L):
-        result["t1_blocks"].append(t1_sum(H, ctx).as_dict())
-    m_blocks = dyadic_m_blocks(config.X)
-    if not m_blocks:
-        notices.append("empty-grid: no dyadic M with X^(1/3) <= M <= X^(2/3)")
-    empty_blocks = 0
-    for M in m_blocks:
-        for H in dyadic_h_blocks(ctx.L):
-            block = {"H": H, "M": M}
-            t2 = t2_sum(H, M, ctx)
-            block["t2"] = t2.as_dict()
-            split = t3_t4_t5_split(H, M, ctx)
-            t4_plus_t5 = split.t4 + split.t5
-            block["t3"] = split.t3
-            block["t4_re"] = split.t4.real
-            block["t5_re"] = split.t5.real
-            block["identity_residual"] = split.identity_residual
-            block["lambda_sq_sum"] = split.lambda_sq_sum
-            block["cauchy_ok"] = split.cauchy_ok(t2.value)
-            block["max_m_range_len"] = split.max_m_range_len
-            if split.t3 == 0.0 and abs(t4_plus_t5) == 0.0:
-                empty_blocks += 1
-            chain = t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)
-            block["chain"] = chain
-            bound = chain["t2_bound"]
-            block["measured_over_bound"] = t2.value / bound if bound else None
-            if gamma_enumerable(int(H), M, config.X):
-                offs = [off for off in GAMMA_SAMPLE_OFFSETS
-                        if abs(off) * M <= 2 * config.X * int(H)]
-                counts = gamma_counts(offs, int(H), M, config.X, config.Y)
-                block["gamma_samples"] = {str(off): list(c) for off, c in zip(offs, counts)}
-            result["t2_blocks"].append(block)
-    if m_blocks and empty_blocks == len(result["t2_blocks"]):
-        notices.append("empty-grid: every type II block had empty ranges")
+    plan = suite_plan(ctx)
+    for task in plan:
+        task.charge()
+    result = {"q_used": ctx.q, "q_in_window": ctx.q_in_window, "q_window": list(config.q_window()),
+              "admissible": adm.ok, "t1_blocks": [], "t2_blocks": [], "notices": []}
+    for task in plan:
+        fragment = task.run()
+        if task.slot == "s1":
+            result["s1"] = fragment
+        else:
+            result[task.slot].append(fragment)
+    blocks = result["t2_blocks"]
+    if not blocks:
+        result["notices"].append("empty-grid: no dyadic M with X^(1/3) <= M <= X^(2/3)")
+    # a block whose rows all vanish (T3 = 0) has no pairs either: each pair's n1 lies in a row
+    elif all(block["t3"] == 0.0 for block in blocks):
+        result["notices"].append("empty-grid: every type II block had empty ranges")
     return result
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,10 @@ __all__ = [
     "t1_sum",
     "t2_sum",
     "t3_t4_t5_split",
-    "charge_bound_suite",
+    "Task",
+    "suite_plan",
+    "t1_task",
+    "t2_task",
     "TypeIISplit",
     "gamma_enumerable",
     "gamma_counts",
@@ -162,8 +166,6 @@ class SumContext:
         conv, self.q_in_window = select_q(config)
         self.q = conv.q
         X = config.X
-        if config.Y > X:
-            raise ValueError("need Y <= X")
         self.X, self.Y, self.delta, self.eps = X, config.Y, config.delta, config.eps
         self.budget, self.L = config.budget, config.L
         charge("kernel", self.L, self.budget)
@@ -246,9 +248,18 @@ def dyadic_h_blocks(L: int):
 
 
 def _h_weights(kernel: SmoothingKernel, H: float):
-    """(h, c(h)) over the dyadic block H/2 < h <= H."""
+    """(h, c(h)) over the dyadic block H/2 < h <= H, for 1 <= H <= L."""
+    if not (1 <= H <= kernel.L):
+        raise ValueError("need 1 <= H <= L")
     h_lo, h_hi = int(H / 2) + 1, int(H)
     return [(h, kernel.c(h)) for h in range(h_lo, h_hi + 1)]
+
+
+def _m_block(ctx: SumContext, M: int) -> np.ndarray:
+    """The m of the block M/2 < m <= M, for X^{1/3} <= M <= X^{2/3}."""
+    if not (M ** 3 >= ctx.X and M ** 3 <= ctx.X * ctx.X):
+        raise ValueError("need X^(1/3) <= M <= X^(2/3)")
+    return np.arange(M // 2 + 1, M + 1)
 
 
 def dyadic_m_blocks(X: int):
@@ -369,8 +380,6 @@ def t1_sum(H: float, ctx: SumContext) -> SumReport:
     values of the first-chain condition.
     """
     X, Y, q = ctx.X, ctx.Y, ctx.q
-    if not (1 <= H <= ctx.L):
-        raise ValueError("need 1 <= H <= L")
     hcs = _h_weights(ctx.kernel, H)
     rows = _type_i_rows(ctx, len(hcs))
     value = math.fsum(abs(c) * math.fsum(_suffix_maxima(ctx.oracle, rows, [(h, 1.0)]))
@@ -420,27 +429,23 @@ def _type_ii_rows(ctx: SumContext, hcs, ranges) -> np.ndarray:
     return rows
 
 
-def t2_sum(H: float, M: int, ctx: SumContext) -> SumReport:
+def t2_sum(H: float, M: int, ctx: SumContext, rows=None) -> SumReport:
     """Exact bilinear block T2(H, M) with a(m) = Lambda(m), b(n) = beta(n).
 
     T2(H,M) = sum_{M/2<m<=M} sum_{n} a(m) b(n) sum_{H/2<h<=H} c(h) e(hmn alpha),
-    where n runs over max{X^{1/3}, (X-Y)/m} < n <= X/m.  The reported value
+    where n runs over max{X^{1/3}, (X-Y)/m} < n <= X/m.  ``rows`` are the
+    rows of every m of the block, as the split walks them; without them
+    the rows of the prime powers m are walked here.  The reported value
     is |T2|; real and imaginary parts land in bound_terms.
     """
-    _check_block(H, M, ctx)
-    hcs = _h_weights(ctx.kernel, H)
-    ms = [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam_p[m]]
-    lam = np.array([ctx.tables.mangoldt(m) for m in ms])
-    total = complex((lam * _type_ii_rows(ctx, hcs, _type_ii_n_range(ctx, hcs, ms))).sum())
+    hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
+    if rows is None:
+        ms = ms[ctx.tables.lam_p[ms] != 0]
+        rows = _type_ii_rows(ctx, hcs, _type_ii_n_range(ctx, hcs, ms))
+    lam = np.array([ctx.tables.mangoldt(m) for m in ms.tolist()])
+    total = complex((lam * rows).sum())
     return _report("t2_sum", ctx, abs(total), {"t2_re": total.real, "t2_im": total.imag,
                                                "H": float(H), "M": float(M)})
-
-
-def _check_block(H: float, M: int, ctx: SumContext):
-    if not (1 <= H <= ctx.L):
-        raise ValueError("need 1 <= H <= L")
-    if not (M ** 3 >= ctx.X and M ** 3 <= ctx.X * ctx.X):
-        raise ValueError("need X^(1/3) <= M <= X^(2/3)")
 
 
 @dataclass
@@ -453,6 +458,7 @@ class TypeIISplit:
     lambda_sq_sum: float       # sum of Lambda(m)^2 over the m-block
     max_m_range_len: int       # longest nonempty rearranged m-range
     empty_pair_count: int      # (n1, n2) pairs whose m-range vanished
+    rows: np.ndarray           # row(m) of the direct route, M/2 < m <= M
 
     @property
     def identity_residual(self) -> float:
@@ -494,7 +500,8 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     """Open |.|^2 over the m-block and re-sum by (n1, n2) order.
 
     T3 = sum_m |sum_n b(n) sum_h c(h) e(hmn alpha)|^2 is evaluated
-    directly; T4 (n1 <= n2) and T5 (n1 > n2) re-sum the expansion with the
+    directly, and its rows are kept, so that T2 of the same block is read
+    off them; T4 (n1 <= n2) and T5 (n1 > n2) re-sum the expansion with the
     closed-form m-sum over max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
     Only the pairs of the bands of _pair_bands are built, CHUNK at a time,
     and their phases {(h1 n1 - h2 n2) alpha} come from one table of exact
@@ -502,16 +509,15 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     T3 = T4 + T5 exactly; floating point leaves ~1e-12 relative residue.
     """
     X, Y = ctx.X, ctx.Y
-    _check_block(H, M, ctx)
-    hcs = _h_weights(ctx.kernel, H)
+    hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
     b = ctx.coeffs.b
-    ms = range(M // 2 + 1, M + 1)
     ranges = _type_ii_n_range(ctx, hcs, ms)
     outer, start, widths = _pair_bands(ctx, hcs, M)
 
     # direct route
-    t3 = math.fsum(abs(row) ** 2 for row in _type_ii_rows(ctx, hcs, ranges).tolist())
-    lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, ms))
+    rows = _type_ii_rows(ctx, hcs, ranges)
+    t3 = math.fsum(abs(row) ** 2 for row in rows.tolist())
+    lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, ms.tolist()))
 
     # rearranged route: the non-empty (n1, n2) pairs, closed-form m-sums
     t4 = t5 = 0j
@@ -539,17 +545,8 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
         lambda_sq_sum=lam_sq,
         max_m_range_len=max_len,
         empty_pair_count=outer.size ** 2 - int(widths.sum()),
+        rows=rows,
     )
-
-
-def charge_bound_suite(ctx: SumContext) -> None:
-    """Charge the suite's stages with the kernels' own counts; s1 covers T1, a split T2."""
-    _type_i_rows(ctx, ctx.L)
-    for H in dyadic_h_blocks(ctx.L):
-        hcs = _h_weights(ctx.kernel, H)
-        for M in dyadic_m_blocks(ctx.X):
-            _type_ii_n_range(ctx, hcs, range(M // 2 + 1, M + 1))
-            _pair_bands(ctx, hcs, M)
 
 
 # ---------------------------------------------------------------------------
@@ -676,3 +673,65 @@ def t2_bound_chain(H: float, M: int, X: int, Y: int, delta: float, eps: float,
             "implied_eta": implied_eta,
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# the bound-suite plan
+# ---------------------------------------------------------------------------
+
+GAMMA_SAMPLE_OFFSETS = (0, -1, 1, -2, 3)
+
+
+class Task(NamedTuple):
+    """A unit of the bound suite: ``charge()`` charges the cells its kernels build, counted
+    by their own range functions, and ``run()`` returns its fragment of the report."""
+
+    slot: str    # where the fragment goes: "s1", "t1_blocks" or "t2_blocks"
+    charge: Callable[[], object]
+    run: Callable[[], dict]
+
+
+def suite_plan(ctx: SumContext) -> list:
+    """The suite's tasks in report order: s1, T1(H) per dyadic H, then the blocks (H, M), M
+    over X^{1/3} <= M <= X^{2/3} in the outer loop.  The one place the grid is spelled out."""
+    hs = dyadic_h_blocks(ctx.L)
+    return ([Task("s1", lambda: _type_i_rows(ctx, ctx.L), lambda: s1_type_i(ctx).as_dict())]
+            + [t1_task(ctx, H) for H in hs]
+            + [_block_task(ctx, H, M) for M in dyadic_m_blocks(ctx.X) for H in hs])
+
+
+def t1_task(ctx: SumContext, H: float) -> Task:
+    """T1(H) with its comparator chain."""
+    hcs = _h_weights(ctx.kernel, H)
+    return Task("t1_blocks", lambda: _type_i_rows(ctx, len(hcs)), lambda: t1_sum(H, ctx).as_dict())
+
+
+def t2_task(ctx: SumContext, H: float, M: int) -> Task:
+    """T2(H, M) alone, with its bound chain: the rows of the prime powers m, and no pair band."""
+    hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
+    return Task("t2", lambda: _type_ii_n_range(ctx, hcs, ms[ctx.tables.lam_p[ms] != 0]),
+                lambda: {**t2_sum(H, M, ctx).as_dict(),
+                         "chain": t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)})
+
+
+def _block_task(ctx: SumContext, H: float, M: int) -> Task:
+    """The block (H, M): the split, T2 read off the split's rows, the chain and gamma samples."""
+    hcs = _h_weights(ctx.kernel, H)
+
+    def run() -> dict:
+        split = t3_t4_t5_split(H, M, ctx)
+        t2 = t2_sum(H, M, ctx, split.rows)
+        chain = t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)
+        block = {"H": H, "M": M, "t2": t2.as_dict(), "t3": split.t3, "t4_re": split.t4.real,
+                 "t5_re": split.t5.real, "identity_residual": split.identity_residual,
+                 "lambda_sq_sum": split.lambda_sq_sum, "cauchy_ok": split.cauchy_ok(t2.value),
+                 "max_m_range_len": split.max_m_range_len, "chain": chain,
+                 "measured_over_bound": t2.value / chain["t2_bound"] if chain["t2_bound"] else None}
+        if gamma_enumerable(int(H), M, ctx.X):
+            offs = [off for off in GAMMA_SAMPLE_OFFSETS if abs(off) * M <= 2 * ctx.X * int(H)]
+            counts = gamma_counts(offs, int(H), M, ctx.X, ctx.Y)
+            block["gamma_samples"] = {str(off): list(c) for off, c in zip(offs, counts)}
+        return block
+
+    return Task("t2_blocks", lambda: (_type_ii_n_range(ctx, hcs, _m_block(ctx, M)),
+                                      _pair_bands(ctx, hcs, M)), run)

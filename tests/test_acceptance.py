@@ -213,3 +213,37 @@ def test_the_fresh_pass_imports_this_copy_of_primeangle(monkeypatch):
     with FreshPass(7) as fresh:
         seen = fresh.result()
     assert os.path.samefile(seen, acceptance.__file__.replace("acceptance.py", "__init__.py"))
+
+
+# Stand-ins for criteria 1-9, as source, so that this process and the fresh
+# pass install the same ones.  With READS_HASH, criterion 1 records the hash
+# of a string, which each interpreter's PYTHONHASHSEED sets anew.
+STAND_INS = '''
+def stand_in(k):
+    def criterion(seed):
+        record = {"criterion": k, "name": f"stand-in {k}", "seed": seed, "passed": True}
+        if READS_HASH and k == 1:
+            record["hash"] = hash("primeangle")
+        return record
+    return criterion
+
+
+for k in REPRODUCED:
+    CRITERIA[k] = stand_in(k)
+'''
+FRESH_PASS_IMPORT = "from primeangle.acceptance import REPRODUCED, verify_json\n"
+
+
+@pytest.mark.parametrize("reads_hash", [True, False])
+def test_the_fresh_pass_catches_a_criterion_that_reads_process_state(monkeypatch, reads_hash):
+    criteria = dict(CRITERIA)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    exec(STAND_INS, {"READS_HASH": reads_hash, "REPRODUCED": REPRODUCED, "CRITERIA": criteria})
+    assert FRESH_PASS_IMPORT in acceptance.FRESH_PASS_SOURCE
+    monkeypatch.setattr(acceptance, "FRESH_PASS_SOURCE", acceptance.FRESH_PASS_SOURCE.replace(
+        FRESH_PASS_IMPORT, FRESH_PASS_IMPORT + "from primeangle.acceptance import CRITERIA\n"
+        f"READS_HASH = {reads_hash}\n" + STAND_INS))
+    # a second run in this process meets the same hash seed, and passes
+    assert verify_json(REPRODUCED, seed=7) == verify_json(REPRODUCED, seed=7)
+    # the fresh pass runs under another one: only the criterion without the hash passes
+    assert acceptance.criterion_10(7)["passed"] is not reads_hash

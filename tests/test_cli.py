@@ -192,6 +192,14 @@ def test_t1_t2_and_bounds(capsys):
     assert all(b["identity_residual"] <= 1e-9 for b in doc["t2_blocks"])
 
 
+def test_y_above_x_is_refused_by_the_config(capsys):
+    # the sieve's own "need 2 <= lo < hi" used to leak out of count
+    code, out, err = run_cli(["count", "--x", "1000000", "--y", "10000000", "--delta", "0.1",
+                              "--eps", "0.01", "--alpha", "sqrt:2", "--force"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: need Y <= X, got X=1000000 and Y=10000000\n"
+
+
 def test_bounds_on_an_empty_window(capsys):
     doc = run_json(["bounds", "--x", "20000", "--y", "0", "--delta", "0.45", "--eps", "0.01",
                     "--alpha", "sqrt:2", "--force"], capsys)

@@ -146,6 +146,9 @@ def test_config_validation():
         base_config(q_policy="freeform")
     with pytest.raises(ValueError):
         base_config(eps=0.0)
+    with pytest.raises(ValueError, match=r"^need Y <= X, got X=1000000 and Y=1000001$"):
+        base_config(Y=10 ** 6 + 1)
+    assert base_config(Y=10 ** 6).Y == 10 ** 6    # the whole of (0, X] is a window
 
 
 @pytest.mark.parametrize("key,value", [

@@ -149,6 +149,16 @@ def test_sweep_reports_non_integral_points():
     assert "reports" in rows[2]
 
 
+def test_sweep_row_for_y_above_x():
+    # the config refuses the point, before any run reaches the sieve
+    good = tiny_config().as_dict()
+    rows = sweep([dict(good, Y=good["X"] + 1), good],
+                 runs=("prime_count", "smoothed_sum", "bound_suite"), force=True)
+    assert rows[0]["error"] == "error"
+    assert rows[0]["error_detail"] == f"need Y <= X, got X={good['X']} and Y={good['X'] + 1}"
+    assert "reports" in rows[1]
+
+
 def test_sweep_two_points_trend():
     rows = sweep([
         desk_config(X=10 ** 5, Y=3 * 10 ** 4, delta=0.45, eps=0.01).as_dict(),

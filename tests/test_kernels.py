@@ -20,11 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primeangle import acceptance, vaughan
 from primeangle import alpha as alpha_module
-from primeangle import vaughan
 from primeangle.acceptance import SPLIT_RESIDUAL_TOL
 from primeangle.alpha import AlphaSpec, build_angle_oracle
-from primeangle.config import ExperimentConfig
+from primeangle.config import DEFAULT_SEED, ExperimentConfig
 from primeangle.experiments import run_bound_suite
 from primeangle.expsum import MinSumInstance, linear_exp_sum, linear_exp_sums, min_sum
 from primeangle.reference import brute_force_quadruples, naive_type_i_block
@@ -34,8 +34,6 @@ from primeangle.vaughan import (
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
-    s1_type_i,
-    t1_sum,
     t2_sum,
     t3_t4_t5_split,
 )
@@ -324,17 +322,46 @@ def _spy(monkeypatch):
 
 @pytest.mark.parametrize("X,Y", [(1000, 300), (500, 150), (2000, 0), (2000, 1000)])
 def test_each_stage_is_charged_the_cells_its_kernel_builds(X, Y, monkeypatch):
+    # task by task: the tasks of the suite's plan, whose blocks read T2 off
+    # the split's rows, and the t2 command's task of every block
     ctx = SumContext(replace(CONFIG, X=X, Y=Y))
     charged, built = _spy(monkeypatch)
-    s1_type_i(ctx)
-    for H in dyadic_h_blocks(ctx.L):
-        t1_sum(H, ctx)
-        for M in dyadic_m_blocks(X):
-            t2_sum(H, M, ctx)
-            t3_t4_t5_split(H, M, ctx)
-    assert charged == built
-    assert sorted(stage for stage, cells in built.items() if cells) == \
-        (["pairs", "type I", "type II"] if Y else [])
+    tasks = vaughan.suite_plan(ctx) + [vaughan.t2_task(ctx, H, M) for M in dyadic_m_blocks(X)
+                                       for H in dyadic_h_blocks(ctx.L)]
+    slots = Counter(task.slot for task in tasks)
+    assert slots["t2_blocks"] == slots["t2"] > 0
+    total = Counter()
+    for task in tasks:
+        charged.clear()
+        built.clear()
+        task.charge()
+        before = Counter(charged)
+        task.run()
+        assert built == before, task.slot
+        total += built
+    assert sorted(total) == (["pairs", "type I", "type II"] if Y else [])
+
+
+def _count_row_walks(monkeypatch):
+    walks = []
+    walk = vaughan._type_ii_rows
+    monkeypatch.setattr(vaughan, "_type_ii_rows", lambda *args: walks.append(1) or walk(*args))
+    return walks
+
+
+@pytest.mark.parametrize("X,blocks", [(1006, 9), (4021, 12), (16032, 15)])
+def test_bounds_walks_the_type_ii_rows_once_per_block(X, blocks, monkeypatch):
+    # the X of the bounds ladder of perfbench/workloads.py, seed 1
+    walks = _count_row_walks(monkeypatch)
+    result = run_bound_suite(replace(CONFIG, X=X, Y=X // 4), force=True)
+    assert len(walks) == len(result["t2_blocks"]) == blocks
+
+
+def test_criterion_6_walks_the_type_ii_rows_once_per_block(monkeypatch):
+    walks = _count_row_walks(monkeypatch)
+    record = acceptance.criterion_6(DEFAULT_SEED)
+    assert record["passed"]
+    assert len(walks) == len(record["blocks"]) > 0
 
 
 def test_the_split_is_charged_its_band_not_its_box():
