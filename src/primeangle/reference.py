@@ -5,6 +5,11 @@ divisor enumeration, term-by-term summation, full quadruple loops.  The
 fast implementations elsewhere are validated against these; nothing here
 may import from the modules it checks (only the angle oracle is shared,
 since both sides consume identical certified fractional parts).
+
+The exponential-sum reference forms its terms as baby-step/giant-step
+products, e(n x) = e((a + jB) x) e(k x), so that it evaluates about
+2 sqrt(c) exponentials for c terms; it still adds every term, and never
+uses the Dirichlet kernel that the closed form in expsum rests on.
 """
 
 from __future__ import annotations
@@ -89,25 +94,52 @@ def divisors(n: int) -> list:
 # naive sums (term-by-term; vectorized only to keep test runtimes sane)
 # ---------------------------------------------------------------------------
 
+EXACT_PHASE_N = 1 << 27  # |n| below this keeps n * x_hi (26 bits) exact
+
+
 def naive_exp_sum(w: float, z: float, x: float) -> complex:
     """sum of e(n*x) over integers n in (w, z], summed term by term.
 
-    Phases n*x are reduced mod 1 through a Veltkamp split of x, so every
-    term is accurate to ~1 ulp and the comparison isolates the summation
-    method, not argument-reduction noise.
+    The c terms, a <= n <= b, are products of baby and giant steps: with
+    B = isqrt(c), term a + j*B + k is e((a + j*B) x) * e(k x) for
+    0 <= k < B, so only about 2 sqrt(c) exponentials are evaluated.  Each
+    factor's phase n*x is reduced mod 1 into [-1/2, 1/2] through a
+    Veltkamp split of x (n * x_hi is exact for |n| < 2^27), so a factor
+    is accurate to a few ulps, and a phase next to an integer, where the
+    terms line up and the sum is large, keeps its relative accuracy.  The
+    c products are then summed one by one, as the direct form would be;
+    nothing here uses the closed form.
+
+    Against a 40-digit evaluation of e((a+b)x/2) sin(pi c x)/sin(pi x),
+    the error measured at most 4.1e-12 over 16,000 ranges with c <= 2*10^4,
+    a quarter of them with every term in line (7.6e-12 for the per-term
+    form it replaces); tests/test_expsum.py bounds it by 1e-11.  Raises
+    ValueError for a non-finite input, and for a range reaching
+    |n| >= 2^27, where the phase reduction would no longer be exact.
     """
+    for name, value in (("w", w), ("z", z), ("x", x)):
+        if not math.isfinite(value):
+            raise ValueError(f"naive_exp_sum needs a finite {name}, got {name}={value!r}")
     a = math.floor(w) + 1
     b = math.floor(z)
     if b < a:
         return 0j
+    if max(-a, b) >= EXACT_PHASE_N:
+        raise ValueError(f"naive_exp_sum reduces phases exactly only for |n| < 2^27, "
+                         f"got the range {a} <= n <= {b} from w={w!r}, z={z!r}")
     x = x - round(x)                 # exact: e(n x) is 1-periodic in x
-    c = x * ((1 << 26) + 1)
-    x_hi = c - (c - x)               # top 26 mantissa bits of x
+    split = x * ((1 << 26) + 1)
+    x_hi = split - (split - x)       # top 26 mantissa bits of x
     x_lo = x - x_hi                  # exact remainder
-    n = np.arange(a, b + 1, dtype=np.float64)
+    count = b - a + 1
+    step = isqrt(count)
+    rows = -(-count // step)
+    # the baby steps k < step, then the giant steps a + j*step, j < rows
+    n = np.concatenate((np.arange(step), a + step * np.arange(rows))).astype(np.float64)
     hi = n * x_hi                    # exact: 26-bit times |n| < 2^27
-    phase = (hi - np.floor(hi)) + n * x_lo
-    return complex(np.exp(2j * np.pi * phase).sum())
+    factors = np.exp(2j * np.pi * ((hi - np.rint(hi)) + n * x_lo))
+    terms = factors[step:, None] * factors[:step]
+    return complex(terms.ravel()[:count].sum())
 
 
 def _phase_sum(coeffs, x: float) -> complex:

@@ -64,14 +64,24 @@ def report_to_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _flatten(prefix: str, obj, out: dict):
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], out)
-    elif isinstance(obj, (list, tuple)):
-        out[prefix] = ";".join(str(v) for v in obj)
-    else:
-        out[prefix] = obj
+def _flatten(row: dict) -> dict:
+    """One row's cells under dotted headers, lists and tuples joined by ";".
+
+    Nested dicts are walked breadth first from one work list, so a cell
+    costs a loop step, not a Python call.
+    """
+    flat = {}
+    todo = [("", row)]
+    for prefix, obj in todo:                # appending to todo walks the nested dicts too
+        for key, value in obj.items():
+            name = f"{prefix}{key}"
+            if isinstance(value, dict):
+                todo.append((name + ".", value))
+            elif isinstance(value, (list, tuple)):
+                flat[name] = ";".join(map(str, value))
+            else:
+                flat[name] = value
+    return flat
 
 
 def reports_to_csv(rows) -> str:
@@ -80,15 +90,11 @@ def reports_to_csv(rows) -> str:
     The header is the sorted union of flattened keys across rows; missing
     cells stay empty.  bound_terms.* columns carry the chain values.
     """
-    flat_rows = []
-    for row in rows:
-        flat: dict = {}
-        _flatten("", row, flat)
-        flat_rows.append(flat)
+    flat_rows = [_flatten(row) for row in rows]
     headers = sorted({k for flat in flat_rows for k in flat})
     records = []    # the writer writes each record in one call
     csv.writer(SimpleNamespace(write=records.append)).writerows(
-        [headers] + [[flat.get(h) for h in headers] for flat in flat_rows])
+        [headers] + [list(map(flat.get, headers)) for flat in flat_rows])
     # its "\r\n" terminator makes it quote every cell holding "\r" or "\n" (a "\n"
     # terminator would leave "\r" bare); each record then ends in "\n" alone
     return "".join(record[:-2] + "\n" for record in records)

@@ -17,12 +17,15 @@ constants:
   10 the run's own criteria 1-9 vs a re-run in a fresh process, started
      alongside them under another hash seed -> byte-identical JSON
 
-The tests after test_criterion check how run_acceptance feeds criterion 10,
+The tests after test_criterion first put a fault into one side of what
+criteria 2 and 4 compare, and expect the criterion to fail.  The rest
+check how run_acceptance feeds criterion 10,
 with cheap stand-ins for criteria 1-9 and, where the process itself is not
 under test, for the fresh pass; then how the fresh pass's process is
 started, and reaped however the run ends.
 """
 
+import math
 import os
 import signal
 import time
@@ -33,6 +36,8 @@ import pytest
 from primeangle import acceptance
 from primeangle.acceptance import (
     CRITERIA,
+    EXPSUM_TOL,
+    POISSON_CONFIGS,
     REPRODUCED,
     FreshPass,
     fresh_hash_seed,
@@ -40,6 +45,9 @@ from primeangle.acceptance import (
     verify_json,
 )
 from primeangle.config import DEFAULT_SEED
+from primeangle.expsum import linear_exp_sums
+from primeangle.reference import naive_exp_sum
+from primeangle.smoothing import f_fourier_array
 
 RUNTIME_LIMITS = {1: 1.0, 2: 5.0, 3: 10.0, 4: 10.0, 5: 30.0,
                   6: 60.0, 7: 20.0, 8: 30.0, 9: 120.0}
@@ -56,6 +64,56 @@ def test_criterion(number):
     limit = RUNTIME_LIMITS.get(number)
     if limit is not None:
         assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s >= {limit}s"
+
+
+def test_criterion_4_catches_a_closed_form_off_by_1e_9(monkeypatch):
+    calls = []
+
+    def shifted(lo, hi, x):
+        out = linear_exp_sums(lo, hi, x)
+        if len(calls) == 1:
+            out[1234] += 1e-9           # one element of the second batch
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(acceptance, "linear_exp_sums", shifted)
+    record = CRITERIA[4](DEFAULT_SEED)
+    assert len(calls) > 1
+    assert not record["passed"] and record["max_abs_diff"] > EXPSUM_TOL
+
+
+def test_criterion_4_catches_a_reference_that_drops_a_term(monkeypatch):
+    calls = []
+
+    def dropping(w, z, x):
+        calls.append((w, z))
+        if len(calls) == 5000:
+            z -= 1                      # the last term of one range
+        return naive_exp_sum(w, z, x)
+
+    monkeypatch.setattr(acceptance, "naive_exp_sum", dropping)
+    record = CRITERIA[4](DEFAULT_SEED)
+    w, z = calls[4999]
+    assert math.floor(z) > math.floor(w)  # that range had a term to drop
+    assert not record["passed"] and record["max_abs_diff"] > 1 - EXPSUM_TOL
+
+
+@pytest.mark.parametrize("row", range(len(POISSON_CONFIGS)))
+def test_criterion_2_catches_a_fourier_form_off_by_1e_11(monkeypatch, row):
+    calls = []
+
+    def perturbed(xs, kernel):
+        out = f_fourier_array(xs, kernel)
+        if len(calls) == row:
+            out[len(out) // 3] += 1e-11
+        calls.append(kernel.L)
+        return out
+
+    monkeypatch.setattr(acceptance, "f_fourier_array", perturbed)
+    record = CRITERIA[2](DEFAULT_SEED)
+    assert not record["passed"]
+    assert [r["sup_diff"] > r["allowed"] for r in record["rows"]] == \
+        [i == row for i in range(len(POISSON_CONFIGS))]
 
 
 def test_cached_criteria_reproduce_within_one_process():

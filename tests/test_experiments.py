@@ -286,18 +286,31 @@ CSV_CELL = st.one_of(st.none(), st.booleans(), st.integers(), CSV_TEXT,
                      st.lists(st.one_of(st.integers(), CSV_TEXT), max_size=3))
 
 
+CSV_KEY = st.sampled_from(["a", "b,c", 'd"e', "f\ng"])
+CSV_ROW = st.recursive(st.dictionaries(CSV_KEY, CSV_CELL, min_size=1),
+                       lambda rows: st.dictionaries(CSV_KEY, st.one_of(CSV_CELL, rows), min_size=1),
+                       max_leaves=12)
+
+
+def flatten_by_recursion(prefix, obj, out):
+    """Dotted header -> cell text, one call per key: the reference for reports_to_csv."""
+    for key, value in obj.items():
+        name = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict):
+            flatten_by_recursion(name, value, out)
+        elif isinstance(value, list):
+            out[name] = ";".join(map(str, value))
+        else:
+            out[name] = "" if value is None else str(value)
+    return out
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.lists(st.dictionaries(st.sampled_from(["a", "b,c", 'd"e', "f\ng"]), CSV_CELL,
-                                min_size=1), max_size=4))
+@given(st.lists(CSV_ROW, max_size=4))
 def test_csv_reads_back_cell_for_cell(rows):
-    headers = sorted({key for row in rows for key in row})
-
-    def text(value):
-        if isinstance(value, list):
-            return ";".join(map(str, value))
-        return "" if value is None else str(value)
-
-    expected = [headers] + [[text(row.get(h)) for h in headers] for row in rows]
+    flat_rows = [flatten_by_recursion("", row, {}) for row in rows]
+    headers = sorted({key for flat in flat_rows for key in flat})
+    expected = [headers] + [[flat.get(h, "") for h in headers] for flat in flat_rows]
     assert list(csv.reader(io.StringIO(reports_to_csv(rows), newline=""))) == expected
 
 

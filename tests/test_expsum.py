@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from primeangle.acceptance import EXPSUM_TOL
 from primeangle.alpha import AlphaSpec, build_angle_oracle, convergents, parse_alpha
 from primeangle.expsum import (
     MinSumInstance,
@@ -56,6 +59,79 @@ def test_exp_sum_matches_naive_and_bound():
         nx = dist_to_int(x)
         cap = count if nx == 0 else min(count, 1 / (2 * nx))
         assert abs(closed) <= cap + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the naive reference: baby-step/giant-step products, summed term by term
+# ---------------------------------------------------------------------------
+
+NAIVE_TOL = EXPSUM_TOL / 10
+
+
+def mp_range_sum(a, b, x):
+    """sum of e(n x) over a <= n <= b at 40 digits, x taken exactly.
+
+    e((a + b) x/2) sin(pi c x)/sin(pi x) with c = b - a + 1; sinpi and
+    expjpi reduce their exact arguments themselves.
+    """
+    if b < a:
+        return 0j
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x == mpmath.floor(x):
+            return complex(b - a + 1)
+        return complex(mpmath.expjpi((a + b) * x) * mpmath.sinpi((b - a + 1) * x)
+                       / mpmath.sinpi(x))
+
+
+def _next_to(k, sign):
+    return math.nextafter(float(k), sign * math.inf)
+
+
+NAIVE_X = st.one_of(
+    # integral x, +-2^-60, +-2^-11 (the wide-path edge of linear_exp_sums), 1/2
+    st.sampled_from((0.0, -0.0, 1.0, -3.0, 2.0 ** -60, -2.0 ** -60, 2.0 ** -11, -2.0 ** -11,
+                     0.5, -0.5)),
+    st.builds(_next_to, st.integers(-2, 2), st.sampled_from([-1, 1])),
+    st.builds(lambda k, j, sign: k + sign * 2.0 ** -j,
+              st.integers(-2, 2), st.integers(1, 52), st.sampled_from([-1, 1])),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.floats(-1e4, 1e4), st.integers(0, 2 * 10 ** 4), NAIVE_X)
+@example(0.0, 1, 0.3)
+@example(0.0, 16, 0.3)                     # a square count: the last giant row is full
+@example(0.0, 17, 0.3)
+@example(-1e4, 2 * 10 ** 4, 2.0 ** -11)
+@example(1e4, 2 * 10 ** 4, 1 - 2.0 ** -53)
+@example(-0.5, 2 * 10 ** 4, 1 / 141)       # B x next to 1: the 142 giant steps line up
+def test_naive_exp_sum_matches_mpmath(w, count, x):
+    # the count terms a <= n < a + count, against the closed form at 40
+    # digits, within a tenth of criterion 4's tolerance
+    a = math.floor(w) + 1
+    b = a + count - 1
+    assert abs(naive_exp_sum(w, b, x) - mp_range_sum(a, b, x)) <= NAIVE_TOL, (a, b, x)
+
+
+@pytest.mark.parametrize("args,name", [((math.nan, 5.0, 0.1), "w"), ((0.0, math.inf, 0.1), "z"),
+                                       ((-math.inf, 5.0, 0.1), "w"), ((0.0, 5.0, math.nan), "x"),
+                                       ((0.0, 5.0, -math.inf), "x")])
+def test_naive_exp_sum_refuses_non_finite_input(args, name):
+    with pytest.raises(ValueError, match=f"finite {name}, got {name}="):
+        naive_exp_sum(*args)
+
+
+def test_naive_exp_sum_refuses_phases_it_cannot_reduce_exactly():
+    # n * x_hi is exact for |n| < 2^27 only; ranges reaching past it raise
+    top, x = 2 ** 27, 0.1234567
+    for w, z in ((top - 11, top - 1), (-top, -top + 10)):
+        assert abs(naive_exp_sum(w, z, x) - mp_range_sum(w + 1, z, x)) <= NAIVE_TOL
+    for w, z in ((top - 11, top), (-top - 1, -top + 10)):
+        with pytest.raises(ValueError, match=r"\|n\| < 2\^27"):
+            naive_exp_sum(w, z, x)
+    assert naive_exp_sum(3.0 * top, 3.0 * top, x) == 0j    # an empty range forms no n
 
 
 def test_min_sum_sqrt2_uncapped():

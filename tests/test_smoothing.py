@@ -15,7 +15,9 @@ from primeangle.smoothing import (
     check_direct_delta,
     default_direct_terms,
     f_direct,
+    f_direct_array,
     f_fourier,
+    f_fourier_array,
     truncation_bound,
     truncation_bound_log10,
 )
@@ -103,6 +105,23 @@ def test_poisson_identity_on_grid(delta, L):
         x = -1.0 + 2 * i / 2000
         worst = max(worst, abs(f_direct(x, delta) - f_fourier(x, kernel)))
     assert worst <= kernel.tail_bound + 1e-12
+    # the array forms, as criterion 2 compares them
+    xs = -1.0 + 2 * np.arange(2001) / 2000
+    worst = np.abs(f_direct_array(xs, delta) - f_fourier_array(xs, kernel)).max()
+    assert worst <= kernel.tail_bound + 1e-12
+
+
+@pytest.mark.parametrize("delta,L", [(0.5, 50), (0.05, 600), (0.01, 2 ** 16)])
+def test_fourier_array_matches_the_scalar_form_whatever_the_block(delta, L):
+    # each row is reduced on its own: a value is the same bit for bit in a
+    # block of many rows and alone, and within a few ulps of f_fourier's
+    # dot product (the third kernel has more terms than a block holds)
+    kernel = build_kernel(delta, L)
+    xs = np.random.default_rng(7).uniform(-1.0, 1.0, 2000 if L < 2 ** 15 else 20)
+    together = f_fourier_array(xs, kernel)
+    assert together.tolist() == [f_fourier_array(xs[i:i + 1], kernel)[0] for i in range(xs.size)]
+    scalar = np.array([f_fourier(x, kernel) for x in xs])
+    assert np.abs(together - scalar).max() <= 8 * np.finfo(float).eps
 
 
 def test_fourier_at_zero_matches_direct():
