@@ -12,7 +12,6 @@ from .alpha import (
     AlphaSpec,
     AngleOracle,
     Convergent,
-    bounded_terms_constant,
     build_angle_oracle,
     cf_terms,
     convergents,
@@ -24,7 +23,6 @@ from .config import (
     ExperimentConfig,
     check_admissible,
     config_from_dict,
-    config_from_json,
     select_q,
 )
 from .expsum import (
@@ -59,7 +57,6 @@ from .smoothing import (
 from .vaughan import (
     SumContext,
     VaughanParams,
-    b_coeff,
     gamma_counts,
     s1_type_i,
     t1_sum,

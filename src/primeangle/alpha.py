@@ -33,7 +33,6 @@ __all__ = [
     "cf_term_stream",
     "convergents",
     "convergent_stream",
-    "bounded_terms_constant",
     "find_q_in_window",
     "build_angle_oracle",
     "classify_against_threshold",
@@ -219,17 +218,6 @@ def cf_terms(alpha: AlphaSpec, count: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     return list(itertools.islice(cf_term_stream(alpha), count))
-
-
-def bounded_terms_constant(alpha: AlphaSpec, probe: int) -> int:
-    """Max partial quotient among the first `probe` terms.
-
-    For a quadratic surd this is the true global bound M as soon as `probe`
-    covers one full period.
-    """
-    if probe < 1:
-        raise ValueError("probe must be >= 1")
-    return max(cf_terms(alpha, probe))
 
 
 # ---------------------------------------------------------------------------

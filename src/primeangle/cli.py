@@ -13,6 +13,8 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from .acceptance import run_acceptance
 from .alpha import build_angle_oracle, cf_terms, convergent_stream, parse_alpha
 from .config import (
@@ -192,19 +194,15 @@ def cmd_ssum(args):
 def cmd_vaughan_check(args):
     limit = max(args.n_hi, 16)
     tables = small_tables(limit)
-    params = VaughanParams(U=args.u, V=args.v, X=limit)
-    rows = []
-    worst = 0.0
-    for n in range(max(args.n_lo, int(args.u) + 1), args.n_hi + 1):
-        a1, a2, a3 = vaughan_pieces(n, params, tables)
-        residual = abs(tables.mangoldt(n) - (a1 - a2 - a3))
-        worst = max(worst, residual)
-        if args.verbose_rows:
-            rows.append({"n": n, "A1": a1, "A2": a2, "A3": a3, "residual": residual})
+    a1, a2, a3 = vaughan_pieces(VaughanParams(U=args.u, V=args.v, X=limit), tables)
+    ns = np.arange(max(args.n_lo, int(args.u) + 1), args.n_hi + 1)
+    residuals = np.abs(tables.mangoldt_table(limit) - (a1 - a2 - a3))
+    worst = float(residuals[ns].max(initial=0.0))
     payload = {"U": args.u, "V": args.v, "n_lo": args.n_lo, "n_hi": args.n_hi,
                "max_residual": worst, "ok": worst <= 1e-9}
-    if rows:
-        payload["rows"] = rows
+    if args.verbose_rows and ns.size:
+        payload["rows"] = [{"n": n, "A1": float(a1[n]), "A2": float(a2[n]), "A3": float(a3[n]),
+                            "residual": float(residuals[n])} for n in ns.tolist()]
     _emit(args, payload)
     return 0
 

@@ -16,7 +16,6 @@ recording q_in_window = False.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ __all__ = [
     "select_q",
     "parse_precision",
     "config_from_dict",
-    "config_from_json",
     "DEFAULT_SEED",
 ]
 
@@ -202,10 +200,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not math.isclose(float(data[key]), float(derived), rel_tol=1e-9):
             raise ValueError(f"derived key {key}={data[key]} does not match {derived}")
     return config
-
-
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -322,16 +322,14 @@ class SmallTables:
     mu: np.ndarray      # int8, mu(n) in {-1, 0, 1}
     tau: np.ndarray     # int32, divisor counts
     lam_p: np.ndarray   # int64, p if n = p^k else 0
-    lam_k: np.ndarray   # int16, k if n = p^k else 0
 
     def mangoldt(self, n: int) -> float:
         p = self.lam_p[n]
         return math.log(p) if p else 0.0
 
-    def mangoldt_pk(self, n: int):
-        """(p, k) with n = p^k, or None."""
-        p = int(self.lam_p[n])
-        return (p, int(self.lam_k[n])) if p else None
+    def mangoldt_table(self, N: int) -> np.ndarray:
+        """Lambda(n) for 0 <= n <= N, as a float array."""
+        return np.log(np.maximum(self.lam_p[:N + 1], 1))
 
 
 def small_tables(N: int) -> SmallTables:
@@ -342,7 +340,6 @@ def small_tables(N: int) -> SmallTables:
     mu = np.ones(size, dtype=np.int8)
     tau = np.zeros(size, dtype=np.int32)
     lam_p = np.zeros(size, dtype=np.int64)
-    lam_k = np.zeros(size, dtype=np.int16)
     for d in range(1, size):
         tau[d::d] += 1
     for p in base_primes(N):
@@ -350,15 +347,13 @@ def small_tables(N: int) -> SmallTables:
         mu[p::p] *= -1
         if p * p <= N:
             mu[p * p:: p * p] = 0
-        pk, k = p, 1
+        pk = p
         while pk <= N:
             lam_p[pk] = p
-            lam_k[pk] = k
             pk *= p
-            k += 1
     mu[0] = 0
     tau[0] = 0
-    return SmallTables(limit=N, mu=mu, tau=tau, lam_p=lam_p, lam_k=lam_k)
+    return SmallTables(limit=N, mu=mu, tau=tau, lam_p=lam_p)
 
 
 @dataclass

@@ -8,11 +8,14 @@ valid for every n > U when U, V >= 1:
     A2 = sum_{bcd = n, b <= V, c <= U} mu(b) Lambda(c),
     A3 = sum_{dm = n, d > U, m > V}    Lambda(d) beta(m),
 
-with beta(m) = sum_{e | m, e <= V} mu(e), |beta(m)| <= tau(m).  Feeding the
-smoothed weight through it produces a type I sum (long smooth inner range)
-and a type II bilinear sum; after dyadic splitting these become T1(H) and
-T2(H, M), whose exact values and theoretical comparators are computed side
-by side below.
+with beta(m) = sum_{e | m, e <= V} mu(e), |beta(m)| <= tau(m).  Each piece
+is a Dirichlet convolution of tables, so vaughan_pieces forms all three for
+every n <= X at once by slice sieves, reading beta from the same table the
+type II sums use (BilinearCoeffs).  Feeding the smoothed weight through
+the identity produces a type I sum (long smooth inner range) and a type II
+bilinear sum; after dyadic splitting these become T1(H) and T2(H, M),
+whose exact values and theoretical comparators are computed side by side
+below.
 
 All summation ranges are resolved with integer comparisons (n > X^{1/3} as
 n^3 > X, n <= X/m as n*m <= X, ...), so rearranged routes such as the
@@ -43,7 +46,6 @@ __all__ = [
     "BilinearCoeffs",
     "SumContext",
     "vaughan_pieces",
-    "b_coeff",
     "s1_type_i",
     "t1_sum",
     "t2_sum",
@@ -73,75 +75,51 @@ def charge(stage: str, cells: int, budget: float) -> None:
 
 @dataclass(frozen=True)
 class VaughanParams:
-    """Cut parameters of the decomposition.  Requires U, V >= 1, U V <= X."""
+    """Cut parameters of the decomposition.  Requires finite U, V >= 1, U V <= X."""
 
     U: float
     V: float
     X: int
 
     def __post_init__(self):
+        for name, cut in (("U", self.U), ("V", self.V)):
+            if not math.isfinite(cut):
+                raise ValueError(f"need a finite cut, got {name}={cut}")
         if self.U < 1 or self.V < 1:
             raise ValueError("need U, V >= 1")
         if self.U * self.V > self.X:
             raise ValueError("need U*V <= X")
 
 
-def _divisors(n: int) -> list:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+def vaughan_pieces(params: VaughanParams, tables: SmallTables):
+    """(A1, A2, A3) as float arrays over 0 <= n <= X; Lambda(n) = A1 - A2 - A3 for n > U.
 
-
-def b_coeff(n: int, V: float, tables: SmallTables) -> int:
-    """beta(n) = sum over divisors d <= V of mu(d); |beta(n)| <= tau(n)."""
-    cut = min(int(V), n)
-    total = 0
-    for d in range(1, cut + 1):
-        if n % d == 0:
-            total += int(tables.mu[d])
-    return total
-
-
-def vaughan_pieces(n: int, params: VaughanParams, tables: SmallTables):
-    """(A1, A2, A3) with Lambda(n) = A1 - A2 - A3 for n > U.
-
-    Divisor sums are enumerated directly; Lambda and mu values come from
-    the tables, which must cover n.
+    Each piece is a convolution of tables, formed by slice sieves: every
+    b <= V with mu(b) != 0 adds mu(b) log k to A1 and mu(b) g(k) to A2 at
+    n = bk, where g(k) is the sum of Lambda(c) over c | k, c <= U; every
+    prime power d > U adds Lambda(d) beta(m) to A3 at n = dm, m > V, with
+    beta the type II table of BilinearCoeffs.build.  A divisor is at most
+    U (or V) iff it is at most the floor of U (or V).
     """
-    if n <= params.U:
-        raise ValueError(f"identity needs n > U (n={n}, U={params.U})")
-    if n > tables.limit:
-        raise ValueError("tables do not cover n")
-    U, V = params.U, params.V
-    divs = _divisors(n)
-    a1_terms = []
-    a2_terms = []
-    a3_terms = []
-    for b in divs:
-        if b > V:
-            break
-        mu_b = int(tables.mu[b])
-        if mu_b == 0:
-            continue
-        rest = n // b
-        a1_terms.append(mu_b * math.log(rest))
-        # c runs over prime powers <= U dividing rest; the divisors of rest
-        # are those of n that divide it, in the same increasing order
-        for c in divs:
-            if c > U:
-                break
-            if rest % c == 0 and tables.lam_p[c]:
-                a2_terms.append(mu_b * math.log(int(tables.lam_p[c])))
-    for d in divs:
-        if d > U and tables.lam_p[d]:
-            m = n // d
-            if m > V:
-                a3_terms.append(math.log(int(tables.lam_p[d])) * b_coeff(m, V, tables))
-    return math.fsum(a1_terms), math.fsum(a2_terms), math.fsum(a3_terms)
+    X = params.X
+    if X > tables.limit:
+        raise ValueError(f"tables (limit {tables.limit}) do not cover X={X}")
+    U, V = int(params.U), int(params.V)
+    lam = tables.mangoldt_table(X)
+    logs = np.log(np.maximum(np.arange(X + 1), 1))
+    g = np.zeros(X + 1)
+    for c in np.flatnonzero(lam[:U + 1]).tolist():
+        g[c::c] += lam[c]
+    a1, a2, a3 = np.zeros(X + 1), np.zeros(X + 1), np.zeros(X + 1)
+    for b in np.flatnonzero(tables.mu[:V + 1]).tolist():
+        mu_b, top = int(tables.mu[b]), X // b + 1
+        a1[b::b] += mu_b * logs[1:top]
+        a2[b::b] += mu_b * g[1:top]
+    beta = BilinearCoeffs.build(X, V, tables).b
+    for d in np.flatnonzero(lam[:X // (V + 1) + 1]).tolist():
+        if d > U:
+            a3[d * (V + 1)::d] += lam[d] * beta[V + 1:X // d + 1]
+    return a1, a2, a3
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ constants:
      alongside them under another hash seed -> byte-identical JSON
 
 The tests after test_criterion first put a fault into one side of what
-criteria 2 and 4 compare, and expect the criterion to fail.  The rest
+criteria 2 and 4 compare, or into one table entry that criterion 3's
+pieces read, and expect the criterion to fail.  The rest
 check how run_acceptance feeds criterion 10,
 with cheap stand-ins for criteria 1-9 and, where the process itself is not
 under test, for the fresh pass; then how the fresh pass's process is
@@ -33,7 +34,7 @@ from collections import Counter
 
 import pytest
 
-from primeangle import acceptance
+from primeangle import acceptance, vaughan
 from primeangle.acceptance import (
     CRITERIA,
     EXPSUM_TOL,
@@ -47,6 +48,7 @@ from primeangle.acceptance import (
 from primeangle.config import DEFAULT_SEED
 from primeangle.expsum import linear_exp_sums
 from primeangle.reference import naive_exp_sum
+from primeangle.sieve import small_tables
 from primeangle.smoothing import f_fourier_array
 
 RUNTIME_LIMITS = {1: 1.0, 2: 5.0, 3: 10.0, 4: 10.0, 5: 30.0,
@@ -114,6 +116,31 @@ def test_criterion_2_catches_a_fourier_form_off_by_1e_11(monkeypatch, row):
     assert not record["passed"]
     assert [r["sup_diff"] > r["allowed"] for r in record["rows"]] == \
         [i == row for i in range(len(POISSON_CONFIGS))]
+
+
+def test_criterion_3_catches_one_wrong_beta(monkeypatch):
+    build = vaughan.BilinearCoeffs.build
+
+    def corrupted(limit, V, tables):
+        coeffs = build(limit, V, tables)
+        coeffs.b[100] += 1              # A3 reads it at n = 100 d, for d > U
+        return coeffs
+
+    monkeypatch.setattr(vaughan.BilinearCoeffs, "build", staticmethod(corrupted))
+    record = CRITERIA[3](DEFAULT_SEED)
+    assert not record["passed"] and record["failures"] > 0
+    assert record["max_residual"] >= math.log(2)
+
+
+def test_criterion_3_catches_one_wrong_mu(monkeypatch):
+    def corrupted(N):
+        tables = small_tables(N)
+        tables.mu[3] = 1                # mu(3) = -1
+        return tables
+
+    monkeypatch.setattr(acceptance, "small_tables", corrupted)
+    record = CRITERIA[3](DEFAULT_SEED)
+    assert not record["passed"] and record["failures"] > 0
 
 
 def test_cached_criteria_reproduce_within_one_process():

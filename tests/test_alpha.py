@@ -15,7 +15,6 @@ import primeangle.alpha as alpha_mod
 from primeangle.acceptance import ALPHA_PANEL
 from primeangle.alpha import (
     AlphaSpec,
-    bounded_terms_constant,
     build_angle_oracle,
     cf_terms,
     classify_against_threshold,
@@ -87,9 +86,10 @@ def test_negative_value_surd():
 
 
 def test_bounded_terms_constant():
-    assert bounded_terms_constant(SQRT2, 10) == 2
-    assert bounded_terms_constant(GOLDEN, 10) == 1
-    assert bounded_terms_constant(AlphaSpec.sqrt(7), 10) == 4
+    # the max partial quotient of a surd, once the probe covers a period
+    assert max(cf_terms(SQRT2, 10)) == 2
+    assert max(cf_terms(GOLDEN, 10)) == 1
+    assert max(cf_terms(AlphaSpec.sqrt(7), 10)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_verify_convergent_pairs():
 def test_denominator_growth_bound():
     # q_{n-1} < q_n <= (M+1) q_{n-1} for n >= 2
     for spec in [SQRT2, GOLDEN, AlphaSpec.sqrt(7), AlphaSpec.surd(5, -2, 3, 3)]:
-        M = bounded_terms_constant(spec, 64)
+        M = max(cf_terms(spec, 64))
         convs = convergents(spec, 30)
         for prev, cur in zip(convs[1:], convs[2:]):
             assert prev.q < cur.q <= (M + 1) * prev.q
@@ -214,7 +214,7 @@ def test_window_completeness():
     # hi/lo >= M+1 guarantees a hit (consequence of the growth bound)
     rng = random.Random(1729)
     for spec in [SQRT2, GOLDEN, AlphaSpec.sqrt(7), AlphaSpec.sqrt(13)]:
-        M = bounded_terms_constant(spec, 64)
+        M = max(cf_terms(spec, 64))
         for _ in range(50):
             lo = rng.uniform(1, 1e9)
             assert find_q_in_window(spec, lo, lo * (M + 1)).ok

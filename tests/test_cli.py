@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -161,6 +162,18 @@ def test_vaughan_check(capsys):
                     "--n-lo", "5", "--n-hi", "500"], capsys)
     assert doc["ok"] is True
     assert doc["max_residual"] <= 1e-9
+    rows = run_json(["vaughan-check", "--u", "4", "--v", "4", "--n-lo", "5", "--n-hi", "500",
+                     "--verbose-rows"], capsys)["rows"]
+    assert [row["n"] for row in rows] == list(range(5, 501))
+    assert max(row["residual"] for row in rows) == doc["max_residual"]
+    assert abs(rows[101 - 5]["A1"] - math.log(101)) < 1e-12
+
+
+@pytest.mark.parametrize("cut", ["u", "v"])
+def test_vaughan_check_rejects_a_nan_cut(cut, capsys):
+    code, out, err = run_cli(["vaughan-check", f"--{cut}", "nan"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: need a finite cut, got {cut.upper()}=nan"]
 
 
 def test_minsum(capsys):

@@ -13,7 +13,6 @@ from primeangle.config import (
     QWindowMiss,
     check_admissible,
     config_from_dict,
-    config_from_json,
     parse_precision,
     require_admissible,
     select_q,
@@ -95,7 +94,7 @@ def test_parse_precision():
 def test_config_from_json_roundtrip():
     config = base_config()
     echoed = json.dumps(config.as_dict())
-    again = config_from_json(echoed)
+    again = config_from_dict(json.loads(echoed))
     assert again == config
 
 

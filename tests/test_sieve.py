@@ -240,16 +240,22 @@ def test_small_tables_spot_values():
     assert t.tau[12] == 6
     assert abs(t.mangoldt(8) - math.log(2)) < 1e-15
     assert t.mangoldt(12) == 0.0
-    assert t.mangoldt_pk(81) == (3, 4)
-    assert t.mangoldt_pk(1) is None
+    assert t.lam_p[81] == 3 and t.lam_p[1] == 0
+    lam = t.mangoldt_table(100)
+    assert lam[1] == lam[12] == 0.0 and abs(lam[81] - math.log(3)) < 1e-15
 
 
 def test_small_tables_match_naive():
     t = small_tables(3000)
+    lam = t.mangoldt_table(3000)
     for n in range(1, 3001):
         assert t.mu[n] == naive_mu(n)
         assert t.tau[n] == naive_tau(n)
-        assert t.mangoldt_pk(n) == naive_mangoldt_pk(n)
+        pk = naive_mangoldt_pk(n)
+        p = int(t.lam_p[n])
+        assert p == (pk[0] if pk else 0)
+        assert not p or p ** pk[1] == n
+        assert abs(lam[n] - (math.log(p) if p else 0.0)) <= 1e-15
 
 
 def test_moebius_divisor_sum_identity():

@@ -2,14 +2,20 @@
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from primeangle import vaughan
 from primeangle.alpha import AlphaSpec
 from primeangle.config import ExperimentConfig, select_q
 from primeangle.reference import (
     brute_force_quadruples,
+    divisors,
+    naive_mangoldt_pk,
+    naive_mu,
     naive_tau,
     naive_type_i_block,
     naive_type_ii_block,
@@ -20,7 +26,6 @@ from primeangle.vaughan import (
     BudgetExceeded,
     SumContext,
     VaughanParams,
-    b_coeff,
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
@@ -43,6 +48,39 @@ CONFIG = ExperimentConfig(X=200, Y=60, delta=0.3, eps=0.05, alpha=SQRT2)
 # identity and coefficients
 # ---------------------------------------------------------------------------
 
+divisors_of = lru_cache(maxsize=None)(divisors)
+mu_of = lru_cache(maxsize=None)(naive_mu)
+
+
+@lru_cache(maxsize=None)
+def mangoldt_of(n: int) -> float:
+    pk = naive_mangoldt_pk(n)
+    return math.log(pk[0]) if pk else 0.0
+
+
+def naive_b(n: int, V: float) -> int:
+    """b(n) = beta(n), the sum of mu(d) over the divisors d <= V of n, one n at a time."""
+    return sum(mu_of(d) for d in divisors_of(n) if d <= V)
+
+
+def naive_pieces(n: int, U: float, V: float):
+    """(A1, A2, A3) at n by enumerating the divisors of n and of its cofactors."""
+    a1, a2, a3 = [], [], []
+    for b in divisors_of(n):
+        if b <= V and mu_of(b):
+            a1.append(mu_of(b) * math.log(n // b))
+            a2.extend(mu_of(b) * mangoldt_of(c) for c in divisors_of(n // b) if c <= U)
+    for d in divisors_of(n):
+        if d > U and n // d > V:
+            a3.append(mangoldt_of(d) * naive_b(n // d, V))
+    return math.fsum(a1), math.fsum(a2), math.fsum(a3)
+
+
+def pieces_at(n: int, U: float, V: float):
+    a1, a2, a3 = vaughan_pieces(VaughanParams(U=U, V=V, X=5000), TABLES_5K)
+    return a1[n], a2[n], a3[n]
+
+
 def test_iroot():
     assert iroot(1000, 3) == 10
     assert iroot(999, 3) == 9
@@ -51,23 +89,20 @@ def test_iroot():
 
 
 def test_pieces_prime():
-    params = VaughanParams(U=4, V=4, X=5000)
-    a1, a2, a3 = vaughan_pieces(101, params, TABLES_5K)
+    a1, a2, a3 = pieces_at(101, 4, 4)
     assert abs(a1 - math.log(101)) < 1e-12
     assert a2 == 0.0 and a3 == 0.0
 
 
 def test_pieces_twelve():
-    params = VaughanParams(U=4, V=4, X=5000)
-    a1, a2, a3 = vaughan_pieces(12, params, TABLES_5K)
+    a1, a2, a3 = pieces_at(12, 4, 4)
     assert abs(a1 - (-math.log(2))) < 1e-12   # log 12 - log 6 - log 4
     assert abs(a2 - (-math.log(2))) < 1e-12
     assert a3 == 0.0
 
 
 def test_pieces_thirty_five():
-    params = VaughanParams(U=2, V=2, X=5000)
-    a1, a2, a3 = vaughan_pieces(35, params, TABLES_5K)
+    a1, a2, a3 = pieces_at(35, 2, 2)
     assert abs(a1 - math.log(35)) < 1e-12
     assert a2 == 0.0
     assert abs(a3 - math.log(35)) < 1e-12  # Lambda(5) beta(7) + Lambda(7) beta(5)
@@ -76,28 +111,49 @@ def test_pieces_thirty_five():
 @pytest.mark.parametrize("uv", [(4, 4), (10, 10), (17, 17)])
 def test_identity_to_5000(uv):
     U, V = uv
-    params = VaughanParams(U=U, V=V, X=5000)
-    for n in range(U + 1, 5001):
-        a1, a2, a3 = vaughan_pieces(n, params, TABLES_5K)
-        assert abs(TABLES_5K.mangoldt(n) - (a1 - a2 - a3)) <= 1e-9, n
+    a1, a2, a3 = vaughan_pieces(VaughanParams(U=U, V=V, X=5000), TABLES_5K)
+    assert len(a1) == len(a2) == len(a3) == 5001
+    lam = [TABLES_5K.mangoldt(n) for n in range(5001)]
+    bad = [n for n in range(U + 1, 5001) if abs(lam[n] - (a1[n] - a2[n] - a3[n])) > 1e-9]
+    assert not bad
 
 
-def test_identity_rejects_small_n():
-    with pytest.raises(ValueError):
-        vaughan_pieces(4, VaughanParams(U=4, V=4, X=5000), TABLES_5K)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(X=st.integers(1, 2000), u=st.floats(0, 1), v=st.floats(0, 1),
+       whole=st.booleans())
+def test_pieces_match_a_per_n_enumeration(X, u, v, whole):
+    # U = X^u and V <= X/U, so that 1 <= U, V and U V <= X; whole rounds them down
+    U = X ** u
+    V = max(1.0, (X / U) ** v)
+    if whole:
+        U, V = math.floor(U), math.floor(V)
+    assume(U * V <= X)
+    a1, a2, a3 = vaughan_pieces(VaughanParams(U=U, V=V, X=X), small_tables(X))
+    for n in range(1, X + 1):
+        want = naive_pieces(n, U, V)
+        assert max(abs(got - w) for got, w in zip((a1[n], a2[n], a3[n]), want)) <= 1e-12, n
+        if n > U:
+            assert abs(mangoldt_of(n) - (a1[n] - a2[n] - a3[n])) <= 1e-12, n
+
+
+def test_pieces_refuse_tables_short_of_x():
+    with pytest.raises(ValueError, match="do not cover X=5001"):
+        vaughan_pieces(VaughanParams(U=4, V=4, X=5001), TABLES_5K)
 
 
 def test_b_coeff_values():
-    assert b_coeff(1, 10, TABLES_5K) == 1
-    assert b_coeff(6, 2, TABLES_5K) == 0          # mu(1) + mu(2)
-    assert b_coeff(30, 5, TABLES_5K) == -2        # 1 - 1 - 1 - 1
-    assert abs(b_coeff(30, 5, TABLES_5K)) <= naive_tau(30)
+    assert BilinearCoeffs.build(1, 10, TABLES_5K).b[1] == 1
+    assert BilinearCoeffs.build(6, 2, TABLES_5K).b[6] == 0     # mu(1) + mu(2)
+    b30 = BilinearCoeffs.build(30, 5, TABLES_5K).b[30]
+    assert b30 == -2                                            # 1 - 1 - 1 - 1
+    assert abs(b30) <= naive_tau(30)
 
 
 def test_b_coeff_bounded_by_tau():
     for V in (4, 17, 100):
+        b = BilinearCoeffs.build(1999, V, TABLES_5K).b
         for n in range(1, 2000):
-            assert abs(b_coeff(n, V, TABLES_5K)) <= TABLES_5K.tau[n]
+            assert abs(b[n]) <= TABLES_5K.tau[n]
 
 
 def test_params_validated():
@@ -105,6 +161,10 @@ def test_params_validated():
         VaughanParams(U=0.5, V=4, X=100)
     with pytest.raises(ValueError):
         VaughanParams(U=20, V=20, X=100)
+    for U, V, named in ((4, math.nan, "V=nan"), (math.nan, 4, "U=nan"),
+                        (4, math.inf, "V=inf"), (-math.inf, 4, "U=-inf")):
+        with pytest.raises(ValueError, match=f"finite cut, got {named}"):
+            VaughanParams(U=U, V=V, X=100)
 
 
 def test_sum_context_derives_from_config():
@@ -236,7 +296,7 @@ def test_t2_matches_naive(X, Y, H, M):
     # reads T2 off the rows of every m, which its split walks
     reports = [t2_sum(H, M, ctx), t2_sum(H, M, ctx, t3_t4_t5_split(H, M, ctx).rows)]
     hs = list(range(H // 2 + 1, H + 1))
-    coeffs_b = {n: b_coeff(n, float(ctx.n_cut_type_ii()), ctx.tables)
+    coeffs_b = {n: naive_b(n, ctx.n_cut_type_ii())
                 for n in range(1, 2 * ctx.X // M + 2)}
     naive = naive_type_ii_block(
         m_values=range(M // 2 + 1, M + 1),
@@ -420,7 +480,7 @@ def test_coeffs_build_matches_b_coeff(V):
     limit = 400
     coeffs = BilinearCoeffs.build(limit, V, TABLES_5K)
     assert len(coeffs.b) == limit + 1
-    assert all(coeffs.b[n] == b_coeff(n, V, TABLES_5K) for n in range(1, limit + 1))
+    assert all(coeffs.b[n] == naive_b(n, V) for n in range(1, limit + 1))
 
 
 def test_s1_budget_guard():
