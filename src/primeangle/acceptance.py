@@ -122,12 +122,11 @@ def criterion_2(seed: int) -> dict:
 def criterion_3(seed: int) -> dict:
     """Exact decomposition identity for all n <= 5000 at three cuts."""
     tables = small_tables(IDENTITY_LIMIT)
-    lam = tables.mangoldt_table(IDENTITY_LIMIT)
     worst = 0.0
     failures = 0
     for U, V in IDENTITY_CUTS:
         a1, a2, a3 = vaughan_pieces(VaughanParams(U=U, V=V, X=IDENTITY_LIMIT), tables)
-        residuals = np.abs(lam - (a1 - a2 - a3))[U + 1:]
+        residuals = np.abs(tables.lam - (a1 - a2 - a3))[U + 1:]
         worst = max(worst, float(residuals.max()))
         failures += int(np.count_nonzero(residuals > IDENTITY_TOL))
     return {

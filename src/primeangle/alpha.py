@@ -498,19 +498,19 @@ def build_angle_oracle(alpha: AlphaSpec, n_max: int,
                        err_target: float = 2.0 ** -40) -> AngleOracle:
     """Anchor a certified ||n*alpha|| evaluator with ebound <= err_target.
 
-    Walks convergents until Q^2 >= n_max/err_target, then takes one more for
-    margin against float rounding of the threshold.
+    Walks convergents until Q^2 >= n_max/err_target, decided in integers as
+    Q^2 num >= n_max den for err_target = num/den, then takes one more for margin.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not (0.0 < err_target < 0.25):
         raise ValueError("err_target must lie in (0, 1/4)")
-    threshold = n_max / err_target
+    num, den = float(err_target).as_integer_ratio()
     chosen = None
     stream = convergent_stream(alpha)
     for _ in range(CF_ITERATION_CAP):
         conv = next(stream)
-        if conv.q * conv.q >= threshold:
+        if conv.q * conv.q * num >= n_max * den:
             chosen = next(stream)  # one extra term: clean margin
             break
     if chosen is None:

@@ -196,7 +196,7 @@ def cmd_vaughan_check(args):
     tables = small_tables(limit)
     a1, a2, a3 = vaughan_pieces(VaughanParams(U=args.u, V=args.v, X=limit), tables)
     ns = np.arange(max(args.n_lo, int(args.u) + 1), args.n_hi + 1)
-    residuals = np.abs(tables.mangoldt_table(limit) - (a1 - a2 - a3))
+    residuals = np.abs(tables.lam - (a1 - a2 - a3))
     worst = float(residuals[ns].max(initial=0.0))
     payload = {"U": args.u, "V": args.v, "n_lo": args.n_lo, "n_hi": args.n_hi,
                "max_residual": worst, "ok": worst <= 1e-9}
@@ -272,9 +272,14 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    criteria = None
-    if args.criteria is not None:
-        criteria = [int(tok) for tok in args.criteria.split(",")] if args.criteria.strip() else []
+    text, criteria = args.criteria, None
+    if text is not None:
+        criteria = []
+        for tok in text.split(",") if text.strip() else []:
+            try:
+                criteria.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--criteria {text!r}: {tok!r} is not an integer") from None
     payload = run_acceptance(criteria, seed=args.seed, progress=sys.stderr)
     _emit(args, payload)
     return 0 if payload["all_passed"] else 1

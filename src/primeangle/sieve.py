@@ -12,8 +12,8 @@ one vectorised strike each.  Streaming callers take the window one
 SEGMENT_SIZE segment at a time (sieve_segments), so their memory does not
 grow with the window length.
 
-SmallTables holds mu(n), tau(n) and the (p, k) structure of Lambda(n) for
-n <= N; Lambda's log is taken lazily.
+SmallTables holds mu(n), tau(n) and Lambda(n) for n <= N as plain arrays
+indexed by n, filled once by small_tables.
 """
 
 from __future__ import annotations
@@ -316,44 +316,41 @@ def mangoldt_sum_interval(X: int, Y: int) -> float:
 
 @dataclass
 class SmallTables:
-    """mu, tau and structural Lambda for all n <= limit."""
+    """mu, tau and Lambda for all n <= limit, indexed by n."""
 
     limit: int
     mu: np.ndarray      # int8, mu(n) in {-1, 0, 1}
     tau: np.ndarray     # int32, divisor counts
-    lam_p: np.ndarray   # int64, p if n = p^k else 0
-
-    def mangoldt(self, n: int) -> float:
-        p = self.lam_p[n]
-        return math.log(p) if p else 0.0
-
-    def mangoldt_table(self, N: int) -> np.ndarray:
-        """Lambda(n) for 0 <= n <= N, as a float array."""
-        return np.log(np.maximum(self.lam_p[:N + 1], 1))
+    lam: np.ndarray     # float64, Lambda(n): math.log(p) if n = p^k, else 0
 
 
 def small_tables(N: int) -> SmallTables:
     """Sieve-filled mu/tau/Lambda tables for n in [0, N]."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    size = N + 1
+    size, root = N + 1, math.isqrt(N)
     mu = np.ones(size, dtype=np.int8)
     tau = np.zeros(size, dtype=np.int32)
-    lam_p = np.zeros(size, dtype=np.int64)
-    for d in range(1, size):
-        tau[d::d] += 1
-    for p in base_primes(N):
-        p = int(p)
+    lam = np.zeros(size)
+    primes = base_primes(N)
+    small, large = np.split(primes, [int(np.searchsorted(primes, root, side="right"))])
+    for p in small.tolist():
         mu[p::p] *= -1
-        if p * p <= N:
-            mu[p * p:: p * p] = 0
-        pk = p
+        mu[p * p:: p * p] = 0
+        log_p, pk = math.log(p), p
         while pk <= N:
-            lam_p[pk] = p
+            lam[pk] = log_p
             pk *= p
+    lam[large] = [math.log(p) for p in large.tolist()]
+    # tau: a divisor d < n/d adds 2 to tau(n), and d = n/d adds 1.  mu: a prime
+    # p > sqrt(N) divides n <= N at most once and is its only such factor, so
+    # it flips the sign at each multiple dp, d <= N/p < sqrt(N)
+    for d in range(1, root + 1):
+        tau[d * d] += 1
+        tau[d * (d + 1)::d] += 2
+        mu[d * large[:int(np.searchsorted(large, N // d, side="right"))]] *= -1
     mu[0] = 0
-    tau[0] = 0
-    return SmallTables(limit=N, mu=mu, tau=tau, lam_p=lam_p)
+    return SmallTables(limit=N, mu=mu, tau=tau, lam=lam)
 
 
 @dataclass

@@ -124,20 +124,9 @@ class SmoothingKernel:
     delta: float
     L: int
     coeffs: np.ndarray = field(repr=False)          # c(1..L)
-    harmonics: np.ndarray = field(repr=False)       # 1..L as float64
     tail_bound: float
     tail_underflow: bool
     tail_log10: float
-
-    def c(self, ell: int) -> float:
-        if not (1 <= ell <= self.L):
-            raise ValueError(f"l={ell} outside 1..{self.L}")
-        return float(self.coeffs[ell - 1])
-
-    def cosine_sum(self, x: float) -> float:
-        """sum over 0 < |l| <= L of c(|l|) e(l x)  =  2 sum c(l) cos(2 pi l x)."""
-        ang = (2.0 * np.pi * x) * self.harmonics
-        return 2.0 * float(np.dot(self.coeffs, np.cos(ang)))
 
 
 def build_kernel(delta: float, L: int) -> SmoothingKernel:
@@ -153,7 +142,6 @@ def build_kernel(delta: float, L: int) -> SmoothingKernel:
         delta=delta,
         L=L,
         coeffs=coeffs,
-        harmonics=ells,
         tail_bound=0.0 if underflow else truncation_bound(delta, L),
         tail_underflow=underflow,
         tail_log10=log10_tail,
@@ -163,10 +151,11 @@ def build_kernel(delta: float, L: int) -> SmoothingKernel:
 def f_fourier(x: float, kernel: SmoothingKernel) -> float:
     """Truncated Fourier form: delta + delta * sum_{0<|l|<=L} c(|l|) e(l x).
 
-    Real by conjugate symmetry; differs from the direct form by at most
-    kernel.tail_bound everywhere.
+    Real by conjugate symmetry, so the sum is 2 sum_{l<=L} c(l) cos(2 pi l x);
+    differs from the direct form by at most kernel.tail_bound everywhere.
     """
-    return kernel.delta * (1.0 + kernel.cosine_sum(x))
+    ang = (2.0 * np.pi * x) * np.arange(1, kernel.L + 1)
+    return kernel.delta * (1.0 + 2.0 * float(np.dot(kernel.coeffs, np.cos(ang))))
 
 
 def f_fourier_array(xs: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
@@ -182,7 +171,7 @@ def f_fourier_array(xs: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
     out = np.empty_like(xs)
     rows = max(1, FOURIER_BLOCK // kernel.L)
     for start in range(0, xs.size, rows):
-        ang = (2.0 * np.pi * xs[start:start + rows, None]) * kernel.harmonics
-        cosine_sums = 2.0 * (np.cos(ang) * kernel.coeffs).sum(axis=1)
-        out[start:start + rows] = kernel.delta * (1.0 + cosine_sums)
+        ang = (2.0 * np.pi * xs[start:start + rows, None]) * np.arange(1, kernel.L + 1)
+        harmonic_sums = 2.0 * (np.cos(ang) * kernel.coeffs).sum(axis=1)
+        out[start:start + rows] = kernel.delta * (1.0 + harmonic_sums)
     return out

@@ -105,7 +105,7 @@ def vaughan_pieces(params: VaughanParams, tables: SmallTables):
     if X > tables.limit:
         raise ValueError(f"tables (limit {tables.limit}) do not cover X={X}")
     U, V = int(params.U), int(params.V)
-    lam = tables.mangoldt_table(X)
+    lam = tables.lam[:X + 1]
     logs = np.log(np.maximum(np.arange(X + 1), 1))
     g = np.zeros(X + 1)
     for c in np.flatnonzero(lam[:U + 1]).tolist():
@@ -137,7 +137,7 @@ class SumContext:
       float rounding.  Its reach 2XL + X covers the type I phases l*m
       (l <= L, m <= X^{2/3}) and the quadruple labels up to 2XH/M;
     - the tables, up to 2 X^{2/3} + 1 and at least 16: type II blocks
-      read Lambda(m) for m <= X^{2/3} and tau(n) for n <= 2X/M + 1.
+      read Lambda(m) for m <= X^{2/3} and b(n) for n <= 2X/M + 1.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -193,11 +193,11 @@ class SumContext:
 
 @dataclass(frozen=True)
 class BilinearCoeffs:
-    """Type II coefficient tables for one instance: a(m) = Lambda(m), b(n), c(h).
+    """The type II coefficient b(n) = beta(n) = sum_{e | n, e <= V} mu(e) of one instance.
 
-    b(n) = beta(n) enters the decomposition with a minus sign (the type II
-    piece is -A3); magnitudes are all the bound chains use, and
-    |b(n)| <= tau(n), |c(h)| <= 1 are checked at build time.
+    It enters the decomposition with a minus sign (the type II piece is
+    -A3); magnitudes are all the bound chains use, and |b(n)| <= tau(n) is
+    checked at build time.  a(m) = Lambda(m) is SmallTables.lam, c(h) the kernel's.
     """
 
     b: np.ndarray  # int64 b[n] for 0 <= n <= the limit of build
@@ -226,11 +226,11 @@ def dyadic_h_blocks(L: int):
 
 
 def _h_weights(kernel: SmoothingKernel, H: float):
-    """(h, c(h)) over the dyadic block H/2 < h <= H, for 1 <= H <= L."""
+    """The arrays (h, c(h)) over the dyadic block H/2 < h <= H, for 1 <= H <= L."""
     if not (1 <= H <= kernel.L):
         raise ValueError("need 1 <= H <= L")
-    h_lo, h_hi = int(H / 2) + 1, int(H)
-    return [(h, kernel.c(h)) for h in range(h_lo, h_hi + 1)]
+    h = np.arange(int(H / 2) + 1, int(H) + 1)
+    return h, kernel.coeffs[h - 1]
 
 
 def _m_block(ctx: SumContext, M: int) -> np.ndarray:
@@ -295,7 +295,7 @@ def _e(oracle: AngleOracle, ns) -> np.ndarray:
 def _suffix_maxima(oracle: AngleOracle, rows, weights) -> np.ndarray:
     """Per type I row (m, n_lo, n_hi), the max over n_lo <= k <= n_hi + 1 of
 
-        |sum_{(l, c) in weights} c sum_{k<=n<=n_hi} e(n l m alpha)|.
+        |sum_{(l, c) in zip(*weights)} c sum_{k<=n<=n_hi} e(n l m alpha)|.
 
     Each row is summed from n = n_hi downwards, so its running sums are
     the suffix sums; k = n_hi + 1 is the empty suffix, worth 0.  Phases
@@ -310,7 +310,7 @@ def _suffix_maxima(oracle: AngleOracle, rows, weights) -> np.ndarray:
         j = np.arange(j0, j1)
         live = j < lengths[r0:r1, None]
         mn = m[r0:r1, None] * np.where(live, n_hi[r0:r1, None] - j, 0)
-        terms = sum(c * _e(oracle, l * mn) for l, c in weights) * live
+        terms = sum(c * _e(oracle, l * mn) for l, c in zip(*weights)) * live
         sums = np.cumsum(terms, axis=1) + run
         best[r0:r1] = np.maximum(best[r0:r1], np.abs(sums).max(axis=1))
         run = sums[:, -1:]
@@ -326,7 +326,7 @@ def s1_type_i(ctx: SumContext) -> SumReport:
     """
     L = ctx.L
     rows = _type_i_rows(ctx, L)
-    weights = [(l, ctx.kernel.c(l)) for l in range(1, L + 1)]
+    weights = (np.arange(1, L + 1), ctx.kernel.coeffs)
     value = math.fsum(_suffix_maxima(ctx.oracle, rows, weights))
 
     bound_terms = {}
@@ -359,9 +359,9 @@ def t1_sum(H: float, ctx: SumContext) -> SumReport:
     """
     X, Y, q = ctx.X, ctx.Y, ctx.q
     hcs = _h_weights(ctx.kernel, H)
-    rows = _type_i_rows(ctx, len(hcs))
-    value = math.fsum(abs(c) * math.fsum(_suffix_maxima(ctx.oracle, rows, [(h, 1.0)]))
-                      for h, c in hcs)
+    rows = _type_i_rows(ctx, len(hcs[0]))
+    value = math.fsum(abs(c) * math.fsum(_suffix_maxima(ctx.oracle, rows, ([h], [1.0])))
+                      for h, c in zip(*hcs))
 
     bound_terms = {}
     chain_total = []
@@ -389,7 +389,7 @@ def _type_ii_n_range(ctx: SumContext, hcs, ms):
     """(m, n_lo, n_hi) arrays of the type II rows of ms, charged one cell per (m, n, h)."""
     m = np.asarray(ms, dtype=np.int64)
     n_lo, n_hi = np.maximum(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1, ctx.X // m
-    charge("type II", int(np.maximum(n_hi - n_lo + 1, 0).sum()) * len(hcs), ctx.budget)
+    charge("type II", int(np.maximum(n_hi - n_lo + 1, 0).sum()) * len(hcs[0]), ctx.budget)
     return m, n_lo, n_hi
 
 
@@ -403,7 +403,8 @@ def _type_ii_rows(ctx: SumContext, hcs, ranges) -> np.ndarray:
         live = n <= n_hi[r0:r1, None]
         n = np.where(live, n, 0)
         mn = m[r0:r1, None] * n
-        rows[r0:r1] += (b[n] * live * sum(c * _e(ctx.oracle, h * mn) for h, c in hcs)).sum(axis=1)
+        rows[r0:r1] += (b[n] * live * sum(c * _e(ctx.oracle, h * mn)
+                                          for h, c in zip(*hcs))).sum(axis=1)
     return rows
 
 
@@ -418,10 +419,9 @@ def t2_sum(H: float, M: int, ctx: SumContext, rows=None) -> SumReport:
     """
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
     if rows is None:
-        ms = ms[ctx.tables.lam_p[ms] != 0]
+        ms = ms[ctx.tables.lam[ms] != 0]
         rows = _type_ii_rows(ctx, hcs, _type_ii_n_range(ctx, hcs, ms))
-    lam = np.array([ctx.tables.mangoldt(m) for m in ms.tolist()])
-    total = complex((lam * rows).sum())
+    total = complex((ctx.tables.lam[ms] * rows).sum())
     return _report("t2_sum", ctx, abs(total), {"t2_re": total.real, "t2_im": total.imag,
                                                "H": float(H), "M": float(M)})
 
@@ -470,7 +470,7 @@ def _pair_bands(ctx: SumContext, hcs, M: int):
     bottom = np.where(M // 2 < hi1, (X - Y) // np.maximum(hi1, 1) + 1, X + 1)
     start = np.searchsorted(outer, bottom, side="left")
     widths = np.maximum(np.searchsorted(outer, top, side="right") - start, 0)
-    charge("pairs", int(widths.sum()) * len(hcs) ** 2, ctx.budget)
+    charge("pairs", int(widths.sum()) * len(hcs[0]) ** 2, ctx.budget)
     return outer, start, widths
 
 
@@ -495,13 +495,13 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     # direct route
     rows = _type_ii_rows(ctx, hcs, ranges)
     t3 = math.fsum(abs(row) ** 2 for row in rows.tolist())
-    lam_sq = math.fsum(lam * lam for lam in map(ctx.tables.mangoldt, ms.tolist()))
+    lam_sq = math.fsum((ctx.tables.lam[ms] ** 2).tolist())
 
     # rearranged route: the non-empty (n1, n2) pairs, closed-form m-sums
     t4 = t5 = 0j
     max_len = 0
     if outer.size:
-        l_top = hcs[-1][0] * int(outer[-1]) - hcs[0][0] * int(outer[0])
+        l_top = int(hcs[0][-1]) * int(outer[-1]) - int(hcs[0][0]) * int(outer[0])
         phase = ctx.oracle.fracs(np.arange(-l_top, l_top + 1))    # phase[l + l_top]
     for r0, r1, j0, j1 in _tiles(widths.tolist()):
         j = np.arange(j0, j1)
@@ -513,7 +513,7 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
         hi = np.minimum(M, X // np.maximum(n1, n2))
         max_len = max(max_len, int((hi - lo).max()))
         cell = sum(c1 * c2 * linear_exp_sums(lo, hi, phase[h1 * n1 - h2 * n2 + l_top])
-                   for h1, c1 in hcs for h2, c2 in hcs)
+                   for h1, c1 in zip(*hcs) for h2, c2 in zip(*hcs))
         contribution = b[n1] * b[n2] * cell
         lower = n1 <= n2
         t4 += complex(contribution[lower].sum())
@@ -680,14 +680,14 @@ def suite_plan(ctx: SumContext) -> list:
 
 def t1_task(ctx: SumContext, H: float) -> Task:
     """T1(H) with its comparator chain."""
-    hcs = _h_weights(ctx.kernel, H)
-    return Task("t1_blocks", lambda: _type_i_rows(ctx, len(hcs)), lambda: t1_sum(H, ctx).as_dict())
+    hs = _h_weights(ctx.kernel, H)[0]
+    return Task("t1_blocks", lambda: _type_i_rows(ctx, len(hs)), lambda: t1_sum(H, ctx).as_dict())
 
 
 def t2_task(ctx: SumContext, H: float, M: int) -> Task:
     """T2(H, M) alone, with its bound chain: the rows of the prime powers m, and no pair band."""
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
-    return Task("t2", lambda: _type_ii_n_range(ctx, hcs, ms[ctx.tables.lam_p[ms] != 0]),
+    return Task("t2", lambda: _type_ii_n_range(ctx, hcs, ms[ctx.tables.lam[ms] != 0]),
                 lambda: {**t2_sum(H, M, ctx).as_dict(),
                          "chain": t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)})
 

@@ -237,6 +237,19 @@ def test_oracle_anchor_floor():
     assert oracle.ebound <= 2.0 ** -40
 
 
+@pytest.mark.parametrize("err_target", [2.0 ** -40, 2.0 ** -80])
+def test_power_of_two_targets_pick_the_float_threshold_anchors(err_target):
+    # n_max / err_target is exact in floats for these targets, so the
+    # integer test Q^2 num >= n_max den picks the anchor the float quotient did
+    for spec in ALPHA_PANEL:
+        for n_max in (1, 100, 10 ** 6, 2 * 10 ** 9 + 7):
+            stream = alpha_mod.convergent_stream(spec)
+            conv = next(stream)
+            while conv.q * conv.q < n_max / err_target:
+                conv = next(stream)
+            assert build_angle_oracle(spec, n_max, err_target).anchor == next(stream)
+
+
 # frozen via mpmath at 60 digits: || n*sqrt(2) ||
 SQRT2_ANGLES = {
     2: 0.1715728752538099,   # 3 - 2 sqrt2

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import primeangle.alpha as alpha_mod
 from primeangle import acceptance, cli, experiments, sieve, vaughan
 from primeangle.cli import build_parser, main
 from primeangle.experiments import sweep
@@ -78,6 +79,17 @@ def test_angle(capsys):
                     "--precision", "2^-40"], capsys)
     assert abs(doc["angle"] - 0.0710678118654752) < 1e-10
     assert doc["certified_error"] <= 2.0 ** -40
+
+
+def test_angle_at_a_precision_whose_threshold_overflows_a_float(capsys, monkeypatch):
+    # n_max / 2^-1070 is past the float range; the anchor test runs in
+    # integers, so the walk stops at Q^2 >= 1000 * 2^1070 and does not run
+    # to the cap, which is lowered here so that a walk that never stops fails fast
+    monkeypatch.setattr(alpha_mod, "CF_ITERATION_CAP", 1000)
+    doc = run_json(["angle", "--alpha", "sqrt:2", "--n", "1000", "--precision", "2^-1070"],
+                   capsys)
+    assert doc["anchor_q_digits"] == 163
+    assert abs(doc["angle"] - 0.2135623730950488) < 1e-15   # 1000 sqrt2 = 1414.2135...
 
 
 def test_angle_of_negative_and_zero_n(capsys):
@@ -512,6 +524,13 @@ def test_verify_empty_criteria(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "no criteria selected" in err
+
+
+@pytest.mark.parametrize("criteria,token", [("1,,2", "''"), ("1,x", "'x'"), ("4,", "''")])
+def test_verify_criteria_names_a_bad_token(criteria, token, capsys):
+    code, out, err = run_cli(["verify", "--criteria", criteria], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: --criteria '{criteria}': {token} is not an integer\n"
 
 
 def test_admissible_keeps_the_config_file_alpha(tmp_path, capsys):

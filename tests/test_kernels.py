@@ -174,7 +174,7 @@ def test_type_i_kernel_matches_naive_block(X, y_pct, alpha, coeffs, chunk):
     ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
     rows = vaughan._type_i_rows(ctx, len(coeffs))
     got = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows,
-                     list(enumerate(coeffs, start=1)))
+                     (np.arange(1, len(coeffs) + 1), np.array(coeffs)))
     for (m, n_lo, n_hi), g in zip(rows, got.tolist()):
         want = naive_type_i_block(m, n_lo, n_hi, coeffs, lambda j: ctx.oracle.frac(j)[0])
         assert abs(g - want) <= 1e-10 * max(1.0, want), (m, n_lo, n_hi)
@@ -251,7 +251,7 @@ def _row_cells(ctx, H, ms):
     for m in ms:
         n_lo = max(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1
         cells += max(0, ctx.X // m - n_lo + 1)
-    return cells * len(vaughan._h_weights(ctx.kernel, H))
+    return cells * (int(H) - int(H / 2))
 
 
 def test_split_checks_the_direct_route_budget_before_any_row_walk(monkeypatch):
@@ -270,7 +270,7 @@ def test_split_checks_the_direct_route_budget_before_any_row_walk(monkeypatch):
 def test_t2_budget_is_its_row_cells():
     H, M = 4, 16
     ctx = SumContext(CONFIG)
-    cost = _row_cells(ctx, H, [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam_p[m]])
+    cost = _row_cells(ctx, H, [m for m in range(M // 2 + 1, M + 1) if ctx.tables.lam[m]])
     assert t2_sum(H, M, SumContext(replace(CONFIG, budget=cost))).value > 0
     with pytest.raises(BudgetExceeded, match="type II cost"):
         t2_sum(H, M, SumContext(replace(CONFIG, budget=cost - 1)))
@@ -314,9 +314,9 @@ def _spy(monkeypatch):
     monkeypatch.setattr(vaughan, "_tiles", spy_tiles)
     monkeypatch.setattr(vaughan, "linear_exp_sums", spy_sums)
     monkeypatch.setattr(vaughan, "_suffix_maxima",
-                        kernel("type I", vaughan._suffix_maxima, lambda args: len(args[2])))
+                        kernel("type I", vaughan._suffix_maxima, lambda args: len(args[2][0])))
     monkeypatch.setattr(vaughan, "_type_ii_rows",
-                        kernel("type II", vaughan._type_ii_rows, lambda args: len(args[1])))
+                        kernel("type II", vaughan._type_ii_rows, lambda args: len(args[1][0])))
     return charged, built
 
 
@@ -368,7 +368,7 @@ def test_the_split_is_charged_its_band_not_its_box():
     # the (n1, n2) box of this block holds 6724 pairs, its band 303
     H, M = 5, 16
     ctx = SumContext(CONFIG)
-    cost = _brute_pairs(ctx, M)[2] * len(vaughan._h_weights(ctx.kernel, H)) ** 2
+    cost = _brute_pairs(ctx, M)[2] * (int(H) - int(H / 2)) ** 2
     split = t3_t4_t5_split(H, M, SumContext(replace(CONFIG, budget=cost)))
     assert split.identity_residual <= SPLIT_RESIDUAL_TOL
     with pytest.raises(BudgetExceeded, match=re.escape(f"pairs cost {cost:.3g} exceeds budget")):

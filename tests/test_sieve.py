@@ -238,24 +238,22 @@ def test_small_tables_spot_values():
     t = small_tables(100)
     assert t.mu[1] == 1 and t.mu[4] == 0 and t.mu[6] == 1
     assert t.tau[12] == 6
-    assert abs(t.mangoldt(8) - math.log(2)) < 1e-15
-    assert t.mangoldt(12) == 0.0
-    assert t.lam_p[81] == 3 and t.lam_p[1] == 0
-    lam = t.mangoldt_table(100)
-    assert lam[1] == lam[12] == 0.0 and abs(lam[81] - math.log(3)) < 1e-15
+    assert t.lam[8] == math.log(2) and t.lam[81] == math.log(3)
+    assert t.lam[0] == t.lam[1] == t.lam[12] == 0.0
+    assert len(t.mu) == len(t.tau) == len(t.lam) == 101
 
 
-def test_small_tables_match_naive():
-    t = small_tables(3000)
-    lam = t.mangoldt_table(3000)
-    for n in range(1, 3001):
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 10, 3000])
+def test_small_tables_match_naive(N):
+    t = small_tables(N)
+    assert t.limit == N
+    assert (t.mu.dtype, t.tau.dtype, t.lam.dtype) == (np.int8, np.int32, np.float64)
+    assert t.mu[0] == t.tau[0] == t.lam[0] == 0
+    for n in range(1, N + 1):
         assert t.mu[n] == naive_mu(n)
         assert t.tau[n] == naive_tau(n)
         pk = naive_mangoldt_pk(n)
-        p = int(t.lam_p[n])
-        assert p == (pk[0] if pk else 0)
-        assert not p or p ** pk[1] == n
-        assert abs(lam[n] - (math.log(p) if p else 0.0)) <= 1e-15
+        assert t.lam[n] == (math.log(pk[0]) if pk else 0.0)
 
 
 def test_moebius_divisor_sum_identity():

@@ -140,9 +140,12 @@ def test_experiment_kernel_length():
 
 def test_kernel_coefficients_decreasing():
     k = build_kernel(0.3, 30)
-    assert k.c(1) <= 1.0
+    assert k.coeffs.shape == (30,) and k.coeffs[0] <= 1.0
     for ell in range(1, 30):
-        assert 0 < k.c(ell + 1) < k.c(ell)
+        # coeffs[l - 1] = c(l) = exp(-pi delta^2 l^2)
+        assert k.coeffs[ell - 1] == pytest.approx(math.exp(-math.pi * 0.09 * ell * ell),
+                                                  rel=1e-14)
+        assert 0 < k.coeffs[ell] < k.coeffs[ell - 1]
 
 
 def test_bad_args_rejected():
@@ -154,13 +157,14 @@ def test_bad_args_rejected():
         truncation_bound(0.1, 0)
 
 
-def test_cosine_sum_matches_the_harmonic_formula_bit_for_bit():
+def test_f_fourier_matches_the_harmonic_formula_bit_for_bit():
     for delta, L in ((0.5, 50), (0.05, 600)):
         kernel = build_kernel(delta, L)
         for i in range(0, 10 ** 4, 37):
             x = i / 10 ** 4
             ang = (2.0 * np.pi * x) * np.arange(1, L + 1)
-            assert kernel.cosine_sum(x) == 2.0 * float(np.dot(kernel.coeffs, np.cos(ang)))
+            cosine_sum = 2.0 * float(np.dot(kernel.coeffs, np.cos(ang)))
+            assert f_fourier(x, kernel) == delta * (1.0 + cosine_sum)
 
 
 def test_min_direct_delta_is_the_least_with_a_normal_square():

@@ -113,7 +113,7 @@ def test_identity_to_5000(uv):
     U, V = uv
     a1, a2, a3 = vaughan_pieces(VaughanParams(U=U, V=V, X=5000), TABLES_5K)
     assert len(a1) == len(a2) == len(a3) == 5001
-    lam = [TABLES_5K.mangoldt(n) for n in range(5001)]
+    lam = TABLES_5K.lam.tolist()
     bad = [n for n in range(U + 1, 5001) if abs(lam[n] - (a1[n] - a2[n] - a3[n])) > 1e-9]
     assert not bad
 
@@ -192,7 +192,7 @@ def test_sum_context_derives_from_config():
 def test_s1_matches_naive():
     ctx = SumContext(CONFIG)
     report = s1_type_i(ctx)
-    coeffs = [ctx.kernel.c(l) for l in range(1, ctx.L + 1)]
+    coeffs = ctx.kernel.coeffs.tolist()
     naive_total = 0.0
     for m in range(1, ctx.m_max_type_i() + 1):
         n_hi = ctx.X // m
@@ -216,7 +216,7 @@ def test_t1_single_h_matches_naive():
     for m in range(1, ctx.m_max_type_i() + 1):
         n_hi = ctx.X // m
         n_lo = (ctx.X - ctx.Y) // m + 1
-        naive_total += abs(ctx.kernel.c(1)) * naive_type_i_block(
+        naive_total += abs(ctx.kernel.coeffs[0]) * naive_type_i_block(
             m, n_lo, n_hi, [1.0], lambda j: ctx.oracle.frac(j)[0])
     assert abs(report.value - naive_total) <= 1e-8 * max(1.0, naive_total)
 
@@ -235,7 +235,7 @@ def test_t1_h2_matches_naive():
                 running += complex(math.cos(2 * math.pi * x * n),
                                    math.sin(2 * math.pi * x * n))
                 best = max(best, abs(running))
-            naive_total += abs(ctx.kernel.c(h)) * best
+            naive_total += abs(ctx.kernel.coeffs[h - 1]) * best
     assert abs(report.value - naive_total) <= 1e-8 * max(1.0, naive_total)
 
 
@@ -300,12 +300,12 @@ def test_t2_matches_naive(X, Y, H, M):
                 for n in range(1, 2 * ctx.X // M + 2)}
     naive = naive_type_ii_block(
         m_values=range(M // 2 + 1, M + 1),
-        a_of=lambda m: ctx.tables.mangoldt(m),
+        a_of=lambda m: ctx.tables.lam[m],
         b_of=lambda n: coeffs_b[n],
         n_range_of=lambda m: (max(ctx.n_cut_type_ii(), (ctx.X - ctx.Y) // m) + 1,
                               ctx.X // m),
         h_range=hs,
-        c_of=lambda h: ctx.kernel.c(h),
+        c_of=lambda h: ctx.kernel.coeffs[h - 1],
         frac_of=lambda j: ctx.oracle.frac(j)[0],
     )
     for report in reports:
