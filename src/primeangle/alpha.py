@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt, nextafter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -398,7 +398,8 @@ def verify_convergent_pair(alpha: AlphaSpec, conv: Convergent,
 class AngleOracle:
     """Evaluator of ||n*alpha|| through a deep anchor convergent P/Q.
 
-    For all |n| <= n_max, |  ||n*alpha|| - ||n*P/Q||  | <= n_max/Q^2 = ebound.
+    For all |n| <= n_max, |  ||n*alpha|| - ||n*P/Q||  | <= n_max/Q^2 <= ebound,
+    the least float at or above n_max/Q^2.
     Evaluation itself is exact rational arithmetic mod Q.  Immutable and
     safe for concurrent use.
     """
@@ -518,7 +519,14 @@ def build_angle_oracle(alpha: AlphaSpec, n_max: int,
             f"no anchor with Q >= sqrt({n_max}/{err_target}) within {CF_ITERATION_CAP} terms")
     return AngleOracle(alpha=alpha, anchor=chosen,
                        residue=chosen.p % chosen.q, n_max=n_max,
-                       ebound=n_max / (chosen.q * chosen.q))
+                       ebound=_round_up(n_max, chosen.q * chosen.q))
+
+
+def _round_up(num: int, den: int) -> float:
+    """The least float >= num/den, for positive integers: 5e-324 on underflow."""
+    e = num / den
+    a, b = e.as_integer_ratio()
+    return nextafter(e, inf) if a * den < num * b else e
 
 
 def _decide_exactly(ms, Q: int, n_max: int, delta) -> list:

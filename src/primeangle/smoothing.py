@@ -40,8 +40,8 @@ LOG10_FLOAT_MIN = math.log10(5e-324)  # below this the closed form underflows to
 # The smallest delta whose square is a normal float, so that the direct
 # form's pi / delta^2 is finite: sqrt of the least normal float, 2^-511.
 MIN_DIRECT_DELTA = 2.0 ** -511
-# Elements per temporary of f_fourier_array: 256 kB of float64.
-FOURIER_BLOCK = 2 ** 15
+# Elements per temporary of f_fourier_array: 64 kB of float64.
+FOURIER_BLOCK = 2 ** 13
 
 
 def default_direct_terms(delta: float) -> int:
@@ -159,19 +159,37 @@ def f_fourier(x: float, kernel: SmoothingKernel) -> float:
 
 
 def f_fourier_array(xs: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
-    """f_fourier over a one-dimensional float64 array, a block of rows at a time.
+    """f_fourier over a one-dimensional float64 array, by baby and giant steps.
 
-    Row i holds the angles 2 pi l xs[i], 0 < l <= L, and is reduced on
-    its own, so a value does not depend on how many rows share a block;
-    each temporary holds at most max(L, FOURIER_BLOCK) elements.  The
-    row sum replaces f_fourier's dot product, so the two agree to a few
-    ulps.
+    With t = 2 pi x, B = isqrt(L) and l = j*B + k, 0 <= k < B,
+
+        cos(t l) = cos(t j B) cos(t k) - sin(t j B) sin(t k),
+
+    so a row evaluates only the B baby and R = ceil((L + 1) / B) giant
+    angles, and contracts the baby cosines and sines against the
+    zero-padded R x B matrix of c(j*B + k).  Every sum runs along one
+    row with einsum's own loops (never BLAS, whose row results can
+    depend on the block shape), so a value does not depend on how many
+    rows share a block.  A block holds FOURIER_BLOCK // R rows (R >= B),
+    so each temporary holds at most max(R, FOURIER_BLOCK) elements.  The
+    product formula and the reordered sums make it agree with
+    f_fourier's dot product to a few ulps.
     """
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty_like(xs)
-    rows = max(1, FOURIER_BLOCK // kernel.L)
+    step = math.isqrt(kernel.L)
+    giants = -(-(kernel.L + 1) // step)
+    padded = np.zeros(giants * step)
+    padded[1:kernel.L + 1] = kernel.coeffs
+    table = padded.reshape(giants, step)                   # table[j, k] = c(j*B + k)
+    baby = np.arange(step, dtype=np.float64)
+    giant = step * np.arange(giants, dtype=np.float64)
+    rows = max(1, FOURIER_BLOCK // giants)
     for start in range(0, xs.size, rows):
-        ang = (2.0 * np.pi * xs[start:start + rows, None]) * np.arange(1, kernel.L + 1)
-        harmonic_sums = 2.0 * (np.cos(ang) * kernel.coeffs).sum(axis=1)
-        out[start:start + rows] = kernel.delta * (1.0 + harmonic_sums)
+        t = 2.0 * np.pi * xs[start:start + rows, None]
+        baby_ang, giant_ang = t * baby, t * giant
+        cos_sums = np.einsum("ik,jk->ij", np.cos(baby_ang), table)
+        sin_sums = np.einsum("ik,jk->ij", np.sin(baby_ang), table)
+        harmonic_sums = (np.cos(giant_ang) * cos_sums - np.sin(giant_ang) * sin_sums).sum(axis=1)
+        out[start:start + rows] = kernel.delta * (1.0 + 2.0 * harmonic_sums)
     return out

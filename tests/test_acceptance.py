@@ -47,7 +47,7 @@ from primeangle.acceptance import (
 )
 from primeangle.config import DEFAULT_SEED
 from primeangle.expsum import linear_exp_sums
-from primeangle.reference import naive_exp_sum
+from primeangle.reference import naive_exp_sums
 from primeangle.sieve import small_tables
 from primeangle.smoothing import f_fourier_array
 
@@ -85,17 +85,20 @@ def test_criterion_4_catches_a_closed_form_off_by_1e_9(monkeypatch):
 
 
 def test_criterion_4_catches_a_reference_that_drops_a_term(monkeypatch):
-    calls = []
+    ranges = []
 
     def dropping(w, z, x):
-        calls.append((w, z))
-        if len(calls) == 5000:
-            z -= 1                      # the last term of one range
-        return naive_exp_sum(w, z, x)
+        z = z.copy()
+        at = 4999 - len(ranges)
+        ranges.extend(zip(w.tolist(), z.tolist()))
+        if 0 <= at < len(z):
+            z[at] -= 1                  # the last term of range 4999
+        return naive_exp_sums(w, z, x)
 
-    monkeypatch.setattr(acceptance, "naive_exp_sum", dropping)
+    monkeypatch.setattr(acceptance, "naive_exp_sums", dropping)
     record = CRITERIA[4](DEFAULT_SEED)
-    w, z = calls[4999]
+    w, z = ranges[4999]
+    assert len(ranges) == acceptance.EXPSUM_INSTANCES
     assert math.floor(z) > math.floor(w)  # that range had a term to drop
     assert not record["passed"] and record["max_abs_diff"] > 1 - EXPSUM_TOL
 

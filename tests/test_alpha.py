@@ -5,7 +5,8 @@ and frozen; structural checks run on exact integers.
 """
 
 import random
-from math import gcd, isqrt
+from fractions import Fraction
+from math import gcd, inf, isqrt, nextafter
 
 import mpmath as mp
 import numpy as np
@@ -248,6 +249,19 @@ def test_power_of_two_targets_pick_the_float_threshold_anchors(err_target):
             while conv.q * conv.q < n_max / err_target:
                 conv = next(stream)
             assert build_angle_oracle(spec, n_max, err_target).anchor == next(stream)
+
+
+@pytest.mark.parametrize("err_target", [2.0 ** -40, 2.0 ** -80, 2.0 ** -1074])
+def test_ebound_is_n_max_over_q_squared_rounded_up(err_target):
+    # the least float at or above n_max/Q^2: never below the exact bound,
+    # and the float one step down is below it (5e-324 where it underflows)
+    for spec in ALPHA_PANEL:
+        for n_max in (1, 3, 100, 10 ** 6 + 3, 2 * 10 ** 9 + 7):
+            oracle = build_angle_oracle(spec, n_max, err_target)
+            exact = Fraction(n_max, oracle.anchor.q ** 2)
+            assert Fraction(oracle.ebound) >= exact
+            assert Fraction(nextafter(oracle.ebound, -inf)) < exact
+            assert oracle.ebound <= err_target
 
 
 # frozen via mpmath at 60 digits: || n*sqrt(2) ||

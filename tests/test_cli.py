@@ -92,6 +92,15 @@ def test_angle_at_a_precision_whose_threshold_overflows_a_float(capsys, monkeypa
     assert abs(doc["angle"] - 0.2135623730950488) < 1e-15   # 1000 sqrt2 = 1414.2135...
 
 
+def test_angle_prints_an_error_bar_below_the_float_range_as_the_least_float(capsys):
+    # n_max/Q^2 is about 1e-324 with the 164-digit anchor: rounded to
+    # nearest it would print 0.0, a bar below the true bound
+    doc = run_json(["angle", "--alpha", "sqrt:2", "--n", "1000", "--precision", "2^-1074"],
+                   capsys)
+    assert doc["anchor_q_digits"] == 164
+    assert doc["certified_error"] == 5e-324
+
+
 def test_angle_of_negative_and_zero_n(capsys):
     # ||n alpha|| is defined for every |n| <= n_max, which defaults to max(1, |n|)
     pos = run_json(["angle", "--alpha", "sqrt:2", "--n", "5"], capsys)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from primeangle.expsum import (
     min_sum,
     standard_estimate_bound,
 )
-from primeangle.reference import naive_exp_sum
+from primeangle.reference import naive_exp_sum, naive_exp_sums
 
 SQRT2 = AlphaSpec.sqrt(2)
 GOLDEN = AlphaSpec.golden()
@@ -132,6 +133,54 @@ def test_naive_exp_sum_refuses_phases_it_cannot_reduce_exactly():
         with pytest.raises(ValueError, match=r"\|n\| < 2\^27"):
             naive_exp_sum(w, z, x)
     assert naive_exp_sum(3.0 * top, 3.0 * top, x) == 0j    # an empty range forms no n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.integers(0, 2 * 10 ** 4), NAIVE_X),
+                min_size=1, max_size=12))
+def test_naive_exp_sums_match_mpmath_as_a_batch(ranges):
+    # whole batches, ranges of many shapes side by side, within the same tolerance
+    ws = [w for w, _, _ in ranges]
+    zs = [math.floor(w) + count for w, count, _ in ranges]
+    xs = [x for _, _, x in ranges]
+    sums = naive_exp_sums(ws, zs, xs)
+    for (w, z, x), value in zip(zip(ws, zs, xs), sums.tolist()):
+        assert abs(value - mp_range_sum(math.floor(w) + 1, z, x)) <= NAIVE_TOL, (w, z, x)
+
+
+def test_naive_exp_sums_are_the_same_bit_for_bit_alone_and_in_a_batch():
+    # a range's value depends on its own (w, z, x) only: the counts of an
+    # empty range, one term, a full last row (16), a partial one (17), 2*10^4
+    # terms in a sub-batch of their own, negative a, the 2^27 edge, and
+    # 3000 ranges of 16 terms, more than one sub-batch holds
+    rng = random.Random(20)
+    top = 2 ** 27
+    ranges = [(w, w + count, rng.uniform(-2.0, 2.0))
+              for count in (0, 1, 16, 17, 2 * 10 ** 4, 2 * 10 ** 4 - 1)
+              for w in (-10.5, 0.25, -3.0 * 10 ** 4, 7.0)]
+    ranges += [(top - 11.0, top - 1.0, 0.1234567), (-top, -top + 10.0, -0.7654321),
+               (3.0 * top, 3.0 * top, 0.3)]
+    for _ in range(3000):
+        w = rng.uniform(-100.0, 100.0)
+        ranges.append((w, math.floor(w) + 16, rng.uniform(-2.0, 2.0)))
+    rng.shuffle(ranges)
+    ws, zs, xs = (np.array(v) for v in zip(*ranges))
+    together = naive_exp_sums(ws, zs, xs)
+    alone = np.array([naive_exp_sum(w, z, x) for w, z, x in ranges])
+    assert together.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+    assert together[(ws == zs)].tolist() == [0j] * 5     # the empty ranges
+
+
+@pytest.mark.parametrize("column,name", [(0, "w"), (1, "z"), (2, "x")])
+def test_naive_exp_sums_name_the_range_they_refuse(column, name):
+    ranges = [[0.0, 5.0, 0.1] for _ in range(4)]
+    ranges[2][column] = math.nan
+    with pytest.raises(ValueError, match=f"finite {name}, got {name}=nan \\(range 2\\)"):
+        naive_exp_sums(*zip(*ranges))
+    ranges[2] = [0.0, 5.0, 0.1]
+    ranges[3][:2] = [2.0 ** 27 - 11, 2.0 ** 27]
+    with pytest.raises(ValueError, match=r"\|n\| < 2\^27, .* \(range 3\)"):
+        naive_exp_sums(*zip(*ranges))
 
 
 def test_min_sum_sqrt2_uncapped():

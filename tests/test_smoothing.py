@@ -111,11 +111,13 @@ def test_poisson_identity_on_grid(delta, L):
     assert worst <= kernel.tail_bound + 1e-12
 
 
-@pytest.mark.parametrize("delta,L", [(0.5, 50), (0.05, 600), (0.01, 2 ** 16)])
+@pytest.mark.parametrize("delta,L", [(0.5, 50), (0.05, 600), (0.01, 2 ** 16),
+                                     (0.5, 1), (0.4, 2), (0.3, 3), (0.1, 17), (0.05, 601)])
 def test_fourier_array_matches_the_scalar_form_whatever_the_block(delta, L):
     # each row is reduced on its own: a value is the same bit for bit in a
     # block of many rows and alone, and within a few ulps of f_fourier's
-    # dot product (the third kernel has more terms than a block holds)
+    # dot product (L = 1, 2, 3 take a single baby step; 17 and 601 leave
+    # most of the last giant-step row as zero padding)
     kernel = build_kernel(delta, L)
     xs = np.random.default_rng(7).uniform(-1.0, 1.0, 2000 if L < 2 ** 15 else 20)
     together = f_fourier_array(xs, kernel)
