@@ -9,8 +9,9 @@ min(nP mod Q, Q - nP mod Q)/Q.  Since |alpha - P/Q| < 1/Q^2 and ||.|| is
 1-Lipschitz, the anchor evaluation carries the uniform certified error
 n_max/Q^2, which the oracle keeps below a caller-chosen target.
 
-No floating point enters any comparison against alpha itself; surd
-comparisons reduce to integer sign tests of B*sqrt(d) - R via squaring.
+Every alpha is a quadratic surd (an explicit expansion is eventually
+periodic), so no floating point enters any comparison against alpha
+itself: comparisons are integer sign tests of B*sqrt(d) - R via squaring.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ __all__ = [
 # like Fibonacci numbers, so this is never reached for sane window/precision
 # requests.
 CF_ITERATION_CAP = 100_000
-# Convergents compare_to_rational walks to separate an explicit expansion
-# from p/q.
-COMPARE_DEPTH = 64
 # Convergents kept per alpha, and alphas kept, by convergent_stream's memo.
 # 256 golden-ratio convergents reach q ~ 2^177, past every anchor and
 # q window the runners ask for.
@@ -79,7 +77,9 @@ class AlphaSpec:
     kind "quadratic-surd": the value (a + b*sqrt(d))/c with d a positive
     nonsquare (hence irrational), b != 0, c > 0.
     kind "explicit-cf": the value [a0; pre..., (period...)] with an
-    eventually periodic, hence infinite, expansion.
+    eventually periodic, hence infinite, expansion.  It is a quadratic
+    surd too, and __post_init__ sets a, b, c and d to it (_cf_surd), so
+    every comparison with alpha reads (a + b*sqrt(d))/c whatever the kind.
     """
 
     kind: str
@@ -109,6 +109,8 @@ class AlphaSpec:
                 raise ValueError("explicit cf needs a nonempty period")
             if any(t < 1 for t in self.period):
                 raise ValueError("period terms must be >= 1")
+            for name, value in zip("abcd", _cf_surd(self.preperiod, self.period)):
+                object.__setattr__(self, name, value)
         else:
             raise ValueError(f"unknown alpha kind {self.kind!r}")
 
@@ -137,6 +139,30 @@ class AlphaSpec:
         pre = ",".join(str(t) for t in self.preperiod[1:])
         per = ",".join(str(t) for t in self.period)
         return f"cf:{self.preperiod[0]};{pre};{per}"
+
+
+def _mobius(terms) -> tuple:
+    """(A, B, C, D) with [t_0; t_1, ..., t_{k-1}, x] = (A*x + B)/(C*x + D) for x > 0."""
+    A, B, C, D = 1, 0, 0, 1
+    for t in terms:
+        A, B, C, D = A * t + B, A, C * t + D, C
+    return A, B, C, D
+
+
+def _cf_surd(preperiod, period) -> tuple:
+    """(a, b, c, d) with [preperiod; (period)] = (a + b*sqrt(d))/c, c > 0, in lowest terms.
+
+    The tail x = (u + sqrt(d))/v is the positive fixed point of the period's
+    Mobius map; the preperiod's map sends it to (e + A sqrt(d))/(f + C sqrt(d)),
+    rationalized by f - C sqrt(d).
+    """
+    A, B, C, D = _mobius(period)
+    u, d, v = A - D, (A - D) ** 2 + 4 * B * C, 2 * C
+    A, B, C, D = _mobius(preperiod)
+    e, f = A * u + B * v, C * u + D * v
+    a, b, c = e * f - A * C * d, (A * D - B * C) * v, f * f - C * C * d
+    g = gcd(a, b, c) if c > 0 else -gcd(a, b, c)
+    return a // g, b // g, c // g, d
 
 
 def parse_alpha(text: str) -> AlphaSpec:
@@ -231,9 +257,6 @@ class Convergent:
     n: int
     p: int
     q: int
-
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 def _convergent_walk(alpha: AlphaSpec) -> Iterator[Convergent]:
@@ -335,34 +358,12 @@ def _sign_bsqrtd_minus_r(B: int, d: int, R: int) -> int:
 def compare_to_rational(alpha: AlphaSpec, p: int, q: int) -> int:
     """Exact sign of alpha - p/q (q > 0); equality cannot occur.
 
-    Quadratic surds compare through integer sign tests; explicit
-    expansions compare through a deep consecutive-convergent bracket,
-    deepening until the bracket excludes p/q, at most COMPARE_DEPTH
-    convergents deep.
+    With alpha = (a + b*sqrt(d))/c and c > 0 it is the sign of
+    b*q*sqrt(d) - (c*p - a*q), an integer sign test (b*q != 0).
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    if alpha.kind == "quadratic-surd":
-        # (a + b sqrt(d))/c vs p/q  <=>  b*q*sqrt(d) vs c*p - a*q
-        B = alpha.b * q
-        R = alpha.c * p - alpha.a * q
-        sign = _sign_bsqrtd_minus_r(B, alpha.d, R)
-        if sign == 0:
-            raise ArithmeticError("surd compared equal to a rational")
-        return sign
-    target = Fraction(p, q)
-    pair = []
-    for conv in itertools.islice(convergent_stream(alpha), COMPARE_DEPTH):
-        pair.append(conv)
-        if len(pair) < 2:
-            continue
-        lo, hi = sorted((pair[-2].value(), pair[-1].value()))
-        if target <= lo:
-            return 1
-        if target >= hi:
-            return -1
-    raise CfIterationCapExceeded(
-        f"p/q = {p}/{q} not separated from alpha within depth {COMPARE_DEPTH}")
+    return _sign_bsqrtd_minus_r(alpha.b * q, alpha.d, alpha.c * p - alpha.a * q)
 
 
 def verify_convergent_pair(alpha: AlphaSpec, conv: Convergent,
@@ -451,16 +452,14 @@ class AngleOracle:
         r = a.view(np.uint64) * np.uint64(self.residue) - est.view(np.uint64) * np.uint64(Q)
         return r.view(np.int64) % np.int64(Q)
 
-    def dists(self, ns: np.ndarray):
-        """(m, x): exact m = min(t, Q - t) with t = n*P mod Q, and x = m/Q.
+    def dists(self, ns: np.ndarray) -> np.ndarray:
+        """||n*P/Q|| over an integer array, elementwise equal to dist(n)[0].
 
-        x is the correctly rounded float64 of m/Q, elementwise equal to
-        dist(n)[0].  m is int64 while Q < 2^53, else Python integers in an
-        object array.
+        Each is the correctly rounded float64 of min(t, Q - t)/Q for the
+        exact residue t = n*P mod Q.
         """
         t = self.residues(ns)
-        m = np.minimum(t, self.anchor.q - t)
-        return m, self._over_q(m)
+        return self._over_q(np.minimum(t, self.anchor.q - t))
 
     def fracs(self, ns: np.ndarray) -> np.ndarray:
         """{n*P/Q} over an integer array, elementwise equal to frac(n)[0]."""
@@ -473,26 +472,24 @@ class AngleOracle:
             return (t / Q).astype(np.float64)
         return t.astype(np.float64) / float(Q)
 
-    def verdicts(self, m: np.ndarray, x: np.ndarray, delta):
-        """(below, boundary) for ||n*alpha|| < delta, given (m, x) = dists(ns).
+    def verdicts(self, ns: np.ndarray, x: np.ndarray, delta):
+        """(below, exact): ||n*alpha|| < delta for each n of ns, given x = dists(ns).
 
-        delta is a float or an exact rational (a Fraction).  The certified
-        verdict for one n is "below" iff m/Q + n_max/Q^2 < delta, "above"
-        iff m/Q - n_max/Q^2 >= delta, else "boundary".  A float64 filter
-        on float(delta) settles every item farther than FILTER_MARGIN from
-        either threshold (float(delta), x, ebound and their sum or
-        difference carry less than 2^-51 of rounding, all being at most
-        1); the rest are decided exactly in integers by _decide_exactly.
+        delta is a float or an exact rational (a Fraction).  A float64
+        filter on float(delta) settles every item whose certified interval
+        [x - ebound, x + ebound] lies farther than FILTER_MARGIN from it
+        (float(delta), x, ebound and their sum or difference carry less
+        than 2^-51 of rounding, all being at most 1).  The rest, marked in
+        exact, are decided in alpha itself by _below_in_alpha, so every
+        verdict is the true one at any ebound.
         """
         d, e = float(delta), self.ebound
         below = (d - (x + e)) > FILTER_MARGIN
-        above = ((x - e) - d) > FILTER_MARGIN
-        unsure = np.flatnonzero(~(below | above))
-        if unsure.size:
-            verdicts = _decide_exactly(m[unsure].tolist(), self.anchor.q, self.n_max, delta)
-            below[unsure] = [v == "below" for v in verdicts]
-            above[unsure] = [v == "above" for v in verdicts]
-        return below, ~(below | above)
+        exact = ~below & (((x - e) - d) <= FILTER_MARGIN)
+        at = np.flatnonzero(exact)
+        if at.size:
+            below[at] = _below_in_alpha(self.alpha, self.anchor, np.asarray(ns)[at].tolist(), delta)
+        return below, exact
 
 
 def build_angle_oracle(alpha: AlphaSpec, n_max: int,
@@ -529,34 +526,35 @@ def _round_up(num: int, den: int) -> float:
     return nextafter(e, inf) if a * den < num * b else e
 
 
-def _decide_exactly(ms, Q: int, n_max: int, delta) -> list:
-    """Certified verdicts for residues m = min(t, Q - t), in integers only.
+def _below_in_alpha(alpha: AlphaSpec, anchor: Convergent, ns, delta) -> list:
+    """||n*alpha|| < delta for each integer n with |n| <= n_max, decided in alpha.
 
-    With delta = N/D exactly (a float is a dyadic rational): "below" iff
-    (m*Q + n_max)*D < N*Q^2, "above" iff (m*Q - n_max)*D >= N*Q^2.
+    With delta = N/D exactly (a float is a dyadic rational) and n != 0,
+    ||n*alpha|| < delta iff (k*D - N)/(|n|*D) < alpha < (k*D + N)/(|n|*D)
+    for the integer k nearest |n|*alpha.  The anchor P/Q has
+    |n|*|alpha - P/Q| <= n_max/Q^2 < 1/4, so that k lies within one of
+    k0 = round(|n|*P/Q).  Each bound is one compare_to_rational sign test.
     """
     frac = Fraction(delta)
     N, D = frac.numerator, frac.denominator
-    bar = N * Q * Q
-    verdicts = []
-    for m in ms:
-        if (m * Q + n_max) * D < bar:
-            verdicts.append("below")
-        elif (m * Q - n_max) * D >= bar:
-            verdicts.append("above")
-        else:
-            verdicts.append("boundary")
-    return verdicts
+    P, Q = anchor.p, anchor.q
+    out = []
+    for n in map(abs, ns):
+        k0 = (2 * n * P + Q) // (2 * Q)
+        out.append(N > 0 if n == 0 else any(
+            compare_to_rational(alpha, k * D - N, n * D) > 0
+            and compare_to_rational(alpha, k * D + N, n * D) < 0 for k in (k0 - 1, k0, k0 + 1)))
+    return out
 
 
 def classify_against_threshold(value: float, err: float, threshold: float) -> str:
     """Decide value < threshold on the certified interval [value-err, value+err].
 
     Returns "below", "above", or "boundary" (interval straddles the
-    threshold; callers count boundary cases separately).  The comparison
-    is in rounded floats, so a threshold within an ulp of value + err can
-    get the wrong verdict; AngleOracle.verdicts decides such items
-    exactly.  This scalar form is the reference the tests compare with.
+    threshold).  The comparison is in rounded floats, so a threshold
+    within an ulp of value + err can get the wrong verdict;
+    AngleOracle.verdicts decides such items, and the boundary ones, in
+    alpha.  This scalar form is the reference the tests compare with.
     """
     if value + err < threshold:
         return "below"

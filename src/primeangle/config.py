@@ -58,7 +58,10 @@ def parse_precision(text) -> float:
         return float(text)
     text = text.strip()
     if text.startswith("2^"):
-        return 2.0 ** int(text[2:])
+        try:
+            return 2.0 ** int(text[2:])
+        except (ValueError, OverflowError):
+            raise ValueError(f"precision {text!r} is not a float-sized 2^<integer>") from None
     return float(text)
 
 
@@ -92,6 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if not math.isfinite(self.budget):
             raise ValueError(f"budget must be finite, got {self.budget!r}")
+        if not (0.0 < self.err_target < 0.25):    # build_angle_oracle's range
+            raise ValueError(f"err_target must lie in (0, 1/4), got {self.err_target!r}")
         try:    # the gate's largest power, L and the q window must be finite floats
             derived = (float(self.X) ** (2.0 / 3.0 + 10 * self.eps), self.L, *self.q_window())
         except (OverflowError, ZeroDivisionError):

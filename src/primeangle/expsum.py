@@ -144,34 +144,30 @@ class MinSumInstance:
 @dataclass(frozen=True)
 class MinSumResult:
     value: float
-    switch_flags: int  # terms whose certified interval straddled the 1/N cap
+    switch_flags: int  # terms the float filter left at the 1/N cap, decided in alpha
 
 
 def min_sum(instance: MinSumInstance) -> MinSumResult:
     """sum over 1 <= m <= M of min(N, 1/||alpha m||) with certified angles.
 
     The cap applies where ||alpha m|| < 1/N.  AngleOracle.verdicts decides
-    that against the exact threshold 1/N, CHUNK values of m at a time: a
-    term whose certified interval lies below 1/N is capped, one above it
-    is not.  A term whose interval straddles the switch is resolved by
-    its midpoint v = t/Q, t*Nn < Q*D with N = Nn/D exactly, and flagged;
-    at the default oracle precision no flags occur.  The terms are summed
-    exactly.
+    that against the exact threshold 1/N, CHUNK values of m at a time: its
+    float filter settles the terms far from the switch, and the rest are
+    decided in alpha and counted in switch_flags (none at default oracle
+    precision).  A capped term reads N, any other min(N, 1/v) with v the
+    certified ||alpha m||.  The terms are summed exactly.
     """
     oracle, N = instance.oracle, instance.N
-    cap = Fraction(N)
+    threshold = 1 / Fraction(N)
     total = ExactSum()
     flags = 0
     for start in range(1, instance.M + 1, CHUNK):
         ms = np.arange(start, min(start + CHUNK, instance.M + 1))
-        t, v = oracle.dists(ms)
-        below, boundary = oracle.verdicts(t, v, 1 / cap)
-        straddle = np.flatnonzero(boundary)
-        below[straddle] = [r * cap.numerator < oracle.anchor.q * cap.denominator
-                           for r in t[straddle].tolist()]
-        flags += straddle.size
+        v = oracle.dists(ms)
+        below, exact = oracle.verdicts(ms, v, threshold)
+        flags += int(np.count_nonzero(exact))
         with np.errstate(divide="ignore"):
-            total.add(np.where(below, N, 1.0 / v))
+            total.add(np.where(below, N, np.minimum(N, 1.0 / v)))
     return MinSumResult(value=total.value(), switch_flags=flags)
 
 

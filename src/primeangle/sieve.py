@@ -355,28 +355,28 @@ def small_tables(N: int) -> SmallTables:
 
 @dataclass
 class SmallAngleCount:
-    """Result of counting primes p with certified ||p*alpha|| < delta."""
+    """Result of counting primes p with ||p*alpha|| < delta."""
 
     count: int
-    boundary_count: int
+    boundary_count: int     # primes the float filter left, decided in alpha
 
 
 def primes_with_small_angle(sieve: IntervalSieve, oracle: AngleOracle,
-                            delta: float, dists=None) -> SmallAngleCount:
-    """Count primes p in the sieve window with certified ||p*alpha|| < delta.
+                            delta: float, angles=None) -> SmallAngleCount:
+    """Count primes p in the sieve window with ||p*alpha|| < delta, exactly.
 
-    Verdicts come from AngleOracle.verdicts (float filter, exact integer
-    fallback) on dists, which is oracle.dists(sieve.primes()) and is
-    computed here unless a caller that needs it for other sums passes it;
-    straddles are counted separately as boundary cases (expected zero at
-    default precision).
+    Verdicts come from AngleOracle.verdicts, exact at every oracle
+    precision.  angles is (primes, x) with primes = sieve.primes() and
+    x = oracle.dists(primes), computed here unless a caller that needs
+    them for other sums passes them.
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
     if sieve.hi > oracle.n_max:
         raise ValueError("oracle does not cover the sieve window")
-    if dists is None:
-        dists = oracle.dists(sieve.primes())
-    below, boundary = oracle.verdicts(*dists, delta)
+    if angles is None:
+        primes = sieve.primes()
+        angles = primes, oracle.dists(primes)
+    below, exact = oracle.verdicts(*angles, delta)
     return SmallAngleCount(count=int(np.count_nonzero(below)),
-                           boundary_count=int(np.count_nonzero(boundary)))
+                           boundary_count=int(np.count_nonzero(exact)))

@@ -5,12 +5,15 @@ and frozen; structural checks run on exact integers.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd, inf, isqrt, nextafter
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primeangle.alpha as alpha_mod
 from primeangle.acceptance import ALPHA_PANEL
@@ -31,8 +34,7 @@ GOLDEN = AlphaSpec.golden()
 
 
 def mp_value(spec, dps=60):
-    """Independent high-precision value of a quadratic surd."""
-    assert spec.kind == "quadratic-surd"
+    """High-precision value of a spec from its surd (a + b*sqrt(d))/c."""
     with mp.workdps(dps):
         return (spec.a + spec.b * mp.sqrt(spec.d)) / spec.c
 
@@ -77,6 +79,31 @@ def test_cf_terms_against_mpmath():
                 ref.append(a)
                 x = 1 / (x - a)
         assert cf_terms(spec, 20) == ref
+
+
+# the digit-limit spec of tests/test_cli.py: one period term of 2151 digits
+# at the default limit of 4300
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+CF_SPECS = ["cf:0;;3", "cf:1;2,3;4,5", "cf:0;2,1000000000;1", "cf:0;2,1000000000;1,3",
+            "cf:-3;7;2,2", "cf:0;;1,2,3", "cf:1;;" + "9" * (DIGIT_LIMIT // 2 + 1)]
+
+
+@pytest.mark.parametrize("text", CF_SPECS, ids=lambda t: t[:24])
+def test_cf_surd_reproduces_the_explicit_terms(text):
+    spec = parse_alpha(text)
+    surd = AlphaSpec.surd(spec.a, spec.b, spec.c, spec.d)
+    assert spec.c > 0 and gcd(spec.a, spec.b, spec.c) == 1
+    assert cf_terms(surd, 400) == cf_terms(spec, 400)
+    assert parse_alpha(spec.canonical()) == spec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(-50, 50), st.lists(st.integers(1, 10 ** 6), max_size=4),
+       st.lists(st.sampled_from([1, 2, 3, 7, 10 ** 6, 10 ** 30]), min_size=1, max_size=5))
+def test_cf_surd_property(a0, pre, period):
+    spec = AlphaSpec.explicit_cf([a0] + pre, period)
+    surd = AlphaSpec.surd(spec.a, spec.b, spec.c, spec.d)
+    assert cf_terms(surd, 300) == cf_terms(spec, 300)
 
 
 def test_negative_value_surd():
@@ -364,3 +391,18 @@ def test_oracle_against_mpmath_sweep():
                 x = n * value
                 want = float(abs(x - mp.nint(x)))
                 assert abs(got - want) <= err + 1e-15, (spec.canonical(), n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(ALPHA_PANEL + (parse_alpha("cf:1;2,3;4,5"),
+                                      parse_alpha("cf:0;2,1000000000;1,3"))),
+       st.integers(1, 2 ** 48), st.sampled_from([2.0 ** -12, 2.0 ** -40, 2.0 ** -80]), st.data())
+def test_dist_within_ebound_of_mpmath(spec, n_max, err_target, data):
+    # ||n*alpha|| at 100 digits, the cf: alphas read from their surd; dist
+    # is the correctly rounded m/Q, within ebound of it
+    n = data.draw(st.integers(-n_max, n_max))
+    oracle = build_angle_oracle(spec, n_max=n_max, err_target=err_target)
+    got, err = oracle.dist(n)
+    with mp.workdps(100):
+        x = n * mp_value(spec, 100)
+        assert abs(got - abs(x - mp.nint(x))) <= err + 2.0 ** -53 * got, (spec.canonical(), n)

@@ -234,6 +234,23 @@ def test_y_above_x_is_refused_by_the_config(capsys):
     assert err == "error: need Y <= X, got X=1000000 and Y=10000000\n"
 
 
+@pytest.mark.parametrize("command,precision,message", [
+    ("admissible", "5", "err_target must lie in (0, 1/4), got 5.0"),
+    ("bounds", "0.9", "err_target must lie in (0, 1/4), got 0.9"),
+    ("count", "2^x", "precision '2^x' is not a float-sized 2^<integer>"),
+    ("angle", "2^-4.5", "precision '2^-4.5' is not a float-sized 2^<integer>"),
+])
+def test_a_bad_precision_is_refused(command, precision, message, capsys):
+    if command == "angle":
+        flags = ["--alpha", "sqrt:2", "--n", "5"]
+    else:
+        flags = ["--x", "500", "--y", "150", "--delta", "0.3", "--eps", "0.05",
+                 "--alpha", "sqrt:2"] + (["--force"] if command != "admissible" else [])
+    code, out, err = run_cli([command] + flags + ["--precision", precision], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_bounds_on_an_empty_window(capsys):
     doc = run_json(["bounds", "--x", "20000", "--y", "0", "--delta", "0.45", "--eps", "0.01",
                     "--alpha", "sqrt:2", "--force"], capsys)

@@ -91,6 +91,12 @@ def test_parse_precision():
     assert parse_precision(2.0 ** -20) == 2.0 ** -20
 
 
+@pytest.mark.parametrize("text", ["2^x", "2^", "2^-4.5", "2^2000"])
+def test_parse_precision_names_a_bad_power(text):
+    with pytest.raises(ValueError, match=f"^precision '{re.escape(text)}' is not"):
+        parse_precision(text)
+
+
 def test_config_from_json_roundtrip():
     config = base_config()
     echoed = json.dumps(config.as_dict())
@@ -181,10 +187,21 @@ def test_config_rejects_non_numeric_reals(key, value):
 
 
 def test_config_accepts_integer_reals():
+    # no integer lies in err_target's range (0, 1/4), so it is not among them
     config = config_from_dict({"X": 1000, "Y": 300, "delta": 0.3, "eps": 1,
-                               "alpha": "sqrt:2", "budget": 10 ** 6, "err_target": 1})
-    assert (config.eps, config.budget, config.err_target) == (1.0, 1e6, 1.0)
-    assert all(type(v) is float for v in (config.eps, config.budget, config.err_target))
+                               "alpha": "sqrt:2", "budget": 10 ** 6})
+    assert (config.eps, config.budget) == (1.0, 1e6)
+    assert all(type(v) is float for v in (config.eps, config.budget))
+
+
+@pytest.mark.parametrize("value", [1, 5.0, 0.25, 0.9, 0.0, -2.0 ** -40, math.nan, math.inf,
+                                   "2^-2", "2^-1100", "0.3"])
+def test_config_rejects_err_target_outside_a_quarter(value):
+    data = {"X": 1000, "Y": 300, "delta": 0.3, "eps": 0.05, "alpha": "sqrt:2", "err_target": value}
+    with pytest.raises(ValueError, match=r"^err_target must lie in \(0, 1/4\), got "):
+        config_from_dict(data)
+    data["err_target"] = 0.2499
+    assert config_from_dict(data).err_target < 0.25
 
 
 @pytest.mark.parametrize("key,value", [

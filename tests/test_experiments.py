@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeangle import experiments, sieve, vaughan
-from primeangle.alpha import AlphaSpec, AngleOracle
+from primeangle.acceptance import ALPHA_PANEL
+from primeangle.alpha import AlphaSpec, AngleOracle, parse_alpha
 from primeangle.config import ExperimentConfig, InadmissibleConfig, config_from_dict
 from primeangle.experiments import (
     ERROR_CODES,
@@ -69,6 +71,20 @@ def test_smoothed_sum_gate():
         run_smoothed_sum(desk_config(Y=10 ** 4))
     report = run_smoothed_sum(desk_config(Y=10 ** 4), force=True)
     assert "inadmissible-forced" in report.flags
+
+
+@pytest.mark.parametrize("alpha", ALPHA_PANEL + (parse_alpha("cf:1;2,3;4,5"),),
+                         ids=lambda a: a.canonical())
+def test_prime_count_is_exact_at_every_precision(alpha):
+    # a coarser oracle leaves more primes to the decision in alpha, never
+    # a different count
+    config = desk_config(delta=0.1, alpha=alpha)
+    reports = [run_prime_count(replace(config, err_target=2.0 ** -k), force=True)
+               for k in (40, 20, 12, 6)]
+    assert len({r.value for r in reports}) == 1
+    decided = [r.bound_terms["boundary_count"] for r in reports]
+    assert decided[0] == 0 < decided[-1] and decided == sorted(decided)
+    assert all(r.flags == reports[0].flags for r in reports)
 
 
 def test_prime_count_sqrt2():

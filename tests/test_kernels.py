@@ -395,67 +395,89 @@ def test_bounds_charges_every_stage_before_its_first_kernel(monkeypatch):
 # the min-sum cap switch
 # ---------------------------------------------------------------------------
 
+def _angle(alpha, m):
+    """||m*alpha|| at 100 digits, alpha read from its surd."""
+    with mpmath.workdps(100):
+        x = m * (alpha.a + alpha.b * mpmath.sqrt(alpha.d)) / alpha.c
+        return abs(x - mpmath.nint(x))
+
+
+def _below_cap(alpha, m, N) -> bool:
+    """||m*alpha|| < 1/N, from alpha at 100 digits."""
+    with mpmath.workdps(100):
+        return _angle(alpha, m) < 1 / mpmath.mpf(N)
+
+
 def _exact_min_sum(oracle, M, N):
-    """Terms decided with exact rationals; values as floats, summed with fsum."""
+    """(value, fewest flags, most flags) with every cap switch decided against alpha.
+
+    A term whose certified interval [v - err, v + err] lies on one side of
+    1/N is decided by exact rationals, the others by alpha at 100 digits;
+    an uncapped term reads min(N, 1/v).  The values are summed with fsum.
+    The float filter leaves at least the straddling terms to alpha, and
+    at most those within err + 2^-48 of 1/N.
+    """
     Q = oracle.anchor.q
-    terms, flags = [], 0
-    err = Fraction(oracle.n_max, Q * Q)
+    err, cap = Fraction(oracle.n_max, Q * Q), 1 / Fraction(N)
+    terms, fewest, most = [], 0, 0
     for m in range(1, M + 1):
         t = m * oracle.residue % Q
         v = Fraction(min(t, Q - t), Q)
-        terms.append(N if v < 1 / Fraction(N) else 1.0 / float(v))
-        flags += v - err < 1 / Fraction(N) <= v + err
-    return math.fsum(terms), flags
+        straddle = v - err < cap <= v + err
+        below = _below_cap(oracle.alpha, m, N) if straddle else v < cap
+        terms.append(N if below or not v else min(N, 1.0 / float(v)))
+        fewest += straddle
+        most += abs(v - cap) <= err + Fraction(1, 2 ** 48)
+    return math.fsum(terms), fewest, most
 
 
 def test_min_sum_cap_switch_within_one_ulp_is_exact():
-    # one term, ||alpha|| = t/Q, and caps N within three ulps of Q/t, so
-    # 1/N is that close to t/Q: comparing t/Q with 1/N, or (t/Q)*N with 1,
-    # in floats gets some verdicts wrong, and the term then reads 1/v for N
-    # or N for 1/v; the exact switch gets every verdict right
-    wrong = {"t/Q < 1/N": 0, "(t/Q)*N < 1": 0}
+    # one term, and caps N within three ulps of 1/||alpha||, so 1/N is that
+    # close to ||alpha||: comparing ||alpha|| with 1/N, or ||alpha||*N with
+    # 1, in floats gets some verdicts wrong, and the term then reads 1/v for
+    # N or N for 1/v; the switch decided in alpha gets every verdict right
+    wrong = {"a < 1/N": 0, "a*N < 1": 0}
     for d in range(2, 300):
         if math.isqrt(d) ** 2 == d:
             continue
-        oracle = build_angle_oracle(AlphaSpec.sqrt(d), n_max=10)
-        Q = oracle.anchor.q
-        t = min(oracle.residue, Q - oracle.residue)
-        v = t / Q
-        N = Q / t
+        alpha = AlphaSpec.sqrt(d)
+        oracle = build_angle_oracle(alpha, n_max=10)
+        v = oracle.dist(1)[0]
+        a = float(_angle(alpha, 1))
+        N = 1.0 / a
         for _ in range(3):
             N = math.nextafter(N, 0)
         for _ in range(7):
-            exact = Fraction(t, Q) < 1 / Fraction(N)
-            if N != 1.0 / v:
-                wrong["t/Q < 1/N"] += (v < 1.0 / N) != exact
-                wrong["(t/Q)*N < 1"] += (v * N < 1.0) != exact
+            exact = _below_cap(alpha, 1, N)
+            if N != 1.0 / a:
+                wrong["a < 1/N"] += (a < 1.0 / N) != exact
+                wrong["a*N < 1"] += (a * N < 1.0) != exact
             got = min_sum(MinSumInstance(M=1, N=N, oracle=oracle, q=1))
-            assert got.value == (N if exact else 1.0 / v), (d, N)
+            assert got.value == (N if exact else min(N, 1.0 / v)), (d, N)
             N = math.nextafter(N, math.inf)
     assert all(wrong.values()), wrong
 
 
 def test_min_sum_decides_the_cap_switch_through_verdicts(monkeypatch):
-    # a term whose 1/N lies within an ulp of ||alpha|| is left to the
-    # exact integer path of AngleOracle.verdicts; a term far from the
-    # switch is settled by the float filter
-    decide = alpha_module._decide_exactly
+    # a term whose 1/N lies within an ulp of ||alpha|| is left by the float
+    # filter of AngleOracle.verdicts and decided in alpha; a term far from
+    # the switch is settled by the filter
+    decide = alpha_module._below_in_alpha
     seen = []
 
-    def spy(ms, *args):
-        seen.append(list(ms))
-        return decide(ms, *args)
+    def spy(alpha, anchor, ns, delta):
+        seen.append(list(ns))
+        return decide(alpha, anchor, ns, delta)
 
-    monkeypatch.setattr(alpha_module, "_decide_exactly", spy)
-    oracle = build_angle_oracle(AlphaSpec.sqrt(2), n_max=10)
-    Q = oracle.anchor.q
-    t = min(oracle.residue, Q - oracle.residue)
-    N = Q / t
+    monkeypatch.setattr(alpha_module, "_below_in_alpha", spy)
+    alpha = AlphaSpec.sqrt(2)
+    oracle = build_angle_oracle(alpha, n_max=10)
+    N = float(1 / _angle(alpha, 1))
     got = min_sum(MinSumInstance(M=1, N=N, oracle=oracle, q=1))
-    assert seen == [[t]]
-    assert got.value == (N if Fraction(t, Q) < 1 / Fraction(N) else 1.0 / (t / Q))
+    assert seen == [[1]] and got.switch_flags == 1
+    assert got.value == (N if _below_cap(alpha, 1, N) else min(N, 1.0 / oracle.dist(1)[0]))
     seen.clear()
-    min_sum(MinSumInstance(M=1, N=2.0, oracle=oracle, q=1))
+    assert min_sum(MinSumInstance(M=1, N=2.0, oracle=oracle, q=1)).switch_flags == 0
     assert seen == []
 
 
@@ -464,6 +486,7 @@ def test_min_sum_decides_the_cap_switch_through_verdicts(monkeypatch):
        st.sampled_from([2.0 ** -40, 2.0 ** -12, 0.2]))
 def test_min_sum_matches_exact_rationals(alpha, M, N, err_target):
     oracle = build_angle_oracle(alpha, n_max=3000, err_target=err_target)
-    value, flags = _exact_min_sum(oracle, M, N)
+    value, fewest, most = _exact_min_sum(oracle, M, N)
     got = min_sum(MinSumInstance(M=M, N=N, oracle=oracle, q=1))
-    assert (got.value, got.switch_flags) == (value, flags)
+    assert got.value == value
+    assert fewest <= got.switch_flags <= most

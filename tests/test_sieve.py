@@ -280,7 +280,7 @@ def test_primes_small_angle_hand_checked():
     res = primes_with_small_angle(s, oracle, 0.1)
     assert res.count == 3
     primes = s.primes()
-    assert primes[oracle.verdicts(*oracle.dists(primes), 0.1)[0]].tolist() == [5, 17, 29]
+    assert primes[oracle.verdicts(primes, oracle.dists(primes), 0.1)[0]].tolist() == [5, 17, 29]
     assert res.boundary_count == 0
     # at delta = 1/2 every prime in (2, 100] counts; the endpoint 2 is excluded
     res = primes_with_small_angle(sieve_interval(2, 100), build_angle_oracle(SQRT2, n_max=100), 0.5)
@@ -304,7 +304,7 @@ def test_all_integer_equidistribution():
     lo, hi = 10 ** 5, 10 ** 5 + 2 * 10 ** 4
     oracle = build_angle_oracle(SQRT2, n_max=hi)
     for delta in (0.05, 0.1, 0.25):
-        _, angles = oracle.dists(np.arange(lo + 1, hi + 1))
+        angles = oracle.dists(np.arange(lo + 1, hi + 1))
         count = int(np.count_nonzero(angles < delta))
         expected = 2 * delta * (hi - lo)
         assert abs(count - expected) <= 0.05 * expected

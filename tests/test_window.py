@@ -11,9 +11,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primeangle.alpha as alpha_mod
@@ -158,11 +159,10 @@ def test_residues_are_exact(n_max, err_target):
         ns = [rng.randrange(-n_max, n_max + 1) for _ in range(300)] + edges
         t = oracle.residues(np.array(ns, dtype=np.int64))
         assert [int(v) for v in t] == [n * P % Q for n in ns]
-        m, x = oracle.dists(np.array(ns, dtype=np.int64))
-        for n, mi, xi in zip(ns, m, x):
+        x = oracle.dists(np.array(ns, dtype=np.int64))
+        for n, xi in zip(ns, x):
             value, _ = oracle.dist(n)
-            assert int(mi) == min(n * P % Q, Q - n * P % Q)
-            assert float(xi) == value
+            assert float(xi) == value == min(n * P % Q, Q - n * P % Q) / Q
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -189,6 +189,25 @@ def test_residue_paths_cover_both_dtypes():
     assert large.residues(np.array([5])).dtype == object
     with pytest.raises(ValueError):
         small.residues(np.array([2 ** 40 + 1]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(ALPHA_PANEL + (parse_alpha("cf:1;2,3;4,5"),)), st.integers(1, 3000),
+       st.booleans())
+def test_three_distance_theorem_on_exact_residues(spec, N, wide):
+    # the gaps between the sorted {n*P/Q}, n <= N, and 0 on the circle take
+    # at most three values, and the largest is the sum of the other two when
+    # there are three (Sos 1958, Swierczkowski 1959); a wide anchor
+    # (Q >= 2^53) takes the object path
+    oracle = build_angle_oracle(spec, n_max=N, err_target=2.0 ** (-140 if wide else -40))
+    Q = oracle.anchor.q
+    t = oracle.residues(np.arange(1, N + 1))
+    assert (t.dtype == object) == wide == (Q >= alpha_mod.INT64_EXACT_Q)
+    points = [0] + sorted(int(v) for v in t) + [Q]
+    gaps = sorted({b - a for a, b in zip(points, points[1:])})
+    assert len(gaps) <= 3 and gaps[0] > 0
+    if len(gaps) == 3:
+        assert gaps[2] == gaps[0] + gaps[1]
 
 
 @pytest.mark.parametrize("bad,error", [
@@ -231,39 +250,56 @@ def exact_verdict(oracle: AngleOracle, n: int, delta: float) -> str:
     return "boundary"
 
 
-def test_threshold_within_one_ulp_takes_the_integer_fallback(monkeypatch):
-    # delta one ulp around m/Q + ebound: the float filter cannot decide,
-    # so the verdict comes from _decide_exactly and matches exact rationals
+def mp_angle(spec: AlphaSpec, n: int):
+    """||n*alpha|| at 100 digits, alpha read from its surd."""
+    with mp.workdps(100):
+        x = n * (spec.a + spec.b * mp.sqrt(spec.d)) / spec.c
+        return abs(x - mp.nint(x))
+
+
+def true_below(spec: AlphaSpec, n: int, delta) -> bool:
+    """||n*alpha|| < delta (a float or a Fraction), from alpha at 100 digits."""
+    delta = Fraction(delta)
+    with mp.workdps(100):
+        return mp_angle(spec, n) < mp.mpf(delta.numerator) / delta.denominator
+
+
+def test_threshold_within_one_ulp_is_decided_in_alpha(monkeypatch):
+    # delta one ulp around m/Q + ebound, or around ||p*alpha|| itself: the
+    # float filter cannot decide, so the verdict comes from _below_in_alpha
+    # and matches alpha at 100 digits
     calls = []
-    decide = alpha_mod._decide_exactly
+    decide = alpha_mod._below_in_alpha
 
-    def spy(ms, Q, n_max, delta):
-        calls.append(list(ms))
-        return decide(ms, Q, n_max, delta)
+    def spy(alpha, anchor, ns, delta):
+        calls.append(list(ns))
+        return decide(alpha, anchor, ns, delta)
 
-    monkeypatch.setattr(alpha_mod, "_decide_exactly", spy)
+    monkeypatch.setattr(alpha_mod, "_below_in_alpha", spy)
     X = 10 ** 6
     oracle = build_angle_oracle(SQRT2, n_max=X)
     Q = oracle.anchor.q
     disagreements = 0
     for p in sieve_interval(X - 2000, X).primes().tolist()[:40]:
         t = p * oracle.residue % Q
-        m = min(t, Q - t)
-        upper = float(Fraction(m, Q) + Fraction(oracle.n_max, Q * Q))
-        if not 0.0 < upper <= 0.5:
-            continue
-        for delta in (np.nextafter(upper, 0.0), upper, np.nextafter(upper, 1.0)):
-            delta = float(delta)
-            if delta > 0.5:
-                continue
-            calls.clear()
-            res = primes_with_small_angle(sieve_interval(p - 1, p), oracle, delta)
-            assert calls == [[m]]
-            want = exact_verdict(oracle, p, delta)
-            assert (res.count, res.boundary_count) == (want == "below", want == "boundary")
-            disagreements += classify_against_threshold(*oracle.dist(p), delta) != want
+        upper = float(Fraction(min(t, Q - t), Q) + Fraction(oracle.n_max, Q * Q))
+        for centre in (upper, float(mp_angle(SQRT2, p))):
+            for delta in (np.nextafter(centre, 0.0), centre, np.nextafter(centre, 1.0)):
+                delta = float(delta)
+                if not 0.0 < delta <= 0.5:
+                    continue
+                calls.clear()
+                res = primes_with_small_angle(sieve_interval(p - 1, p), oracle, delta)
+                assert calls == [[p]]
+                assert (res.count, res.boundary_count) == (true_below(SQRT2, p, delta), 1)
+                disagreements += (classify_against_threshold(*oracle.dist(p), delta)
+                                  != exact_verdict(oracle, p, delta))
     # the rounded float comparison gets some of these wrong; the runners do not
     assert disagreements > 0
+    # away from the thresholds the filter decides every prime
+    calls.clear()
+    assert primes_with_small_angle(sieve_interval(X - 2000, X), oracle, 0.1).boundary_count == 0
+    assert calls == []
 
 
 def test_float_filter_never_contradicts_the_exact_verdict():
@@ -272,10 +308,46 @@ def test_float_filter_never_contradicts_the_exact_verdict():
     oracle = build_angle_oracle(PANEL[1], n_max=X)
     ns = np.array(sorted(rng.sample(range(1, X + 1), 3000)), dtype=np.int64)
     for delta in (0.05, 0.2, 0.5):
-        below, boundary = oracle.verdicts(*oracle.dists(ns), delta)
-        for n, b, s in zip(ns.tolist(), below, boundary):
-            want = exact_verdict(oracle, n, delta)
-            assert (bool(b), bool(s)) == (want == "below", want == "boundary"), n
+        below, exact = oracle.verdicts(ns, oracle.dists(ns), delta)
+        for n, b, s in zip(ns.tolist(), below, exact):
+            assert bool(b) == true_below(PANEL[1], n, delta), n
+            if not s:   # a filter verdict is the certified one
+                assert exact_verdict(oracle, n, delta) == ("below" if b else "above"), n
+
+
+def test_verdicts_at_a_half_and_at_zero():
+    # ||n*alpha|| < 1/2 for every n; on a coarse anchor n*P/Q can lie across
+    # a half-integer from n*alpha, so the nearest k is round(n*P/Q) +- 1.
+    # ||0*alpha|| = 0 is below any delta, even one below ebound
+    for spec in PANEL:
+        oracle = build_angle_oracle(spec, n_max=2000, err_target=0.2)
+        ns = np.arange(-2000, 2001)
+        below, exact = oracle.verdicts(ns, oracle.dists(ns), 0.5)
+        assert below.all() and exact.any()
+        tiny = Fraction(oracle.ebound) / 4
+        below, exact = oracle.verdicts(np.array([0, 1]), oracle.dists(np.array([0, 1])), tiny)
+        assert below.tolist() == [True, False] and exact.tolist() == [True, False]
+
+
+CF_ALPHAS = (parse_alpha("cf:1;2,3;4,5"), parse_alpha("cf:0;2,1000000000;1,3"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(ALPHA_PANEL + CF_ALPHAS), st.integers(1, 2 ** 40),
+       st.integers(-16, 16), st.sampled_from([2.0 ** -40, 2.0 ** -12, 0.2]), st.booleans())
+def test_verdicts_match_mpmath_with_delta_near_the_angle(spec, n, step, err_target, as_float):
+    # delta within 2^-60 of ||n*alpha||, as an exact rational or as the
+    # float nearest it; n, -n and 0 in one batch
+    oracle = build_angle_oracle(spec, n_max=n, err_target=err_target)
+    with mp.workdps(100):
+        delta = Fraction(int(mp.nint(mp_angle(spec, n) * 2 ** 80)), 2 ** 80) + Fraction(step, 2 ** 64)
+    if as_float:
+        delta = float(delta)
+    assume(0 < delta <= 0.5)
+    ns = np.array([n, -n, 0])
+    below, _ = oracle.verdicts(ns, oracle.dists(ns), delta)
+    want = true_below(spec, n, delta)
+    assert below.tolist() == [want, want, True]
 
 
 def test_f_direct_array_matches_scalar():
