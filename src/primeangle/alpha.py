@@ -130,6 +130,13 @@ class AlphaSpec:
     def explicit_cf(preperiod, period) -> "AlphaSpec":
         return AlphaSpec(kind="explicit-cf", preperiod=tuple(preperiod), period=tuple(period))
 
+    def __repr__(self) -> str:
+        # a cf spec is named by its terms: its derived surd can pass
+        # Python's int-to-str digit limit where the terms do not
+        if self.kind == "explicit-cf":
+            return f"AlphaSpec.explicit_cf({list(self.preperiod)}, {list(self.period)})"
+        return f"AlphaSpec.surd({self.a}, {self.b}, {self.c}, {self.d})"
+
     def canonical(self) -> str:
         """The spec in parse_alpha's grammar; parse_alpha returns an equal spec."""
         if self.kind == "quadratic-surd":

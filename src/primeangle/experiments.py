@@ -148,13 +148,13 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
     for task in plan:
         task.charge()
     result = {"q_used": ctx.q, "q_in_window": ctx.q_in_window, "q_window": list(config.q_window()),
-              "admissible": adm.ok, "t1_blocks": [], "t2_blocks": [], "notices": []}
+              "admissible": adm.ok, "t2_blocks": [], "notices": []}
     for task in plan:
         fragment = task.run()
-        if task.slot == "s1":
-            result["s1"] = fragment
+        if task.slot == "t2_blocks":
+            result["t2_blocks"].append(fragment)
         else:
-            result[task.slot].append(fragment)
+            result.update(fragment)     # the type I task: s1 and t1_blocks
     blocks = result["t2_blocks"]
     if not blocks:
         result["notices"].append("empty-grid: no dyadic M with X^(1/3) <= M <= X^(2/3)")

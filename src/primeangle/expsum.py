@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .sieve import ExactSum
 __all__ = [
     "linear_exp_sum",
     "linear_exp_sums",
+    "PhaseTable",
+    "phase_table",
+    "indexed_exp_sums",
     "MinSumInstance",
     "MinSumResult",
     "min_sum",
@@ -56,66 +60,141 @@ def linear_exp_sums(lo, hi, x) -> np.ndarray:
     """sum of e(n x) over lo < n <= hi, elementwise, in closed form.
 
     lo and hi are integer arrays with hi >= lo, x a float array, all of
-    one length.  With x = mant * 2^-s, (n x) mod 2 and (n x/2) mod 1 are
+    one length: the phase table of x, read at each element's own phase.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return indexed_exp_sums(lo, hi, phase_table(x), np.arange(x.size).reshape(x.shape))
+
+
+class _Parts(NamedTuple):
+    """The parts of the closed form that depend on x alone, in one width.
+
+    x = m 2^-s, and sin(pi x) is den / lift (lift is 1.0 in uint64, an
+    array in object width).
+    """
+
+    m: np.ndarray
+    s: np.ndarray
+    den: np.ndarray
+    lift: object
+
+    def take(self, at) -> "_Parts":
+        return _Parts(*(v[at] if isinstance(v, np.ndarray) else v for v in self))
+
+
+class PhaseTable(NamedTuple):
+    """The x-only parts of the closed form for an array of phases x.
+
+    route[i] is 0 for integral x (the sum is its count), 1 for |x| >= 2^-11
+    and 2 for the smaller |x|.  Route 1 reads ``narrow``, laid out like x
+    (its s in uint8); route 2 reads ``wide``, the parts of the phases
+    wide_at in object width.
+    """
+
+    route: np.ndarray
+    narrow: _Parts
+    wide_at: np.ndarray
+    wide: _Parts
+
+
+def phase_table(x) -> PhaseTable:
+    """The PhaseTable of a float array x, built CHUNK phases at a time.
+
+    With x = mant * 2^-s, (n x) mod 2 and (n x/2) mod 1 are
     (n * mant) mod 2^(s+1), scaled down.  The modulus is a power of two,
     so the low bits of a product are exact in any width that holds
-    them: elements with s + 1 <= 64 (|x| >= 2^-11) take wrapped uint64
+    them: phases with s + 1 <= 64 (|x| >= 2^-11) take wrapped uint64
     products (a negative n or mant taken as its two's complement), the
     smaller |x| Python integers in object arrays.
     """
-    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    route = np.zeros(x.size, dtype=np.int8)
+    narrow = _Parts(np.zeros(x.size, np.uint64), np.zeros(x.size, np.uint8), np.zeros(x.size), 1.0)
+    for a in range(0, x.size, CHUNK):
+        chunk = x[a:a + CHUNK]
+        mant, exp2 = np.frexp(chunk)
+        route[a:a + CHUNK] = np.where(np.floor(chunk) == chunk, 0, np.where(exp2 < -10, 2, 1))
+        at = np.flatnonzero(route[a:a + CHUNK] == 1)
+        for column, value in zip(narrow, _x_parts(mant[at], exp2[at], np.uint64)[:3]):
+            column[a + at] = value
+    wide_at = np.flatnonzero(route == 2)
+    return PhaseTable(route, narrow, wide_at, _x_parts(*np.frexp(x[wide_at]), object))
+
+
+def indexed_exp_sums(lo, hi, table: PhaseTable, idx) -> np.ndarray:
+    """sum of e(n x) over lo < n <= hi elementwise, x the phase idx of the table, in closed form.
+
+    lo, hi and idx are integer arrays of one length with hi >= lo.
+    """
+    lo, hi, idx = (np.asarray(v, dtype=np.int64) for v in (lo, hi, idx))
     count = hi - lo
     if (count < 0).any():
         raise ValueError("need hi >= lo")
     out = count.astype(np.complex128)     # the value at integral x, and 0 when empty
-    mant, exp2 = np.frexp(x)
-    live = (count > 0) & (np.floor(x) != x)
-    for wide in (False, True):
-        at = np.flatnonzero(live & ((exp2 < -10) == wide))
-        if at.size:
-            out[at] = _closed_form(lo[at], hi[at], mant[at], exp2[at], object if wide else np.uint64)
+    route = np.where(count > 0, table.route[idx], 0)
+    at = np.flatnonzero(route == 1)
+    if at.size:
+        out[at] = _closed_form(lo[at], hi[at], table.narrow.take(idx[at]), np.uint64)
+    at = np.flatnonzero(route == 2)
+    if at.size:
+        wide = table.wide.take(np.searchsorted(table.wide_at, idx[at]))
+        out[at] = _closed_form(lo[at], hi[at], wide, object)
     return out
 
 
-def _closed_form(lo, hi, mant, exp2, width) -> np.ndarray:
-    """e((a + b) x/2) sin(pi c x)/sin(pi x) for non-integral x, residues in ``width``.
+def _scaled(v, half) -> np.ndarray:
+    """The float of v / half."""
+    return np.asarray(v / half, dtype=np.float64)
 
-    The sine's remainder (c x) mod 2 is folded into t in [0, 1/2] in
-    integers (sin(pi(t + 1)) = -sin(pi t), sin(pi(1 - t)) = sin(pi t)),
-    so the one rounding is of the folded value: the sine keeps full
-    relative accuracy next to each of its zeros.  Below t = 2^-1000,
+
+def _powers(s):
+    """(2^s, 2^(s+1) - 1): the half turn n x = 1 mod 2 and the mask of residues mod 2^(s+1)."""
+    half = np.ones_like(s) << s
+    return half, (half - 1) + half
+
+
+def _sin_pi(n, m, half, mask, width):
+    """sin(pi n x) as (f, lift), sin = f / lift, for x = m / half.
+
+    The remainder (n x) mod 2 is folded into t in [0, 1/2] in integers
+    (sin(pi(t + 1)) = -sin(pi t), sin(pi(1 - t)) = sin(pi t)), so the one
+    rounding is of the folded value: the sine keeps full relative
+    accuracy next to each of its zeros.  Below t = 2^-1000,
     sin(pi t) = pi t to double precision, and it is kept as pi t 2^1000
     with the exponent apart, so that no subnormal enters the quotient.
+    """
+    v = (n * m) & mask
+    upper = v >= half
+    v = np.where(upper, v - half, v)
+    v = np.minimum(v, half - v)
+    f, lift = np.sin(np.pi * _scaled(v, half)), 1.0
+    if width is object:
+        tiny = v < half >> 1000
+        f[tiny] = np.pi * _scaled(v[tiny] << 1000, half[tiny])
+        lift = np.where(tiny, 2.0 ** 1000, 1.0)
+    return np.where(upper, -f, f), lift
+
+
+def _x_parts(mant, exp2, width) -> _Parts:
+    """The _Parts of x = mant 2^exp2 in ``width``."""
+    m = np.ldexp(mant, 53).astype(np.int64).astype(width)
+    s = (53 - exp2).astype(width)
+    return _Parts(m, s, *_sin_pi(1, m, *_powers(s), width))
+
+
+def _closed_form(lo, hi, x: _Parts, width) -> np.ndarray:
+    """e((a + b) x/2) sin(pi c x)/sin(pi x) for non-integral x, residues in ``width``.
+
     The centring phase ((a + b) x/2) mod 1 is taken in [0, 1), or as the
     negative remainder where it would round onto 1.
     """
-    s = (53 - exp2).astype(width)
-    m = np.ldexp(mant, 53).astype(np.int64).astype(width)
-    half = np.ones_like(s) << s                 # 2^s, for n x = 1 mod 2
-    mask = (half - 1) + half                    # 2^(s+1) - 1
-
-    def scaled(v, h=half):                      # the float of v / h
-        return np.asarray(v / h, dtype=np.float64)
-
-    def sin_pi(n):                              # sin(pi n x) as f / lift
-        v = (n * m) & mask
-        upper = v >= half
-        v = np.where(upper, v - half, v)
-        v = np.minimum(v, half - v)
-        f, lift = np.sin(np.pi * scaled(v)), 1.0
-        if width is object:
-            tiny = v < half >> 1000
-            f[tiny] = np.pi * scaled(v[tiny] << 1000, half[tiny])
-            lift = np.where(tiny, 2.0 ** 1000, 1.0)
-        return np.where(upper, -f, f), lift
-
-    (num, lift_num), (den, lift_den) = sin_pi((hi - lo).astype(width)), sin_pi(1)
-    ratio = num / den * (lift_den / lift_num)
-    c = ((lo.astype(width) + hi.astype(width) + 1) * m) & mask
-    centre = scaled(c) / 2
+    half, mask = _powers(x.s.astype(width))
+    num, lift = _sin_pi((hi - lo).astype(width), x.m, half, mask, width)
+    ratio = num / x.den * (x.lift / lift)
+    c = ((lo.astype(width) + hi.astype(width) + 1) * x.m) & mask
+    centre = _scaled(c, half) / 2
     up = np.flatnonzero(centre == 1.0)
-    centre[up] = -scaled((mask[up] - c[up]) + 1, half[up]) / 2
+    centre[up] = -_scaled((mask[up] - c[up]) + 1, half[up]) / 2
     return np.exp(2j * np.pi * centre) * ratio
 
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from .alpha import AngleOracle, build_angle_oracle
 from .config import ExperimentConfig, select_q
-from .expsum import CHUNK, MinSumInstance, linear_exp_sums, min_sum, standard_estimate_bound
+from .expsum import (CHUNK, MinSumInstance, indexed_exp_sums, min_sum, phase_table,
+                     standard_estimate_bound)
 from .report import SumReport
 from .sieve import SmallTables, iroot, small_tables
 from .smoothing import SmoothingKernel, build_kernel
@@ -292,46 +293,70 @@ def _e(oracle: AngleOracle, ns) -> np.ndarray:
     return np.exp(2j * np.pi * oracle.fracs(ns))
 
 
-def _suffix_maxima(oracle: AngleOracle, rows, weights) -> np.ndarray:
-    """Per type I row (m, n_lo, n_hi), the max over n_lo <= k <= n_hi + 1 of
+def _suffix_maxima(oracle: AngleOracle, rows, weight_sets) -> list:
+    """Per weight set (ls, cs) and type I row (m, n_lo, n_hi), the max over n_lo <= k <= n_hi + 1 of
 
-        |sum_{(l, c) in zip(*weights)} c sum_{k<=n<=n_hi} e(n l m alpha)|.
+        |sum_{(l, c) in zip(ls, cs)} c sum_{k<=n<=n_hi} e(n l m alpha)|.
 
+    The sets share their harmonics: each tile forms e(n l m alpha) once
+    for every l of any set, l ascending, and adds c e to the terms of
+    each set that holds l (so a set's own sum runs in its order, ls
+    ascending); a set's terms are summed up as soon as its last l is in.
     Each row is summed from n = n_hi downwards, so its running sums are
     the suffix sums; k = n_hi + 1 is the empty suffix, worth 0.  Phases
     come from the exact residues of n l m.
     """
     m, n_lo, n_hi = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     lengths = n_hi - n_lo + 1
-    best = np.zeros(len(rows))
+    holders, last = {}, {}
+    for k, (ls, cs) in enumerate(weight_sets):
+        for l, c in zip(ls, cs):
+            holders.setdefault(l, []).append((k, c))
+        last.setdefault(max(ls), []).append(k)
+    best = [np.zeros(len(rows)) for _ in weight_sets]
     for r0, r1, j0, j1 in _tiles(lengths.tolist()):
         if j0 == 0:
-            run = np.zeros((r1 - r0, 1), dtype=np.complex128)
+            run = [np.zeros((r1 - r0, 1), dtype=np.complex128)] * len(weight_sets)
         j = np.arange(j0, j1)
         live = j < lengths[r0:r1, None]
         mn = m[r0:r1, None] * np.where(live, n_hi[r0:r1, None] - j, 0)
-        terms = sum(c * _e(oracle, l * mn) for l, c in zip(*weights)) * live
-        sums = np.cumsum(terms, axis=1) + run
-        best[r0:r1] = np.maximum(best[r0:r1], np.abs(sums).max(axis=1))
-        run = sums[:, -1:]
+        terms = [0] * len(weight_sets)
+        for l in sorted(holders):
+            e = _e(oracle, l * mn)
+            for k, c in holders[l]:
+                terms[k] = terms[k] + c * e
+            del e                   # tile-sized arrays are freed as soon as they are used
+            for k in last.get(l, ()):
+                sums = np.cumsum(terms[k] * live, axis=1)
+                terms[k] = None
+                sums += run[k]
+                best[k][r0:r1] = np.maximum(best[k][r0:r1], np.abs(sums).max(axis=1))
+                run[k] = sums[:, -1:].copy()    # a view would keep all of sums alive
     return best
 
 
-def s1_type_i(ctx: SumContext) -> SumReport:
+def _type_i_walk(ctx: SumContext, weight_sets) -> list:
+    """_suffix_maxima of the type I rows, charged one cell per (m, n, l) for each l it forms."""
+    phases = len({int(l) for ls, _ in weight_sets for l in ls})
+    return _suffix_maxima(ctx.oracle, _type_i_rows(ctx, phases), weight_sets)
+
+
+def s1_type_i(ctx: SumContext, maxima=None) -> SumReport:
     """Exact type I sum with the full Fourier range 0 < l <= L.
 
     S1' = sum_{m <= X^{2/3}} max_w |sum_{w < n <= X/m} sum_l c(l) e(l m n alpha)|,
     the max running over the integer breakpoints of w in [(X-Y)/m, X].
-    The comparator assembles the k = h*m min-sum chain over dyadic blocks.
+    ``maxima`` are the rows' maxima as the suite's type I walk gives
+    them; without them the rows are walked here.  The comparator
+    assembles the k = h*m min-sum chain over dyadic blocks.
     """
-    L = ctx.L
-    rows = _type_i_rows(ctx, L)
-    weights = (np.arange(1, L + 1), ctx.kernel.coeffs)
-    value = math.fsum(_suffix_maxima(ctx.oracle, rows, weights))
+    if maxima is None:
+        maxima, = _type_i_walk(ctx, [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)])
+    value = math.fsum(maxima)
 
     bound_terms = {}
     comparator_parts = []
-    for H in dyadic_h_blocks(L):
+    for H in dyadic_h_blocks(ctx.L):
         for M, _K, _cap, measured in ctx.min_sum_chain(H):
             comparator_parts.append(measured)
             bound_terms[f"chain.H{H:g}.M{M}.min_sum"] = measured
@@ -348,20 +373,23 @@ def _report(kind: str, ctx: SumContext, value: float, bound_terms: dict, q=None)
     return report
 
 
-def t1_sum(H: float, ctx: SumContext) -> SumReport:
+def t1_sum(H: float, ctx: SumContext, maxima=None) -> SumReport:
     """Exact dyadic type I sum T1(H) with its standard-estimate comparator.
 
     T1(H) = sum_{H/2<h<=H} |c(h)| sum_{m<=X^{2/3}} max_w |sum_{w<n<=X/m} e(hmn alpha)|,
     the max over integer breakpoints of w in [(X-Y)/m, X/m].  Comparator
     terms follow the chain: per dyadic M, the exact min-sum over k <= MH
     capped at Y/M, its standard-estimate branch, and the three branch
-    values of the first-chain condition.
+    values of the first-chain condition.  ``maxima`` maps each h of the
+    block to its rows' maxima, as the suite's type I walk gives them;
+    without them the rows are walked here for the block's h alone.
     """
     X, Y, q = ctx.X, ctx.Y, ctx.q
     hcs = _h_weights(ctx.kernel, H)
-    rows = _type_i_rows(ctx, len(hcs[0]))
-    value = math.fsum(abs(c) * math.fsum(_suffix_maxima(ctx.oracle, rows, ([h], [1.0])))
-                      for h, c in zip(*hcs))
+    if maxima is None:
+        hs = hcs[0].tolist()
+        maxima = dict(zip(hs, _type_i_walk(ctx, [([h], [1.0]) for h in hs])))
+    value = math.fsum(abs(c) * math.fsum(maxima[h]) for h, c in zip(*hcs))
 
     bound_terms = {}
     chain_total = []
@@ -502,7 +530,7 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     max_len = 0
     if outer.size:
         l_top = int(hcs[0][-1]) * int(outer[-1]) - int(hcs[0][0]) * int(outer[0])
-        phase = ctx.oracle.fracs(np.arange(-l_top, l_top + 1))    # phase[l + l_top]
+        table = phase_table(ctx.oracle.fracs(np.arange(-l_top, l_top + 1)))  # l at l + l_top
     for r0, r1, j0, j1 in _tiles(widths.tolist()):
         j = np.arange(j0, j1)
         live = j < widths[r0:r1, None]
@@ -512,7 +540,7 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
         lo = np.maximum(M // 2, (X - Y) // np.minimum(n1, n2))
         hi = np.minimum(M, X // np.maximum(n1, n2))
         max_len = max(max_len, int((hi - lo).max()))
-        cell = sum(c1 * c2 * linear_exp_sums(lo, hi, phase[h1 * n1 - h2 * n2 + l_top])
+        cell = sum(c1 * c2 * indexed_exp_sums(lo, hi, table, h1 * n1 - h2 * n2 + l_top)
                    for h1, c1 in zip(*hcs) for h2, c2 in zip(*hcs))
         contribution = b[n1] * b[n2] * cell
         lower = n1 <= n2
@@ -664,24 +692,38 @@ class Task(NamedTuple):
     """A unit of the bound suite: ``charge()`` charges the cells its kernels build, counted
     by their own range functions, and ``run()`` returns its fragment of the report."""
 
-    slot: str    # where the fragment goes: "s1", "t1_blocks" or "t2_blocks"
+    slot: str    # "type_i" (a fragment holding s1 and t1_blocks), "t2_blocks", "t1" or "t2"
     charge: Callable[[], object]
     run: Callable[[], dict]
 
 
 def suite_plan(ctx: SumContext) -> list:
-    """The suite's tasks in report order: s1, T1(H) per dyadic H, then the blocks (H, M), M
-    over X^{1/3} <= M <= X^{2/3} in the outer loop.  The one place the grid is spelled out."""
+    """The suite's tasks in report order: the type I task (s1, then T1(H) per dyadic H), then
+    the blocks (H, M), M over X^{1/3} <= M <= X^{2/3} in the outer loop.  The one place the
+    grid is spelled out."""
     hs = dyadic_h_blocks(ctx.L)
-    return ([Task("s1", lambda: _type_i_rows(ctx, ctx.L), lambda: s1_type_i(ctx).as_dict())]
-            + [t1_task(ctx, H) for H in hs]
+    return ([_type_i_task(ctx, hs)]
             + [_block_task(ctx, H, M) for M in dyadic_m_blocks(ctx.X) for H in hs])
 
 
+def _type_i_task(ctx: SumContext, Hs) -> Task:
+    """s1 and T1(H) for H in Hs from one walk of the type I rows: the blocks H cover
+    0 < h <= L, so every harmonic T1 reads is one s1 forms."""
+    def run() -> dict:
+        hs = range(1, ctx.L + 1)
+        s1, *singles = _type_i_walk(ctx, [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)]
+                                    + [([h], [1.0]) for h in hs])
+        per_h = dict(zip(hs, singles))
+        return {"s1": s1_type_i(ctx, s1).as_dict(),
+                "t1_blocks": [t1_sum(H, ctx, per_h).as_dict() for H in Hs]}
+
+    return Task("type_i", lambda: _type_i_rows(ctx, ctx.L), run)
+
+
 def t1_task(ctx: SumContext, H: float) -> Task:
-    """T1(H) with its comparator chain."""
+    """T1(H) alone, with its comparator chain: one walk over the block's harmonics."""
     hs = _h_weights(ctx.kernel, H)[0]
-    return Task("t1_blocks", lambda: _type_i_rows(ctx, len(hs)), lambda: t1_sum(H, ctx).as_dict())
+    return Task("t1", lambda: _type_i_rows(ctx, len(hs)), lambda: t1_sum(H, ctx).as_dict())
 
 
 def t2_task(ctx: SumContext, H: float, M: int) -> Task:

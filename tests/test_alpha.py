@@ -28,6 +28,7 @@ from primeangle.alpha import (
     parse_alpha,
     verify_convergent_pair,
 )
+from primeangle.config import ExperimentConfig
 
 SQRT2 = AlphaSpec.sqrt(2)
 GOLDEN = AlphaSpec.golden()
@@ -95,6 +96,19 @@ def test_cf_surd_reproduces_the_explicit_terms(text):
     assert spec.c > 0 and gcd(spec.a, spec.b, spec.c) == 1
     assert cf_terms(surd, 400) == cf_terms(spec, 400)
     assert parse_alpha(spec.canonical()) == spec
+
+
+@pytest.mark.parametrize("text", CF_SPECS + ["sqrt:2", "surd:1,1,2,5", "surd:5,-2,3,3"],
+                         ids=lambda t: t[:24])
+def test_repr_names_the_spec_and_never_its_derived_surd(text):
+    # the last cf spec's derived d has more digits than the int-to-str
+    # limit; repr of the spec, and of a config that holds it, still prints
+    spec = parse_alpha(text)
+    text_of_spec = repr(spec)
+    assert eval(text_of_spec, {"AlphaSpec": AlphaSpec}) == spec
+    assert spec.canonical() == text
+    config = ExperimentConfig(X=1000, Y=300, delta=0.3, eps=0.05, alpha=spec)
+    assert f"alpha={text_of_spec}" in repr(config)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -226,6 +226,22 @@ def test_t1_t2_and_bounds(capsys):
     assert all(b["identity_residual"] <= 1e-9 for b in doc["t2_blocks"])
 
 
+def test_t1_prints_the_t1_block_of_bounds(capsys):
+    # the t1 command walks only its block's harmonics, bounds walks them all
+    # once for s1 and every T1; each T1 block is the same (the command also
+    # fills the q window fields, which bounds reports once, at the top)
+    base = ["--x", "1000", "--y", "300", "--delta", "0.3", "--eps", "0.05",
+            "--alpha", "sqrt:2", "--force"]
+    blocks = run_json(["bounds"] + base, capsys)["t1_blocks"]
+    hs = vaughan.dyadic_h_blocks(math.ceil(1000 ** 0.05 / 0.3))
+    assert len(blocks) == len(hs) == 3
+    for H, block in zip(hs, blocks):
+        doc = run_json(["t1", "--h", repr(H)] + base, capsys)
+        assert (block["q_window"], block["q_in_window"]) == (None, None)
+        assert {key: doc[key] for key in block if key not in ("q_window", "q_in_window")} \
+            == {key: block[key] for key in block if key not in ("q_window", "q_in_window")}
+
+
 def test_y_above_x_is_refused_by_the_config(capsys):
     # the sieve's own "need 2 <= lo < hi" used to leak out of count
     code, out, err = run_cli(["count", "--x", "1000000", "--y", "10000000", "--delta", "0.1",

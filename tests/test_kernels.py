@@ -4,7 +4,10 @@ Every kernel of the bound suite has an oracle of its own: the array closed
 form against mpmath at 50 digits, the type I suffix maxima against
 reference.naive_type_i_block, the label-batched quadruple counts against
 reference.brute_force_quadruples, and the banded T4/T5 split against a
-plain (n1, n2) enumeration and the direct T3 route.  Hypothesis runs
+plain (n1, n2) enumeration and the direct T3 route.  The shared-work
+forms are checked bit for bit against the plain ones: the closed form
+read from a phase table against the closed form at each phase, and the
+type I walk over several weight sets against each set walked alone.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
 
@@ -20,13 +23,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeangle import acceptance, vaughan
+from primeangle import acceptance, expsum, vaughan
 from primeangle import alpha as alpha_module
 from primeangle.acceptance import SPLIT_RESIDUAL_TOL
 from primeangle.alpha import AlphaSpec, build_angle_oracle
 from primeangle.config import DEFAULT_SEED, ExperimentConfig
 from primeangle.experiments import run_bound_suite
-from primeangle.expsum import MinSumInstance, linear_exp_sum, linear_exp_sums, min_sum
+from primeangle.expsum import (MinSumInstance, indexed_exp_sums, linear_exp_sum,
+                               linear_exp_sums, min_sum, phase_table)
 from primeangle.reference import brute_force_quadruples, naive_type_i_block
 from primeangle.vaughan import (
     BudgetExceeded,
@@ -34,6 +38,8 @@ from primeangle.vaughan import (
     dyadic_h_blocks,
     dyadic_m_blocks,
     gamma_counts,
+    s1_type_i,
+    t1_sum,
     t2_sum,
     t3_t4_t5_split,
 )
@@ -47,12 +53,13 @@ CONFIG = ExperimentConfig(X=1000, Y=300, delta=0.3, eps=0.05, alpha=ALPHAS[0])
 
 
 def with_chunk(size, fn, *args):
-    """fn(*args) with kernel passes of at most size cells; small sizes cut rows into tiles."""
-    old, vaughan.CHUNK = vaughan.CHUNK, size
+    """fn(*args) with kernel passes of at most size cells; small sizes cut rows into tiles
+    and build phase tables in pieces."""
+    old, vaughan.CHUNK, expsum.CHUNK = vaughan.CHUNK, size, size
     try:
         return fn(*args)
     finally:
-        vaughan.CHUNK = old
+        vaughan.CHUNK = expsum.CHUNK = old
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +169,34 @@ def test_linear_exp_sums_empty_ranges():
         linear_exp_sums([3], [2], [0.1])
 
 
+# x = 0, integral x, x = 1/2, +-2^-11 and its neighbours on both sides (the
+# edge between the uint64 and the object route), +-2^-60
+TABLE_X = (0.0, -0.0, 1.0, -3.0, 0.5, -0.5, 2.0 ** -11, -2.0 ** -11,
+           math.nextafter(2.0 ** -11, 0), math.nextafter(2.0 ** -11, 1),
+           -math.nextafter(2.0 ** -11, 0), -math.nextafter(2.0 ** -11, 1),
+           2.0 ** -60, -2.0 ** -60)
+
+
+@PROPERTY
+@given(st.lists(ADVERSARIAL_X, min_size=1, max_size=30),
+       st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 5),
+                          st.integers(0, 10 ** 3)), min_size=1, max_size=60),
+       st.sampled_from([3, 4096]))
+@example(list(TABLE_X), [(lo, n, i) for i in range(len(TABLE_X))
+                         for lo, n in ((0, 1), (-10 ** 6, 10 ** 5), (7, 0), (-3, 2))], 3)
+def test_indexed_closed_form_is_the_closed_form_at_each_phase(phases, cases, chunk):
+    # the table's x-only parts, built chunk phases at a time and gathered
+    # by index, give what the closed form gives at phases[idx], to the bit
+    # (signed zeros too); empty ranges read 0 and negative lo wraps
+    phases = np.array(phases)
+    lo = np.array([a for a, _, _ in cases])
+    hi = lo + np.array([n for _, n, _ in cases])
+    idx = np.array([i % phases.size for _, _, i in cases])
+    got = indexed_exp_sums(lo, hi, with_chunk(chunk, phase_table, phases), idx)
+    want = linear_exp_sums(lo, hi, phases[idx])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # type I
 # ---------------------------------------------------------------------------
@@ -173,11 +208,37 @@ def test_linear_exp_sums_empty_ranges():
 def test_type_i_kernel_matches_naive_block(X, y_pct, alpha, coeffs, chunk):
     ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
     rows = vaughan._type_i_rows(ctx, len(coeffs))
-    got = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows,
-                     (np.arange(1, len(coeffs) + 1), np.array(coeffs)))
+    got, = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows,
+                      [(np.arange(1, len(coeffs) + 1), np.array(coeffs))])
     for (m, n_lo, n_hi), g in zip(rows, got.tolist()):
         want = naive_type_i_block(m, n_lo, n_hi, coeffs, lambda j: ctx.oracle.frac(j)[0])
         assert abs(g - want) <= 1e-10 * max(1.0, want), (m, n_lo, n_hi)
+
+
+@PROPERTY
+@given(st.integers(40, 600), st.integers(0, 100), st.sampled_from(ALPHAS),
+       st.sampled_from([1, 7, 64, 4096]))
+def test_one_type_i_walk_is_each_weight_set_walked_alone(X, y_pct, alpha, chunk):
+    # s1's weights and every single harmonic h <= L share one walk; each
+    # set's maxima are those of the set walked alone, to the bit
+    ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
+    rows = vaughan._type_i_rows(ctx, ctx.L)
+    sets = [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)] + [([h], [1.0])
+                                                             for h in range(1, ctx.L + 1)]
+    shared = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows, sets)
+    for weights, got in zip(sets, shared):
+        alone, = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows, [weights])
+        assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 4096])
+def test_the_type_i_task_gives_s1_and_each_t1_as_walked_alone(chunk):
+    ctx = SumContext(CONFIG)
+    task, = [task for task in vaughan.suite_plan(ctx) if task.slot == "type_i"]
+    fragment = with_chunk(chunk, task.run)
+    assert fragment["s1"] == with_chunk(chunk, s1_type_i, ctx).as_dict()
+    assert fragment["t1_blocks"] == [with_chunk(chunk, t1_sum, H, ctx).as_dict()
+                                     for H in dyadic_h_blocks(ctx.L)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +341,11 @@ def _spy(monkeypatch):
     """Counters of the cells charged and the cells built per stage, filled as kernels run.
 
     Type I and type II count the live cells of each tile times the phases
-    the kernel sums over it; the pairs count the elements handed to
-    linear_exp_sums.
+    the kernel forms over it (type I: the distinct harmonics of all its
+    weight sets); the pairs count the elements handed to indexed_exp_sums.
     """
     charged, built, phases = Counter(), Counter(), []
-    charge, tiles, sums = vaughan.charge, vaughan._tiles, vaughan.linear_exp_sums
+    charge, tiles, sums = vaughan.charge, vaughan._tiles, vaughan.indexed_exp_sums
 
     def spy_charge(stage, cells, budget):
         charged[stage] += cells
@@ -297,9 +358,9 @@ def _spy(monkeypatch):
                 built[stage] += count * sum(max(0, min(j1, n) - j0) for n in lengths[r0:r1])
             yield r0, r1, j0, j1
 
-    def spy_sums(lo, hi, x):
+    def spy_sums(lo, hi, table, idx):
         built["pairs"] += len(lo)
-        return sums(lo, hi, x)
+        return sums(lo, hi, table, idx)
 
     def kernel(stage, fn, count):
         def run(*args):
@@ -312,9 +373,10 @@ def _spy(monkeypatch):
 
     monkeypatch.setattr(vaughan, "charge", spy_charge)
     monkeypatch.setattr(vaughan, "_tiles", spy_tiles)
-    monkeypatch.setattr(vaughan, "linear_exp_sums", spy_sums)
+    monkeypatch.setattr(vaughan, "indexed_exp_sums", spy_sums)
     monkeypatch.setattr(vaughan, "_suffix_maxima",
-                        kernel("type I", vaughan._suffix_maxima, lambda args: len(args[2][0])))
+                        kernel("type I", vaughan._suffix_maxima,
+                               lambda args: len({int(l) for ls, _ in args[2] for l in ls})))
     monkeypatch.setattr(vaughan, "_type_ii_rows",
                         kernel("type II", vaughan._type_ii_rows, lambda args: len(args[1][0])))
     return charged, built
@@ -322,13 +384,17 @@ def _spy(monkeypatch):
 
 @pytest.mark.parametrize("X,Y", [(1000, 300), (500, 150), (2000, 0), (2000, 1000)])
 def test_each_stage_is_charged_the_cells_its_kernel_builds(X, Y, monkeypatch):
-    # task by task: the tasks of the suite's plan, whose blocks read T2 off
-    # the split's rows, and the t2 command's task of every block
+    # task by task: the tasks of the suite's plan, whose type I task walks
+    # the rows once for s1 and every T1 and whose blocks read T2 off the
+    # split's rows, then the t1 command's task of every H and the t2
+    # command's task of every block
     ctx = SumContext(replace(CONFIG, X=X, Y=Y))
     charged, built = _spy(monkeypatch)
-    tasks = vaughan.suite_plan(ctx) + [vaughan.t2_task(ctx, H, M) for M in dyadic_m_blocks(X)
-                                       for H in dyadic_h_blocks(ctx.L)]
+    hs = dyadic_h_blocks(ctx.L)
+    tasks = (vaughan.suite_plan(ctx) + [vaughan.t1_task(ctx, H) for H in hs]
+             + [vaughan.t2_task(ctx, H, M) for M in dyadic_m_blocks(X) for H in hs])
     slots = Counter(task.slot for task in tasks)
+    assert slots["type_i"] == 1 and slots["t1"] == len(hs)
     assert slots["t2_blocks"] == slots["t2"] > 0
     total = Counter()
     for task in tasks:
@@ -385,7 +451,7 @@ def test_bounds_charges_every_stage_before_its_first_kernel(monkeypatch):
     def kernel(*args):
         raise AssertionError("a kernel ran before the budget was charged")
 
-    for name in ("_suffix_maxima", "min_sum", "_type_ii_rows", "linear_exp_sums"):
+    for name in ("_suffix_maxima", "min_sum", "_type_ii_rows", "phase_table", "indexed_exp_sums"):
         monkeypatch.setattr(vaughan, name, kernel)
     with pytest.raises(BudgetExceeded, match="^pairs cost"):
         run_bound_suite(replace(config, budget=type_i), force=True)
