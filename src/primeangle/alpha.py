@@ -39,6 +39,7 @@ __all__ = [
     "classify_against_threshold",
     "verify_convergent_pair",
     "compare_to_rational",
+    "DEFAULT_ERR_TARGET",
 ]
 
 # Hard stop for convergent walks; quadratic-surd denominators grow at least
@@ -57,6 +58,9 @@ INT64_EXACT_Q = 2 ** 53
 # Distance from a threshold beyond which the float64 classification filter
 # decides; it exceeds the 2^-51 rounding bound of the filter's arithmetic.
 FILTER_MARGIN = 2.0 ** -50
+# The anchor's error target when none is given: that of build_angle_oracle,
+# of an experiment config and of the angle command.
+DEFAULT_ERR_TARGET = 2.0 ** -40
 
 
 class CfIterationCapExceeded(RuntimeError):
@@ -500,7 +504,7 @@ class AngleOracle:
 
 
 def build_angle_oracle(alpha: AlphaSpec, n_max: int,
-                       err_target: float = 2.0 ** -40) -> AngleOracle:
+                       err_target: float = DEFAULT_ERR_TARGET) -> AngleOracle:
     """Anchor a certified ||n*alpha|| evaluator with ebound <= err_target.
 
     Walks convergents until Q^2 >= n_max/err_target, decided in integers as

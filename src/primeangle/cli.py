@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from .acceptance import run_acceptance
-from .alpha import build_angle_oracle, cf_terms, convergent_stream, parse_alpha
+from .alpha import DEFAULT_ERR_TARGET, build_angle_oracle, cf_terms, convergent_stream, parse_alpha
 from .config import (
     DEFAULT_SEED,
+    FORMATS,
     Q_POLICY_ALIASES,
     ExperimentConfig,
     check_admissible,
@@ -39,7 +40,7 @@ from .sieve import mangoldt_sum_interval, sieve_segments, small_tables
 from .vaughan import SumContext, VaughanParams, t1_task, t2_task, vaughan_pieces
 
 OPTIONS = {
-    "--format": dict(choices=["json", "csv"]),
+    "--format": dict(choices=FORMATS),
     "--out": dict(help="write output to this path"),
     "--x": dict(type=int, help="right endpoint X of the window (X-Y, X]"),
     "--y": dict(type=int, help="window length Y"),
@@ -53,8 +54,10 @@ OPTIONS = {
     "--config": dict(help="JSON config file; explicit flags override it"),
     "--force": dict(action="store_true", help="run even if the configuration is inadmissible"),
 }
-CONFIG_FLAGS = ("--x", "--y", "--delta", "--eps", "--alpha", "--precision", "--q-policy",
-                "--budget", "--seed", "--config")
+# Each config flag and the config key it sets; --format is also an output flag.
+FLAG_KEYS = {"--x": "X", "--y": "Y", "--delta": "delta", "--eps": "eps", "--alpha": "alpha",
+             "--precision": "err_target", "--q-policy": "q_policy", "--budget": "budget",
+             "--seed": "seed", "--format": "format"}
 
 
 def _parent(*flags, **extra):
@@ -73,19 +76,8 @@ def _build_config(args, **defaults) -> ExperimentConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("--config must hold a single JSON object")
-    overrides = {
-        "X": args.x,
-        "Y": args.y,
-        "delta": args.delta,
-        "eps": args.eps,
-        "alpha": args.alpha,
-        "err_target": args.precision,
-        "q_policy": args.q_policy,
-        "budget": args.budget,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
+    for flag, key in FLAG_KEYS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             data[key] = value
     for key, value in defaults.items():
@@ -135,7 +127,7 @@ def cmd_convergents(args):
 def cmd_angle(args):
     alpha = parse_alpha(args.alpha)
     n_max = max(1, abs(args.n)) if args.n_max is None else args.n_max
-    err = parse_precision(args.precision) if args.precision else 2.0 ** -40
+    err = parse_precision(args.precision) if args.precision else DEFAULT_ERR_TARGET
     oracle = build_angle_oracle(alpha, n_max=n_max, err_target=err)
     value, ebound = oracle.dist(args.n)
     _emit(args, {
@@ -293,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale laboratory for primes p with ||p*alpha|| small "
                     "in short intervals (X-Y, X]")
     sub = parser.add_subparsers(dest="command", required=True)
-    output, config = _parent("--format", "--out"), _parent(*CONFIG_FLAGS)
+    output = _parent("--format", "--out")
+    config = _parent(*(flag for flag in FLAG_KEYS if flag != "--format"), "--config")
     force, alpha = _parent("--force"), _parent("--alpha", required=True)
 
     def add(name, fn, help_text, *parents):

@@ -17,9 +17,9 @@ recording q_in_window = False.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
-from .alpha import AlphaSpec, find_q_in_window, parse_alpha
+from .alpha import DEFAULT_ERR_TARGET, AlphaSpec, find_q_in_window, parse_alpha
 
 __all__ = [
     "ExperimentConfig",
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
-DEFAULT_ERR_TARGET = 2.0 ** -40
 DEFAULT_BUDGET = 1e9
 
 Q_POLICIES = ("strict-window", "nearest-convergent")
@@ -123,39 +122,53 @@ class ExperimentConfig:
         return lo, hi
 
     def as_dict(self) -> dict:
-        return {
-            "X": self.X,
-            "Y": self.Y,
-            "delta": self.delta,
-            "eps": self.eps,
-            "alpha": self.alpha.canonical(),
-            "err_target": self.err_target,
-            "q_policy": self.q_policy,
-            "budget": self.budget,
-            "seed": self.seed,
-            "format": self.format,
-            "U": self.U,
-            "V": self.V,
-            "L": self.L,
-        }
+        """The config echo: every config key (alpha in its grammar), then U, V and L."""
+        echo = {key: getattr(self, key) for key in _ECHO_KEYS}
+        echo["alpha"] = self.alpha.canonical()
+        return echo
 
 
-_REQUIRED_KEYS = {"X", "Y", "delta", "eps", "alpha"}
-_OPTIONAL_KEYS = {"err_target", "q_policy", "budget", "seed", "format"}
-_DERIVED_KEYS = {"U", "V", "L"}
-
-
-def _number(key: str, value, integral: bool = False):
-    """value as a float, or as an int if ``integral`` (an int or an integral float).
-
-    Booleans, strings and other types are rejected.
-    """
+def _number(key: str, value) -> float:
+    """value, an int or a float, as a float; booleans and other types are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not integral:
-            return float(value)
-        if isinstance(value, int) or value.is_integer():
-            return int(value)
-    raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    """value, an int or an integral float, as an int; booleans and other types are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _alpha(key: str, value) -> AlphaSpec:
+    if isinstance(value, AlphaSpec):
+        return value
+    if isinstance(value, str):
+        return parse_alpha(value)
+    raise ValueError(f"alpha must be an alpha spec string, got {value!r}")
+
+
+# The config keys, in ExperimentConfig's field order, each with the reader of
+# its JSON value; the keys without a default in ExperimentConfig are required.
+READERS = {
+    "X": _integer,
+    "Y": _integer,
+    "delta": _number,
+    "eps": _number,
+    "alpha": _alpha,
+    "err_target": lambda key, value: (parse_precision(value) if isinstance(value, str)
+                                      else _number(key, value)),
+    "q_policy": lambda key, value: Q_POLICY_ALIASES.get(str(value), str(value)),
+    "budget": _number,
+    "seed": _integer,
+    "format": lambda key, value: str(value),
+}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+_DERIVED_KEYS = ("U", "V", "L")
+_ECHO_KEYS = (*READERS, *_DERIVED_KEYS)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -168,42 +181,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     Derived keys U, V, L are accepted only if they match their derived
     values (so an echoed report config round-trips).
     """
-    unknown = set(data) - _REQUIRED_KEYS - _OPTIONAL_KEYS - _DERIVED_KEYS
+    unknown = set(data).difference(READERS, _DERIVED_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(data)
+    missing = [key for key in _REQUIRED_KEYS if key not in data]
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    alpha = data["alpha"]
-    if isinstance(alpha, str):
-        alpha = parse_alpha(alpha)
-    elif not isinstance(alpha, AlphaSpec):
-        raise ValueError(f"alpha must be an alpha spec string, got {alpha!r}")
-    kwargs = {
-        "X": _number("X", data["X"], integral=True),
-        "Y": _number("Y", data["Y"], integral=True),
-        "delta": _number("delta", data["delta"]),
-        "eps": _number("eps", data["eps"]),
-        "alpha": alpha,
-    }
-    if "err_target" in data:
-        err = data["err_target"]
-        kwargs["err_target"] = (parse_precision(err) if isinstance(err, str)
-                                else _number("err_target", err))
-    if "q_policy" in data:
-        policy = str(data["q_policy"])
-        kwargs["q_policy"] = Q_POLICY_ALIASES.get(policy, policy)
-    if "format" in data:
-        kwargs["format"] = str(data["format"])
-    if "budget" in data:
-        kwargs["budget"] = _number("budget", data["budget"])
-    if "seed" in data:
-        kwargs["seed"] = _number("seed", data["seed"], integral=True)
-    config = ExperimentConfig(**kwargs)
-    for key in _DERIVED_KEYS & set(data):
-        derived = getattr(config, key)
-        if not math.isclose(float(data[key]), float(derived), rel_tol=1e-9):
-            raise ValueError(f"derived key {key}={data[key]} does not match {derived}")
+    config = ExperimentConfig(**{key: read(key, data[key])
+                                 for key, read in READERS.items() if key in data})
+    for key in _DERIVED_KEYS:
+        if key in data:
+            derived = getattr(config, key)
+            if not math.isclose(float(data[key]), float(derived), rel_tol=1e-9):
+                raise ValueError(f"derived key {key}={data[key]} does not match {derived}")
     return config
 
 

@@ -44,8 +44,9 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
 
     An empty window (Y = 0) gives empty reports.  Otherwise a smoothed sum
     checks that its delta has a finite direct form, the point passes the
-    admissibility gate and the budget check, q is selected and
-    the angle oracle built, once for all kinds; the window is then sieved
+    admissibility gate, a forced window reaching below 2 (X - Y < 2, never
+    admissible) is refused, the budget is checked, q is selected and the
+    angle oracle built, once for all kinds; the window is then sieved
     one segment at a time.  The primes of a segment and their dists are
     computed once and shared: the count takes its verdicts from them, and
     the smoothed sum adds the dists of the higher powers only.  A kind not
@@ -58,6 +59,8 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     if "smoothed_sum" in kinds:
         check_direct_delta(delta)
     adm = require_admissible(config, force)
+    if X - Y < 2:    # the window sieve needs its left end X - Y >= 2
+        raise ValueError(f"need X - Y >= 2 to sieve the window, got X={X} and Y={Y}")
     charge("window", Y, config.budget)
     conv, in_window = select_q(config)
     oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)

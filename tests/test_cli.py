@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import primeangle.alpha as alpha_mod
+import primeangle.config as config_mod
 from primeangle import acceptance, cli, experiments, sieve, vaughan
 from primeangle.cli import build_parser, main
 from primeangle.experiments import sweep
@@ -248,6 +249,25 @@ def test_y_above_x_is_refused_by_the_config(capsys):
                               "--eps", "0.01", "--alpha", "sqrt:2", "--force"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: need Y <= X, got X=1000000 and Y=10000000\n"
+
+
+@pytest.mark.parametrize("command", ["count", "ssum"])
+@pytest.mark.parametrize("x,y", [(3, 3), (1000, 999)])
+def test_a_window_reaching_below_two_is_refused(command, x, y, capsys):
+    # the sieve's own "need 2 <= lo < hi" used to leak out for a forced X - Y < 2
+    code, out, err = run_cli([command, "--x", str(x), "--y", str(y), "--delta", "0.3",
+                              "--eps", "0.01", "--alpha", "sqrt:2", "--force"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: need X - Y >= 2 to sieve the window, got X={x} and Y={y}\n"
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["t1", "--h", "1"],
+                                     ["t2", "--h", "1", "--m-block", "8"]])
+def test_bound_commands_run_on_the_whole_of_0_x(command, capsys):
+    # they sieve nothing, so Y = X is a point they can run
+    doc = run_json(command + ["--x", "100", "--y", "100", "--delta", "0.3", "--eps", "0.01",
+                              "--alpha", "sqrt:2", "--force"], capsys)
+    assert doc["config_echo"]["Y"] == 100
 
 
 @pytest.mark.parametrize("command,precision,message", [
@@ -506,6 +526,14 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         flags = {opt for a in parser._actions for opt in a.option_strings
                  if opt.startswith("--") and opt != "--help"}
         assert flags == FLAGS[name], name
+
+
+def test_the_flag_map_covers_every_config_flag():
+    # admissible takes the output flags and the config parent's flags, nothing else
+    flags = {action.option_strings[0]: action.dest for action in _subcommands()["admissible"]._actions
+             if action.option_strings[0] not in ("-h", "--out", "--config")}
+    assert flags == {flag: flag[2:].replace("-", "_") for flag in cli.FLAG_KEYS}
+    assert sorted(cli.FLAG_KEYS.values()) == sorted(config_mod.READERS)
 
 
 POINT = ["--x", "500", "--y", "150", "--delta", "0.3", "--eps", "0.05", "--alpha", "sqrt:2"]

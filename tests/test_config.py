@@ -1,13 +1,19 @@
 """Admissibility checks, q selection, config parsing."""
 
+import dataclasses
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeangle.alpha import AlphaSpec
 from primeangle.config import (
+    FORMATS,
+    Q_POLICY_ALIASES,
+    READERS,
     ExperimentConfig,
     InadmissibleConfig,
     QWindowMiss,
@@ -102,6 +108,56 @@ def test_config_from_json_roundtrip():
     echoed = json.dumps(config.as_dict())
     again = config_from_dict(json.loads(echoed))
     assert again == config
+
+
+def test_the_reader_table_lists_every_config_field_in_order():
+    assert list(READERS) == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+
+NONSQUARE = st.integers(2, 10 ** 6).filter(lambda d: math.isqrt(d) ** 2 != d)
+TERMS = st.lists(st.integers(1, 100), max_size=3).map(lambda terms: ",".join(map(str, terms)))
+ALPHAS = st.one_of(
+    NONSQUARE.map(lambda d: f"sqrt:{d}"),
+    st.builds(lambda a, b, c, d: f"surd:{a},{b},{c},{d}", st.integers(-50, 50),
+              st.integers(-20, 20).filter(bool), st.integers(1, 50), NONSQUARE),
+    st.builds(lambda a0, pre, period: f"cf:{a0};{pre};{period}", st.integers(-50, 50), TERMS,
+              TERMS.filter(bool)),
+)
+
+
+def _integral(value):
+    """value as an int or as the float equal to it."""
+    return st.sampled_from([value, float(value)])
+
+
+@st.composite
+def config_dicts(draw):
+    X = draw(st.integers(1, 10 ** 12))
+    Y = draw(st.integers(0, X))
+    data = {"X": draw(_integral(X)), "Y": draw(_integral(Y)),
+            "delta": draw(st.floats(1e-3, 0.5)), "eps": draw(st.floats(1e-3, 1.0)),
+            "alpha": draw(ALPHAS)}
+    optional = {
+        "err_target": st.one_of(st.integers(3, 1074).map(lambda k: f"2^-{k}"),
+                                st.floats(0.0, 0.25, exclude_min=True, exclude_max=True)),
+        "q_policy": st.sampled_from(sorted(Q_POLICY_ALIASES)),
+        "budget": st.floats(allow_nan=False, allow_infinity=False),
+        "seed": st.integers(-2 ** 53, 2 ** 53).flatmap(_integral),
+        "format": st.sampled_from(FORMATS),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    return data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(config_dicts())
+def test_the_config_echo_round_trips(data):
+    config = config_from_dict(data)
+    echo = json.loads(json.dumps(config.as_dict()))
+    assert config_from_dict(echo) == config
+    assert config_from_dict(echo).as_dict() == echo
 
 
 def test_config_rejects_unknown_keys():

@@ -175,6 +175,17 @@ def test_sweep_row_for_y_above_x():
     assert "reports" in rows[1]
 
 
+def test_sweep_row_for_a_window_below_two():
+    # (X-Y, X] with X - Y < 2 used to reach the sieve's "need 2 <= lo < hi"
+    good = tiny_config().as_dict()
+    rows = sweep([dict(good, Y=good["X"] - 1), dict(good, Y=good["X"]), good],
+                 runs=("prime_count", "smoothed_sum"), force=True)
+    for row, Y in zip(rows, (good["X"] - 1, good["X"])):
+        assert row["error"] == "error"
+        assert row["error_detail"] == f"need X - Y >= 2 to sieve the window, got X={good['X']} and Y={Y}"
+    assert "reports" in rows[2]
+
+
 def test_sweep_two_points_trend():
     rows = sweep([
         desk_config(X=10 ** 5, Y=3 * 10 ** 4, delta=0.45, eps=0.01).as_dict(),
