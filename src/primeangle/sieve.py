@@ -8,9 +8,13 @@ window is prime, so the flags cover odd numbers only.  Each segment starts
 from a copy of a presieve tile that has the multiples of 3, 5, 7, 11 and 13
 struck (period 15015 on odd numbers); larger primes strike by slice when
 they have many multiples in the segment, the rest together in rounds of
-one vectorised strike each.  Streaming callers take the window one
-SEGMENT_SIZE segment at a time (sieve_segments), so their memory does not
-grow with the window length.
+one vectorised strike each, round r over the prefix of primes small
+enough to have an r-th multiple there.  Streaming callers take the window
+one SEGMENT_SIZE segment at a time (sieve_segments), so their memory does
+not grow with the window length.  Each base prime's first multiple is
+found once per window, and its next offset carried from segment to
+segment (the bucket sieve's carry, T. Oliveira e Silva, S. Herzog and
+S. Pardi, Math. Comp. 83 (2014)).
 
 SmallTables holds mu(n), tau(n) and Lambda(n) for n <= N as plain arrays
 indexed by n, filled once by small_tables.
@@ -86,8 +90,9 @@ class IntervalSieve:
 
     flags holds the odd numbers only: flags[i] corresponds to
     n = odd0 + 2i, where odd0 = lo + 1 + (lo & 1) is the first odd number
-    of the window; even n > 2 are never prime.  Immutable by convention
-    after construction.
+    of the window; even n > 2 are never prime.  It is a view of all but
+    the last slot of the buffer the strikes filled, whose last slot is
+    their sentinel.  Immutable by convention after construction.
     """
 
     lo: int
@@ -160,41 +165,103 @@ def _check_window(lo: int, hi: int) -> None:
         raise SieveCeilingExceeded(f"hi={hi} exceeds ceiling {SIEVE_CEILING}")
 
 
-def _segment_flags(flags: np.ndarray, lo: int, bases: np.ndarray) -> None:
-    """Fill flags with the primality of the odd numbers lo + 1 + (lo & 1) + 2i.
+class _Strikes:
+    """The next strike of every base prime of a window, carried from segment to segment.
 
-    bases is base_primes(limit) for a limit whose square reaches the last
-    number (primes past it strike nothing).  flags starts as a copy of the
-    presieve tile, and the wheel primes inside the window are set back.
-    Every other odd base p strikes its odd multiples from max(p * p, lo + 1)
-    on: primes below the split that SLICE_HITS sets by slice assignment,
-    the rest in rounds that strike one multiple of every prime still
-    inside the segment.
+    primes are the odd base primes of (lo, hi] past the wheel, up to
+    sqrt(hi); offsets[j] is the index, among the odd numbers of the
+    segment that starts at lo, of the first multiple m * primes[j] that
+    the prime strikes there: m odd, m >= primes[j] and m * primes[j] > lo.
+    The offsets are found by one division per prime for the window, and
+    _segment_flags moves them past each segment it sieves.
     """
-    size = flags.size
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        # 2 and the wheel primes strike nothing here
+        self.primes = base_primes(math.isqrt(hi))[len(_WHEEL) + 1:]
+        offsets = np.maximum(self.primes, (lo + self.primes) // self.primes)
+        offsets |= 1
+        offsets *= self.primes
+        offsets -= lo + 1 + (lo & 1)
+        offsets >>= 1
+        self.offsets = offsets
+        self.scratch = np.empty_like(offsets)
+        self._plans: dict = {}
+
+    def plan(self, size: int):
+        """(split, slice_primes, counts) for a segment of size odd numbers.
+
+        The primes below index split, listed in slice_primes, strike by
+        slice.  Round r >= 1 can strike only primes p <= size // r, so
+        counts[r] is how many of the others take part in it (counts[0]:
+        all of them), and counts ends with 0.
+        """
+        if size not in self._plans:
+            split = int(np.searchsorted(self.primes, max(2 * size // SLICE_HITS + 1,
+                                                          math.isqrt(SLICE_HITS * size))))
+            rest = self.primes[split:]
+            rounds = size // int(rest[0]) if rest.size else -1
+            counts = np.searchsorted(rest, size // np.arange(1, rounds + 1), side="right")
+            self._plans[size] = (split, self.primes[:split].tolist(),
+                                 [rest.size] + counts.tolist() + [0])
+        return self._plans[size]
+
+
+def _segment_flags(buf: np.ndarray, strikes: _Strikes, hi: int) -> None:
+    """Fill buf[:-1] with the primality of the odd numbers of (strikes.lo, hi].
+
+    strikes holds the offsets at lo = strikes.lo of the base primes of a
+    window that reaches at least hi; on return they are carried to the
+    segment that starts at hi.  buf[-1] is a sentinel that the rounds
+    strike in place of every index past the segment.  The flags start as
+    a copy of the presieve tile, and the wheel primes inside the segment
+    are set back.  Every other base prime p strikes its odd multiples from
+    max(p * p, lo + 1) on: primes below the split that SLICE_HITS sets by
+    slice assignment, the rest in rounds; round r strikes the r-th
+    multiple of the prefix of primes p <= size // r, the only ones it can
+    reach, so no round compacts its arrays.
+    """
+    lo = strikes.lo
+    size = buf.size - 1
     odd0 = lo + 1 + (lo & 1)
     phase = (odd0 // 2) % _PERIOD
-    flags[:] = np.resize(_PRESIEVE[phase: phase + _PERIOD], size)
+    flags = buf[:size]
+    filled = min(size, _PERIOD)
+    flags[:filled] = _PRESIEVE[phase: phase + filled]
+    while filled < size:  # whole periods, doubling
+        step = min(filled, size - filled)
+        flags[filled: filled + step] = flags[:step]
+        filled += step
     for p in _WHEEL:
         if lo < p < odd0 + 2 * size:
             flags[(p - odd0) // 2] = True
-    primes = bases[len(_WHEEL) + 1:]  # 2 and the wheel primes strike nothing here
-    # the least odd m >= p with m * p > lo, then the index of m * p
-    offsets = np.maximum(primes, (lo + primes) // primes)
-    offsets |= 1
-    offsets *= primes
-    offsets -= odd0
-    offsets >>= 1
-    split = int(np.searchsorted(primes, max(2 * size // SLICE_HITS + 1,
-                                            math.isqrt(SLICE_HITS * size))))
-    for start, p in zip(offsets[:split].tolist(), primes[:split].tolist()):
+    primes, offsets = strikes.primes, strikes.offsets
+    split, slice_primes, counts = strikes.plan(size)
+    carry = hi < strikes.hi  # the window's last segment carries nothing on
+    if carry:
+        # primes with p * p > lo may start at or past p: their next offset
+        # is re-reduced exactly, the others' follows from where they stopped
+        late = int(np.searchsorted(primes, math.isqrt(lo), side="right"))
+        late_next = offsets[late:] - size
+    head = offsets[:split]
+    for start, p in zip(head.tolist(), slice_primes):
         flags[start:: p] = False
-    offsets, primes = offsets[split:], primes[split:]
-    while offsets.size:
-        inside = offsets < size
-        offsets, primes = offsets[inside], primes[inside]
-        flags[offsets] = False
-        offsets += primes
+    rest, rest_primes = offsets[split:], primes[split:]
+    index = strikes.scratch[split:]
+    for k, k_next in zip(counts, counts[1:]):
+        np.minimum(rest[:k], size, out=index[:k])
+        buf[index[:k]] = False
+        rest[:k_next] += rest_primes[:k_next]
+    strikes.lo = hi
+    if carry:
+        head -= size
+        head %= primes[:split]
+        rest -= size
+        np.right_shift(rest, 63, out=index)  # -1 where rest < 0, else 0
+        index &= rest_primes
+        rest += index
+        offsets[late:] = np.where(late_next < 0, late_next % primes[late:], late_next)
 
 
 def _higher_powers(lo: int, hi: int, bases: np.ndarray) -> list:
@@ -224,20 +291,29 @@ def _higher_powers(lo: int, hi: int, bases: np.ndarray) -> list:
     return powers
 
 
-def sieve_interval(lo: int, hi: int) -> IntervalSieve:
+def sieve_interval(lo: int, hi: int, strikes: _Strikes | None = None) -> IntervalSieve:
     """Sieve the window (lo, hi] with strikes of the base primes.
 
     Strikes run one SEGMENT_SIZE piece at a time, so their temporaries
-    stay O(segment); the odd flags of the whole window are kept.
+    stay O(segment); the odd flags of the whole window are kept, with one
+    sentinel slot past them.  Each piece's sentinel is the next piece's
+    first flag, which that piece's presieve copy then sets.  strikes,
+    from sieve_segments, carries the base primes' offsets to lo from the
+    segment before and on to hi; without it they are found afresh.
     """
     _check_window(lo, hi)
-    bases = base_primes(math.isqrt(hi))
+    if strikes is None:
+        strikes = _Strikes(lo, hi)
+    elif strikes.lo != lo or strikes.hi < hi:
+        raise ValueError(f"strikes carried to {strikes.lo} for a window to {strikes.hi}, "
+                         f"not to {lo} for one to {hi}")
     below = (lo + 1) // 2  # odd numbers <= lo
-    flags = np.empty((hi + 1) // 2 - below, dtype=bool)
+    buf = np.empty((hi + 1) // 2 - below + 1, dtype=bool)
     for seg_lo in range(lo, hi, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi)
-        _segment_flags(flags[(seg_lo + 1) // 2 - below: (seg_hi + 1) // 2 - below], seg_lo, bases)
-    return IntervalSieve(lo=lo, hi=hi, flags=flags)
+        _segment_flags(buf[(seg_lo + 1) // 2 - below: (seg_hi + 1) // 2 - below + 1],
+                       strikes, seg_hi)
+    return IntervalSieve(lo=lo, hi=hi, flags=buf[:-1])
 
 
 def sieve_segments(lo: int, hi: int):
@@ -245,11 +321,12 @@ def sieve_segments(lo: int, hi: int):
 
     Streaming callers hold one segment at a time, so their memory is
     O(SEGMENT_SIZE) whatever the window length.  The base primes are
-    sieved once, up to sqrt(hi), so each segment only slices them.
+    sieved once, up to sqrt(hi), and their first offsets found once for
+    the window; each segment's sieve_interval carries them on to the next.
     """
     _check_window(lo, hi)
-    base_primes(math.isqrt(hi))
-    return (sieve_interval(seg_lo, min(seg_lo + SEGMENT_SIZE, hi))
+    strikes = _Strikes(lo, hi)
+    return (sieve_interval(seg_lo, min(seg_lo + SEGMENT_SIZE, hi), strikes)
             for seg_lo in range(lo, hi, SEGMENT_SIZE))
 
 
@@ -257,14 +334,17 @@ class ExactSum:
     """Exact running sum of float64 arrays; value() rounds the total once.
 
     Each float is M * 2^(s - 1126) with an integer |M| < 2^53 and a slot
-    s = e + 1073 in [0, 2098) (np.frexp).  Slots group into buckets of
-    2^_BUCKET_BITS consecutive ones: per bucket, the high and low 26-bit
-    halves of the M, each shifted left by its slot's offset inside the
-    bucket, are summed in int64 (np.add.at), so Python loops over the at
-    most 132 buckets, not over every distinct exponent (R. M. Neal's
-    "small superaccumulator", arXiv:1505.05571).  The total is an integer
-    multiple of 2^-1126, so value() is the correctly rounded sum of
-    everything added, whatever the order or the split into calls.
+    s = e + 1073 in [0, 2098) (np.frexp).  A chunk whose slots span at
+    most 2^_BUCKET_BITS consecutive values (every chunk of log p, say) is
+    one group: the high and low 26-bit halves of its M, each shifted left
+    by its slot's offset from the least slot, are summed with two plain
+    int64 sums.  Other chunks group their slots into buckets of
+    2^_BUCKET_BITS consecutive ones, summed the same way per bucket
+    (np.add.at), so Python loops over the at most 132 buckets, not over
+    every distinct exponent (R. M. Neal's "small superaccumulator",
+    arXiv:1505.05571).  The total is an integer multiple of 2^-1126, so
+    value() is the correctly rounded sum of everything added, whatever
+    the order or the split into calls.
     """
 
     # A shifted half is at most 2^27 * 2^15 = 2^42 in magnitude, so the
@@ -282,17 +362,27 @@ class ExactSum:
         if not np.isfinite(values).all():
             raise ValueError("ExactSum needs finite values")
         for start in range(0, values.size, self._CHUNK):
-            mant, bucket = np.frexp(values[start: start + self._CHUNK])
-            ints = np.ldexp(mant, 53).astype(np.int64)
-            bucket += 1073  # the slot, until the shift below
-            offset = bucket & ((1 << self._BUCKET_BITS) - 1)
-            bucket >>= self._BUCKET_BITS
+            mant, slot = np.frexp(values[start: start + self._CHUNK])
+            mant *= 2.0 ** 53
+            ints = mant.astype(np.int64)
+            slot += 1073
+            least = int(slot.min())
+            if int(slot.max()) - least < 1 << self._BUCKET_BITS:
+                slot -= least
+                high = ints >> 26
+                high <<= slot
+                ints &= self._LOW
+                ints <<= slot
+                self._total += ((int(high.sum()) << 26) + int(ints.sum())) << least
+                continue
+            offset = slot & ((1 << self._BUCKET_BITS) - 1)
+            slot >>= self._BUCKET_BITS  # the bucket
             high = np.zeros(self._BUCKETS, dtype=np.int64)
             low = np.zeros(self._BUCKETS, dtype=np.int64)
-            np.add.at(high, bucket, (ints >> 26) << offset)
+            np.add.at(high, slot, (ints >> 26) << offset)
             ints &= self._LOW
             ints <<= offset
-            np.add.at(low, bucket, ints)
+            np.add.at(low, slot, ints)
             for b in np.flatnonzero(high | low).tolist():
                 self._total += ((int(high[b]) << 26) + int(low[b])) << (b << self._BUCKET_BITS)
 

@@ -127,9 +127,9 @@ def test_sieve_streams_the_window_in_segments(capsys, monkeypatch):
     whole = sieve_interval(lo, hi)
     widths = []
 
-    def one_segment(seg_lo, seg_hi):
+    def one_segment(seg_lo, seg_hi, strikes):
         widths.append(seg_hi - seg_lo)
-        return sieve_interval(seg_lo, seg_hi)
+        return sieve_interval(seg_lo, seg_hi, strikes)
 
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 64)
     monkeypatch.setattr(sieve, "sieve_interval", one_segment)
@@ -397,7 +397,8 @@ def test_sweep_collapses_duplicate_runs(tmp_path, capsys, monkeypatch):
     windows = []
     sieve_interval = sieve.sieve_interval
     monkeypatch.setattr(sieve, "sieve_interval",
-                        lambda lo, hi: windows.append((lo, hi)) or sieve_interval(lo, hi))
+                        lambda lo, hi, strikes: windows.append((lo, hi))
+                        or sieve_interval(lo, hi, strikes))
     twice = run_json(["sweep", "--points", str(path),
                       "--runs", "smoothed_sum,prime_count,smoothed_sum,prime_count"], capsys)
     assert twice == once

@@ -261,7 +261,8 @@ def test_sweep_window_kinds_share_one_pass(monkeypatch):
     interval, build = sieve.sieve_interval, experiments.build_angle_oracle
     exact, higher = AngleOracle.residues, sieve._higher_powers
     monkeypatch.setattr(sieve, "sieve_interval",
-                        lambda lo, hi: segments.append(interval(lo, hi)) or segments[-1])
+                        lambda lo, hi, strikes: segments.append(interval(lo, hi, strikes))
+                        or segments[-1])
     monkeypatch.setattr(experiments, "build_angle_oracle",
                         lambda *a, **k: oracles.append(build(*a, **k)) or oracles[-1])
     monkeypatch.setattr(AngleOracle, "residues",

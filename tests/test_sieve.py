@@ -175,24 +175,83 @@ def test_segment_flags_on_both_sides_of_the_split_crossover(lo, size):
     # below 65536 odd numbers the split is isqrt(SLICE_HITS * size), from
     # there on 2 * size // SLICE_HITS + 1; lo below 13 puts wheel primes
     # in the segment, and lo >= 4e6 puts primes on both sides of the split
-    flags = np.empty(size, dtype=bool)
-    bases = base_primes(math.isqrt(lo + 2 * size + 1))
-    sieve_mod._segment_flags(flags, lo, bases)
-    assert np.array_equal(flags, trial_division_odd_flags(lo, size))
+    buf = np.empty(size + 1, dtype=bool)
+    hi = lo + 2 * size - 1 + (lo & 1)  # (lo, hi] holds size odd numbers
+    sieve_mod._segment_flags(buf, sieve_mod._Strikes(lo, hi), hi)
+    assert np.array_equal(buf[:size], trial_division_odd_flags(lo, size))
+
+
+def plain_sieve_primes(lo, hi):
+    """Primes in (lo, hi] by striking every number of the window, bases by trial division."""
+    prime = np.ones(hi - lo, dtype=bool)  # prime[i] is n = lo + 1 + i
+    for p in trial_division_primes(1, math.isqrt(hi)):
+        first = max(p * p, (lo // p + 1) * p)
+        prime[first - lo - 1:: p] = False
+    return (lo + 1 + np.flatnonzero(prime)).tolist()
+
+
+def strikes_in(p, segment):
+    """Whether the odd prime p strikes an odd multiple m * p, m >= p, in the segment."""
+    m = max(p, segment.lo // p + 1)
+    return (m | 1) * p <= segment.hi
+
+
+@pytest.mark.parametrize("lo,hi,segment", [
+    (97 ** 2 - 1000, 113 ** 2 + 700, 65),     # round primes from 47 on
+    (157 ** 2 - 1000, 181 ** 2 + 1000, 777),  # round primes from 157 on
+    (2, 3000, 65),                            # primes below sqrt(hi) inside the window
+    (997 ** 2 - 3000, 997 ** 2 + 9000, 777),  # primes past 388 skip whole segments
+    (996_854_272, 10 ** 9, 2 ** 20),          # three full segments
+])
+def test_carried_offsets_match_an_independent_sieve(lo, hi, segment):
+    # each segment takes its offsets from the one before: some base primes
+    # have their square in a later segment than the first (their offsets
+    # start past p and are re-reduced exactly), and some strike nothing in
+    # a whole segment
+    with mock.patch.object(sieve_mod, "SEGMENT_SIZE", segment):
+        pieces = list(sieve_segments(lo, hi))
+    roots = trial_division_primes(13, math.isqrt(hi))
+    assert any(s.lo < p * p <= s.hi for s in pieces[1:] for p in roots)
+    assert any(not strikes_in(p, s) for s in pieces for p in roots)
+    want = trial_division_primes(lo, hi) if hi - lo <= 20_000 else plain_sieve_primes(lo, hi)
+    assert np.concatenate([s.primes() for s in pieces]).tolist() == want
+    for s in pieces:
+        assert s.primes().tolist() == [p for p in want if s.lo < p <= s.hi]
+
+
+def test_the_window_to_one_billion_has_its_known_count():
+    # p^2 lies inside the window for these four base primes, the last two
+    # in the second and third segment
+    lo, hi = 996_854_272, 10 ** 9
+    assert [p for p in base_primes(math.isqrt(hi)).tolist() if p * p > lo] == [
+        31573, 31583, 31601, 31607]
+    assert sum(s.prime_count() for s in sieve_segments(lo, hi)) == 151_728
+    assert sieve_interval(lo, hi).prime_count() == 151_728
 
 
 def test_segment_memory_is_bounded_by_the_segment():
     # the strikes of one segment hold O(1) arrays over the base primes and
-    # nothing over the segment's hits; the base-prime cache is grown first
-    lo, hi = 10 ** 12, 10 ** 12 + sieve_mod.SEGMENT_SIZE
-    bases = base_primes(math.isqrt(hi))
+    # nothing over the segment's hits, and a walk over segments carries
+    # O(1) arrays over the base primes; the base-prime cache is grown first
+    size = sieve_mod.SEGMENT_SIZE
+    lo, hi = 10 ** 12, 10 ** 12 + size
+    bases = base_primes(math.isqrt(lo + 3 * size))
     tracemalloc.start()
     try:
         sieve_interval(lo, hi)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        segments, count = sieve_segments(lo, lo + 3 * size), 0
+        for _ in range(3):  # one segment held at a time
+            segment = next(segments)
+            count += segment.prime_count()
+            del segment
+        walk_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sieve_mod.SEGMENT_SIZE + 48 * len(bases)
+    assert peak < size + 48 * len(bases)
+    assert walk_peak < size + 48 * len(bases)
+    assert count == sieve_interval(lo, lo + 3 * size).prime_count()
 
 
 def test_prime_powers_match_factoring():

@@ -133,6 +133,8 @@ def test_sieve_segments_tile_the_window(monkeypatch):
     assert sum((s.higher_powers for s in pieces), []) == whole.higher_powers
     with pytest.raises(ValueError):
         sieve_segments(1, 10)
+    with pytest.raises(ValueError, match="strikes carried to"):  # not where they stand
+        sieve_interval(lo + 1000, lo + 2000, sieve_mod._Strikes(lo, hi))
 
 
 @pytest.mark.parametrize("n_max,err_target", [
@@ -424,6 +426,77 @@ def test_exact_sum_at_the_chunk_bound(sign):
     assert acc.value() == n * value
     acc.add(np.array([value]))
     assert acc.value() == float(Fraction(value) * (n + 1))
+
+
+def frexp_slots(values):
+    """The ExactSum slots e + 1073 of the floats, e their np.frexp exponents."""
+    return np.frexp(np.array(values, dtype=np.float64))[1] + 1073
+
+
+@st.composite
+def narrow_chunks(draw):
+    """Floats whose slots lie within 16 consecutive ones, with both signs.
+
+    A run of 16 slots from a drawn least slot (of normal floats, or
+    subnormals k * 2^-1074 in slots 0..15); runs from the least slots
+    past 1058 reach slot 1073 of the signed zeros, which join them, and
+    runs that start inside a bucket straddle its boundary.
+    """
+    sign = st.sampled_from([1, -1])
+    if draw(st.booleans()):
+        k = st.integers(1, 2 ** 16 - 1)
+        return draw(st.lists(st.builds(lambda s, k: s * k * 5e-324, sign, k),
+                             min_size=1, max_size=80))
+    least = draw(st.one_of(st.integers(52, 2098 - 16), st.integers(1058, 1073),
+                           st.builds(lambda b: 16 * b + 9, st.integers(4, 129))))
+    value = st.builds(lambda s, m, j: s * math.ldexp(m, least + j - 1126),
+                      sign, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(0, 15))
+    if least <= 1073 <= least + 15:
+        value = st.one_of(value, st.sampled_from([0.0, -0.0]))
+    return draw(st.lists(value, min_size=1, max_size=80))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(narrow_chunks(), st.lists(st.integers(0, 80), max_size=6))
+def test_exact_sum_of_narrow_chunks_is_the_correctly_rounded_fraction_sum(values, cuts):
+    # every call's chunk spans at most 16 slots, so it is summed in one
+    # group relative to its least slot, without the buckets
+    slots = frexp_slots(values)
+    assert slots.max() - slots.min() < 1 << ExactSum._BUCKET_BITS
+    acc = ExactSum()
+    bounds = [0] + sorted(cuts) + [len(values)]
+    for start, stop in zip(bounds, bounds[1:]):
+        acc.add(np.array(values[start:stop], dtype=np.float64))
+    exact = sum(map(Fraction, values), Fraction(0))
+    try:
+        want = float(exact)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            acc.value()
+        return
+    assert acc.value() == want
+
+
+@pytest.mark.parametrize("least", [1066, (70 << ExactSum._BUCKET_BITS) + 1])
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_sum_of_a_full_chunk_at_the_largest_shift(least, wide, sign):
+    # all but one value of a full chunk take the largest mantissa 15 slots
+    # above the least one, the largest shift of one group: its int64 sums
+    # come as close to 2^62 as the chunk allows.  The last value sits in
+    # the least slot, or (wide) far below, so that the chunk takes the
+    # buckets instead; least = 70 * 16 + 1 puts the run across a bucket
+    # boundary
+    top = sign * math.ldexp(2 ** 53 - 1, least + 15 - 1126)
+    last = sign * math.ldexp(2 ** 53 - 1, least - (40 if wide else 0) - 1126)
+    n = ExactSum._CHUNK
+    values = np.full(n, top)
+    values[-1] = last
+    slots = frexp_slots([top, last])
+    assert (slots.max() - slots.min() < 1 << ExactSum._BUCKET_BITS) != wide
+    acc = ExactSum()
+    acc.add(values)
+    assert acc.value() == float(Fraction(top) * (n - 1) + Fraction(last))
 
 
 def test_benchmark_entry_points():
