@@ -446,7 +446,8 @@ class AngleOracle:
         a * fl(P/Q) carries two roundings of 2^-53 on a value below 2^53:
         its floor est is within 3 of a*P/Q, and r = a*P - est*Q formed in
         wrapping uint64 is exact read as int64 (|r| < 3Q).  r mod Q is the
-        int64 residue.  Larger Q runs on an object array of Python integers.
+        int64 residue; the steps are written in place, so ns has at least
+        one dimension.  Larger Q runs on an object array of Python integers.
         """
         ns = np.asarray(ns)
         if ns.dtype.kind not in "iu":
@@ -459,9 +460,15 @@ class AngleOracle:
         a = ns.astype(np.uint64 if ns.dtype.kind == "u" else np.int64, copy=False)
         if self.n_max >= Q:
             a = a % a.dtype.type(Q)
-        est = np.floor(a * (self.residue / Q)).astype(np.int64)
-        r = a.view(np.uint64) * np.uint64(self.residue) - est.view(np.uint64) * np.uint64(Q)
-        return r.view(np.int64) % np.int64(Q)
+        est = np.multiply(a, self.residue / Q)
+        np.floor(est, out=est)
+        est = est.astype(np.int64).view(np.uint64)
+        est *= np.uint64(Q)
+        r = np.multiply(a.view(np.uint64), np.uint64(self.residue))
+        r -= est
+        r = r.view(np.int64)
+        r %= np.int64(Q)
+        return r
 
     def dists(self, ns: np.ndarray) -> np.ndarray:
         """||n*P/Q|| over an integer array, elementwise equal to dist(n)[0].
@@ -470,7 +477,8 @@ class AngleOracle:
         exact residue t = n*P mod Q.
         """
         t = self.residues(ns)
-        return self._over_q(np.minimum(t, self.anchor.q - t))
+        np.minimum(t, self.anchor.q - t, out=t)
+        return self._over_q(t)
 
     def fracs(self, ns: np.ndarray) -> np.ndarray:
         """{n*P/Q} over an integer array, elementwise equal to frac(n)[0]."""
@@ -481,7 +489,9 @@ class AngleOracle:
         Q = self.anchor.q
         if t.dtype == object:
             return (t / Q).astype(np.float64)
-        return t.astype(np.float64) / float(Q)
+        x = t.astype(np.float64)
+        x /= float(Q)
+        return x
 
     def verdicts(self, ns: np.ndarray, x: np.ndarray, delta):
         """(below, exact): ||n*alpha|| < delta for each n of ns, given x = dists(ns).
@@ -495,8 +505,13 @@ class AngleOracle:
         verdict is the true one at any ebound.
         """
         d, e = float(delta), self.ebound
-        below = (d - (x + e)) > FILTER_MARGIN
-        exact = ~below & (((x - e) - d) <= FILTER_MARGIN)
+        gap = np.add(x, e)
+        np.subtract(d, gap, out=gap)
+        below = gap > FILTER_MARGIN
+        np.subtract(x, e, out=gap)
+        gap -= d
+        exact = gap <= FILTER_MARGIN
+        exact &= ~below
         at = np.flatnonzero(exact)
         if at.size:
             below[at] = _below_in_alpha(self.alpha, self.anchor, np.asarray(ns)[at].tolist(), delta)

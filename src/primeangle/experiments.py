@@ -78,7 +78,9 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
             n, lam = segment.mangoldt_terms(primes)
             if n.size > primes.size:
                 x = np.concatenate([x, oracle.dists(n[primes.size:])])
-            value_sum.add(lam * f_direct_array(x, delta))
+            weights = f_direct_array(x, delta)
+            weights *= lam
+            value_sum.add(weights)
             psi_sum.add(lam)
     flags = [] if in_window else ["q-out-of-window"]
     if not adm.ok:

@@ -4,17 +4,21 @@ The window sieve certifies primality in (lo, hi] by striking multiples of
 every prime <= sqrt(hi); prime powers p^k (k >= 2) are annotated separately
 so that sums of the von Mangoldt function reduce to sums of log p, added
 exactly by ExactSum and rounded once.  Since lo >= 2, no even number of the
-window is prime, so the flags cover odd numbers only.  Each segment starts
-from a copy of a presieve tile that has the multiples of 3, 5, 7, 11 and 13
-struck (period 15015 on odd numbers); larger primes strike by slice when
-they have many multiples in the segment, the rest together in rounds of
-one vectorised strike each, round r over the prefix of primes small
-enough to have an r-th multiple there.  Streaming callers take the window
-one SEGMENT_SIZE segment at a time (sieve_segments), so their memory does
-not grow with the window length.  Each base prime's first multiple is
-found once per window, and its next offset carried from segment to
-segment (the bucket sieve's carry, T. Oliveira e Silva, S. Herzog and
-S. Pardi, Math. Comp. 83 (2014)).
+window is prime, so the flags cover odd numbers only.  They are laid out by
+the phase of the presieve tile, which has the multiples of 3, 5, 7, 11 and
+13 struck (period 15015 on odd numbers): the window's first odd number sits
+at its phase in a table of rows of one period each, filled with the tile
+from its first slot on.  Every odd number coprime to the wheel then lies in
+one of the tile's 5760 columns, so the primes are read off those columns
+alone.  Larger primes strike by slice when they have many multiples in the
+segment, the rest together in rounds of one vectorised strike each, round
+r over the prefix of primes small enough to have an r-th multiple there.
+Streaming callers take the window one SEGMENT_SIZE segment at a time
+(sieve_segments), so their memory does not grow with the window length.
+Each base prime's first multiple is found once per window, and its next
+offset carried from segment to segment (the bucket sieve's carry,
+T. Oliveira e Silva, S. Herzog and S. Pardi, Math. Comp. 83 (2014), whose
+segments also start from a pre-sieved pattern).
 
 SmallTables holds mu(n), tau(n) and Lambda(n) for n <= N as plain arrays
 indexed by n, filled once by small_tables.
@@ -48,17 +52,31 @@ SEGMENT_SIZE = 2 ** 20
 # Base primes with at least this many multiples among a segment's numbers
 # (half of them odd), or below sqrt(SLICE_HITS * s) for s odd numbers, strike
 # by slice assignment; the rest strike together in vectorised rounds.  The
-# root bound (the larger only below s = 65536) caps the rounds at sqrt(s / 64).
-SLICE_HITS = 64
+# root bound (the larger only below s = 2^19, a full segment) caps the rounds
+# at sqrt(s / 128).
+SLICE_HITS = 128
 # Relative margin around float k-th roots of window ends: the float root is
 # within a few ulps (~1e-15) of the exact one for every hi <= SIEVE_CEILING.
 ROOT_MARGIN = 2.0 ** -30
 # The presieve tile: _PRESIEVE[j] is False iff the odd number 2j + 1 is a
-# multiple of a wheel prime.  Two periods, so any run of one period is a
-# plain slice.
+# multiple of a wheel prime, and the flag of every odd number 2j + 1 past
+# the wheel follows it with j mod _PERIOD.  _COLUMNS are the tile's True
+# slots, the only ones where a table laid out by phase can hold a prime
+# past the wheel.
 _WHEEL = (3, 5, 7, 11, 13)
 _PERIOD = math.prod(_WHEEL)
-_PRESIEVE = np.gcd(2 * np.arange(2 * _PERIOD) + 1, _PERIOD) == 1
+_PRESIEVE = np.gcd(2 * np.arange(_PERIOD) + 1, _PERIOD) == 1
+_COLUMNS = np.flatnonzero(_PRESIEVE)
+_COLUMNS2 = 2 * _COLUMNS
+# IntervalSieve.primes gathers the candidate columns only for windows of
+# at least GATHER_MIN odd numbers above GATHER_LO.  Below about e^20 = 4.9e8
+# more than one odd number in ten is prime, and np.flatnonzero takes its
+# branch-free path over the flags, which costs less than the gather and
+# the mapping back; above it the flags are sparse enough for its
+# branching path, and among the candidates they are not.  GATHER_LO > 13,
+# so no wheel prime lies in a gathered window.
+GATHER_MIN = 2 ** 16
+GATHER_LO = 2 ** 29
 
 
 class SieveCeilingExceeded(ValueError):
@@ -88,20 +106,31 @@ def base_primes(limit: int) -> np.ndarray:
 class IntervalSieve:
     """Prime flags and prime-power annotations on the window (lo, hi].
 
-    flags holds the odd numbers only: flags[i] corresponds to
+    The flags hold the odd numbers only: flags[i] corresponds to
     n = odd0 + 2i, where odd0 = lo + 1 + (lo & 1) is the first odd number
-    of the window; even n > 2 are never prime.  It is a view of all but
-    the last slot of the buffer the strikes filled, whose last slot is
-    their sentinel.  Immutable by convention after construction.
+    of the window; even n > 2 are never prime.  They are the slots from
+    phase = (odd0 // 2) mod 15015 on of table, whose rows are periods of
+    the presieve tile, so slot j of a row holds an odd number with
+    j = (n // 2) mod 15015.  Every slot of table outside the flags is
+    False.  Immutable by convention after construction.
     """
 
     lo: int
     hi: int
-    flags: np.ndarray
+    table: np.ndarray
 
     @property
     def odd0(self) -> int:
         return self.lo + 1 + (self.lo & 1)
+
+    @property
+    def phase(self) -> int:
+        return (self.odd0 // 2) % _PERIOD
+
+    @property
+    def flags(self) -> np.ndarray:
+        size = (self.hi + 1) // 2 - (self.lo + 1) // 2
+        return self.table.reshape(-1)[self.phase: self.phase + size]
 
     @cached_property
     def higher_powers(self) -> list:
@@ -114,9 +143,30 @@ class IntervalSieve:
         return bool(n & 1 and self.flags[(n - self.odd0) // 2])
 
     def primes(self) -> np.ndarray:
-        primes = np.flatnonzero(self.flags)
-        primes *= 2
-        primes += self.odd0
+        """The primes of the window in increasing order.
+
+        Windows of GATHER_MIN odd numbers and more above GATHER_LO gather
+        the tile's candidate columns first and look for the True flags
+        among them only (38% of the flags); hit h of that (rows, 5760)
+        gather is the odd number
+        odd0 + 2 * (row * 15015 + _COLUMNS[h mod 5760] - phase).
+        """
+        flags = self.flags
+        if flags.size < GATHER_MIN or self.lo < GATHER_LO:
+            primes = np.flatnonzero(flags)
+            primes *= 2
+            primes += self.odd0
+            return primes
+        width = _COLUMNS.size
+        hits = np.flatnonzero(np.take(self.table, _COLUMNS, axis=1))
+        primes = hits // width
+        primes *= width
+        hits -= primes                      # the column of each hit
+        primes //= width
+        primes *= 2 * _PERIOD
+        primes += self.odd0 - 2 * self.phase
+        np.take(_COLUMNS2, hits, out=hits, mode="clip")
+        primes += hits
         return primes
 
     def prime_count(self) -> int:
@@ -137,11 +187,13 @@ class IntervalSieve:
         """
         if primes is None:
             primes = self.primes()
-        if not self.higher_powers:
-            return primes, np.log(primes.astype(np.float64))
-        powers = np.array(self.higher_powers, dtype=np.int64)
-        return (np.concatenate([primes, powers[:, 0]]),
-                np.log(np.concatenate([primes, powers[:, 1]]).astype(np.float64)))
+        bases = primes
+        if self.higher_powers:
+            powers = np.array(self.higher_powers, dtype=np.int64)
+            bases = np.concatenate([primes, powers[:, 1]])
+            primes = np.concatenate([primes, powers[:, 0]])
+        lam = bases.astype(np.float64)
+        return primes, np.log(lam, out=lam)
 
 
 def iroot(n: int, k: int) -> int:
@@ -209,33 +261,22 @@ class _Strikes:
 
 
 def _segment_flags(buf: np.ndarray, strikes: _Strikes, hi: int) -> None:
-    """Fill buf[:-1] with the primality of the odd numbers of (strikes.lo, hi].
+    """Strike the base primes' multiples from the odd numbers of (strikes.lo, hi] in buf[:-1].
 
-    strikes holds the offsets at lo = strikes.lo of the base primes of a
-    window that reaches at least hi; on return they are carried to the
-    segment that starts at hi.  buf[-1] is a sentinel that the rounds
-    strike in place of every index past the segment.  The flags start as
-    a copy of the presieve tile, and the wheel primes inside the segment
-    are set back.  Every other base prime p strikes its odd multiples from
-    max(p * p, lo + 1) on: primes below the split that SLICE_HITS sets by
-    slice assignment, the rest in rounds; round r strikes the r-th
-    multiple of the prefix of primes p <= size // r, the only ones it can
-    reach, so no round compacts its arrays.
+    buf[:-1] holds the segment's presieved flags, which are the primality
+    of its odd numbers once this returns.  strikes holds the offsets at
+    lo = strikes.lo of the base primes of a window that reaches at least
+    hi; on return they are carried to the segment that starts at hi.
+    buf[-1] is a sentinel that the rounds strike in place of every index
+    past the segment.  Every base prime p past the wheel strikes its odd
+    multiples from max(p * p, lo + 1) on: primes below the split that
+    SLICE_HITS sets by slice assignment, the rest in rounds; round r
+    strikes the r-th multiple of the prefix of primes p <= size // r, the
+    only ones it can reach, so no round compacts its arrays.
     """
     lo = strikes.lo
     size = buf.size - 1
-    odd0 = lo + 1 + (lo & 1)
-    phase = (odd0 // 2) % _PERIOD
     flags = buf[:size]
-    filled = min(size, _PERIOD)
-    flags[:filled] = _PRESIEVE[phase: phase + filled]
-    while filled < size:  # whole periods, doubling
-        step = min(filled, size - filled)
-        flags[filled: filled + step] = flags[:step]
-        filled += step
-    for p in _WHEEL:
-        if lo < p < odd0 + 2 * size:
-            flags[(p - odd0) // 2] = True
     primes, offsets = strikes.primes, strikes.offsets
     split, slice_primes, counts = strikes.plan(size)
     carry = hi < strikes.hi  # the window's last segment carries nothing on
@@ -294,12 +335,16 @@ def _higher_powers(lo: int, hi: int, bases: np.ndarray) -> list:
 def sieve_interval(lo: int, hi: int, strikes: _Strikes | None = None) -> IntervalSieve:
     """Sieve the window (lo, hi] with strikes of the base primes.
 
-    Strikes run one SEGMENT_SIZE piece at a time, so their temporaries
-    stay O(segment); the odd flags of the whole window are kept, with one
-    sentinel slot past them.  Each piece's sentinel is the next piece's
-    first flag, which that piece's presieve copy then sets.  strikes,
-    from sieve_segments, carries the base primes' offsets to lo from the
-    segment before and on to hi; without it they are found afresh.
+    The odd flags of the whole window are laid out by phase in a table of
+    presieve rows (IntervalSieve), filled with the tile in one broadcast
+    copy, with one sentinel slot past them.  The wheel primes inside the
+    window are set back, and everything before the flags and past them
+    is cleared.  Strikes run one SEGMENT_SIZE piece at a time, so their
+    temporaries stay O(segment).  Each piece's sentinel is the next
+    piece's first flag, which is put back after the piece is struck.
+    strikes, from sieve_segments, carries the base primes' offsets to lo
+    from the segment before and on to hi; without it they are found
+    afresh.
     """
     _check_window(lo, hi)
     if strikes is None:
@@ -308,12 +353,24 @@ def sieve_interval(lo: int, hi: int, strikes: _Strikes | None = None) -> Interva
         raise ValueError(f"strikes carried to {strikes.lo} for a window to {strikes.hi}, "
                          f"not to {lo} for one to {hi}")
     below = (lo + 1) // 2  # odd numbers <= lo
-    buf = np.empty((hi + 1) // 2 - below + 1, dtype=bool)
+    size = (hi + 1) // 2 - below
+    odd0 = lo + 1 + (lo & 1)
+    phase = (odd0 // 2) % _PERIOD
+    table = np.empty((-(-(phase + size + 1) // _PERIOD), _PERIOD), dtype=bool)
+    table[:] = _PRESIEVE
+    buf = table.reshape(-1)
+    buf[:phase] = False
+    for p in _WHEEL:
+        if lo < p <= hi:
+            buf[phase + (p - odd0) // 2] = True
     for seg_lo in range(lo, hi, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi)
-        _segment_flags(buf[(seg_lo + 1) // 2 - below: (seg_hi + 1) // 2 - below + 1],
-                       strikes, seg_hi)
-    return IntervalSieve(lo=lo, hi=hi, flags=buf[:-1])
+        end = phase + (seg_hi + 1) // 2 - below
+        after = buf[end]
+        _segment_flags(buf[phase + (seg_lo + 1) // 2 - below: end + 1], strikes, seg_hi)
+        buf[end] = after
+    buf[phase + size:] = False
+    return IntervalSieve(lo=lo, hi=hi, table=table)
 
 
 def sieve_segments(lo: int, hi: int):
@@ -365,11 +422,11 @@ class ExactSum:
             mant, slot = np.frexp(values[start: start + self._CHUNK])
             mant *= 2.0 ** 53
             ints = mant.astype(np.int64)
+            high = np.right_shift(ints, 26, out=mant.view(np.int64))
             slot += 1073
             least = int(slot.min())
             if int(slot.max()) - least < 1 << self._BUCKET_BITS:
                 slot -= least
-                high = ints >> 26
                 high <<= slot
                 ints &= self._LOW
                 ints <<= slot
@@ -377,14 +434,16 @@ class ExactSum:
                 continue
             offset = slot & ((1 << self._BUCKET_BITS) - 1)
             slot >>= self._BUCKET_BITS  # the bucket
-            high = np.zeros(self._BUCKETS, dtype=np.int64)
-            low = np.zeros(self._BUCKETS, dtype=np.int64)
-            np.add.at(high, slot, (ints >> 26) << offset)
+            high <<= offset
             ints &= self._LOW
             ints <<= offset
-            np.add.at(low, slot, ints)
-            for b in np.flatnonzero(high | low).tolist():
-                self._total += ((int(high[b]) << 26) + int(low[b])) << (b << self._BUCKET_BITS)
+            high_sums = np.zeros(self._BUCKETS, dtype=np.int64)
+            low_sums = np.zeros(self._BUCKETS, dtype=np.int64)
+            np.add.at(high_sums, slot, high)
+            np.add.at(low_sums, slot, ints)
+            for b in np.flatnonzero(high_sums | low_sums).tolist():
+                self._total += (((int(high_sums[b]) << 26) + int(low_sums[b]))
+                                << (b << self._BUCKET_BITS))
 
     def value(self) -> float:
         return self._total / (1 << 1126)

@@ -160,27 +160,6 @@ def test_window_sieve_matches_trial_division(window, segment):
         n in primes for n in range(lo + 1, hi + 1)]
 
 
-def trial_division_odd_flags(lo, size):
-    """Primality of the size odd numbers after lo, by division by every prime up to the root."""
-    n = lo + 1 + (lo & 1) + 2 * np.arange(size, dtype=np.int64)
-    prime = np.ones(size, dtype=bool)
-    for p in trial_division_primes(1, math.isqrt(int(n[-1]))):
-        prime &= (n % p != 0) | (n == p)
-    return prime
-
-
-@pytest.mark.parametrize("size", [1000, 4097, 65535, 65536, 65537, 2 ** 17])
-@pytest.mark.parametrize("lo", [2, 4, 10, 12, 4_000_001, 10 ** 7])
-def test_segment_flags_on_both_sides_of_the_split_crossover(lo, size):
-    # below 65536 odd numbers the split is isqrt(SLICE_HITS * size), from
-    # there on 2 * size // SLICE_HITS + 1; lo below 13 puts wheel primes
-    # in the segment, and lo >= 4e6 puts primes on both sides of the split
-    buf = np.empty(size + 1, dtype=bool)
-    hi = lo + 2 * size - 1 + (lo & 1)  # (lo, hi] holds size odd numbers
-    sieve_mod._segment_flags(buf, sieve_mod._Strikes(lo, hi), hi)
-    assert np.array_equal(buf[:size], trial_division_odd_flags(lo, size))
-
-
 def plain_sieve_primes(lo, hi):
     """Primes in (lo, hi] by striking every number of the window, bases by trial division."""
     prime = np.ones(hi - lo, dtype=bool)  # prime[i] is n = lo + 1 + i
@@ -188,6 +167,84 @@ def plain_sieve_primes(lo, hi):
         first = max(p * p, (lo // p + 1) * p)
         prime[first - lo - 1:: p] = False
     return (lo + 1 + np.flatnonzero(prime)).tolist()
+
+
+def reference_primes(lo, hi):
+    """Primes in (lo, hi]: by trial division up to 20,000 numbers, by the plain sieve beyond."""
+    return trial_division_primes(lo, hi) if hi - lo <= 20_000 else plain_sieve_primes(lo, hi)
+
+
+def reference_odd_flags(lo, size):
+    """Primality of the size odd numbers after lo, from reference_primes."""
+    odd0 = lo + 1 + (lo & 1)
+    odd_primes = [p for p in reference_primes(lo, odd0 + 2 * size - 2) if p & 1]
+    flags = np.zeros(size, dtype=bool)
+    flags[(np.array(odd_primes, dtype=np.int64) - odd0) // 2] = True
+    return flags
+
+
+@pytest.mark.parametrize("size", [1000, 4097, 65535, 65536, 65537, 2 ** 17,
+                                  2 ** 19 - 1, 2 ** 19, 2 ** 19 + 1, 2 ** 20])
+@pytest.mark.parametrize("lo", [2, 4, 10, 12, 4_000_001, 10 ** 7])
+def test_segment_flags_on_both_sides_of_the_split_crossover(lo, size):
+    # below 2^19 odd numbers the split is isqrt(SLICE_HITS * size), from
+    # there on 2 * size // SLICE_HITS + 1 (the sizes around 65536 are the
+    # crossover at a SLICE_HITS of 64); lo below 13 puts wheel primes in
+    # the segment, and lo >= 4e6 puts primes on both sides of the split
+    hi = lo + 2 * size - 1 + (lo & 1)  # (lo, hi] holds size odd numbers
+    with mock.patch.object(sieve_mod, "SEGMENT_SIZE", hi - lo):  # one segment
+        flags = sieve_interval(lo, hi).flags
+    assert np.array_equal(flags, reference_odd_flags(lo, size))
+
+
+@st.composite
+def gather_windows(draw):
+    """(lo, size): size odd numbers after lo, lo drawn over every phase of the presieve tile.
+
+    lo below 13 puts wheel primes inside the window; the sizes lie on both
+    sides of a GATHER_MIN of 1000 and span one, two and three table rows.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        lo = draw(st.integers(2, 12))
+    else:
+        phase, periods = draw(st.integers(0, WHEEL_PERIOD - 1)), draw(st.integers(0, 30))
+        lo = max(2, phase + WHEEL_PERIOD * periods)
+    return lo, draw(st.sampled_from([999, 1000, 1001, 4097, 15014, 15016, 2 * 15015 + 1]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(gather_windows())
+def test_primes_read_off_the_candidate_columns_match_every_flag(window):
+    # GATHER_LO at 13, the least height without a wheel prime inside, lets
+    # the gather run at heights where trial division is cheap
+    lo, size = window
+    hi = lo + 2 * size - 1 + (lo & 1)  # (lo, hi] holds size odd numbers
+    with mock.patch.object(sieve_mod, "GATHER_MIN", 1000), \
+            mock.patch.object(sieve_mod, "GATHER_LO", 13):
+        s = sieve_interval(lo, hi)
+        primes = s.primes()
+    assert primes.dtype == np.int64
+    assert primes.tolist() == (s.odd0 + 2 * np.flatnonzero(s.flags)).tolist()
+    assert primes.tolist() == reference_primes(lo, hi)
+    # every slot of the table before the flags and past them reads False
+    assert np.count_nonzero(s.table) == s.prime_count()
+
+
+def test_primes_on_both_sides_of_the_gather_height_match_a_plain_sieve():
+    # the first segment starts below GATHER_LO and reads every flag, the
+    # second gathers, and the window's last, partial segment has GATHER_MIN
+    # odd numbers less one (every flag) or more one (gathered)
+    size = sieve_mod.SEGMENT_SIZE
+    lo = sieve_mod.GATHER_LO - size // 2 + 1
+    for last in (sieve_mod.GATHER_MIN - 1, sieve_mod.GATHER_MIN + 1):
+        hi = lo + 2 * size + 2 * last
+        pieces = list(sieve_segments(lo, hi))
+        assert [s.flags.size for s in pieces] == [size // 2, size // 2, last]
+        assert pieces[0].lo < sieve_mod.GATHER_LO <= pieces[1].lo
+        want = plain_sieve_primes(lo, hi)
+        assert np.concatenate([s.primes() for s in pieces]).tolist() == want
+        for s in pieces:
+            assert s.primes().tolist() == (s.odd0 + 2 * np.flatnonzero(s.flags)).tolist()
 
 
 def strikes_in(p, segment):
@@ -213,7 +270,7 @@ def test_carried_offsets_match_an_independent_sieve(lo, hi, segment):
     roots = trial_division_primes(13, math.isqrt(hi))
     assert any(s.lo < p * p <= s.hi for s in pieces[1:] for p in roots)
     assert any(not strikes_in(p, s) for s in pieces for p in roots)
-    want = trial_division_primes(lo, hi) if hi - lo <= 20_000 else plain_sieve_primes(lo, hi)
+    want = reference_primes(lo, hi)
     assert np.concatenate([s.primes() for s in pieces]).tolist() == want
     for s in pieces:
         assert s.primes().tolist() == [p for p in want if s.lo < p <= s.hi]

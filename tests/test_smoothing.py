@@ -9,7 +9,10 @@ import pytest
 
 from primeangle.alpha import AlphaSpec
 from primeangle.config import ExperimentConfig
+import primeangle.smoothing as smoothing_mod
 from primeangle.smoothing import (
+    ARRAY_BLOCK,
+    EXP_ZERO,
     MIN_DIRECT_DELTA,
     build_kernel,
     check_direct_delta,
@@ -74,6 +77,86 @@ def test_default_direct_terms_tail():
         for x in (0.0, 0.25, 0.49):  # round(x) = 0
             want = math.fsum(math.exp(-inv * (x - n) * (x - n)) for n in range(-wide, wide + 1))
             assert abs(f_direct(x, delta) - want) < 1e-30
+
+
+def all_shifts_array(xs, delta):
+    """The direct form over every shift |s| <= default_direct_terms(delta), in increasing order.
+
+    Each term is formed at x - (round(x) + s), exact below 2^52.
+    """
+    terms, inv = default_direct_terms(delta), math.pi / (delta * delta)
+    center, total = np.rint(xs), np.zeros_like(xs)
+    for shift in range(-terms, terms + 1):
+        d = xs - (center + shift)
+        total += np.exp(-inv * d * d)
+    return total
+
+
+def all_shifts_scalar(x, delta):
+    terms, inv, center = default_direct_terms(delta), math.pi / (delta * delta), round(x)
+    return math.fsum(math.exp(-inv * (x - n) * (x - n))
+                     for n in range(center - terms, center + terms + 1))
+
+
+def shift_count(delta):
+    return len(smoothing_mod._direct_shifts(delta))
+
+
+def shift_switches():
+    """(below, above): adjacent floats around each delta where the direct form gains shifts +-k."""
+    switches = []
+    for k in (1, 2, 3):
+        above = (k - 0.5) * math.sqrt(math.pi / EXP_ZERO)
+        while shift_count(above) < 2 * k + 1:
+            above = math.nextafter(above, 1.0)
+        while shift_count(math.nextafter(above, 0.0)) >= 2 * k + 1:
+            above = math.nextafter(above, 0.0)
+        switches.append((math.nextafter(above, 0.0), above))
+    return switches
+
+
+def test_direct_form_drops_only_shifts_that_underflow():
+    # shifts +-k drop out below the switch, whose terms are all +0.0 there,
+    # so the sum over the kept shifts is the sum over all seven, bit for bit
+    assert [shift_count(d) for d in (0.05, 0.1, 0.16, 0.17, 0.45)] == [3, 5, 5, 7, 7]
+    rng = random.Random(11)
+    xs = [0.5, -0.5, 0.0, -0.0, 1.5, -2.5, 2.0 ** 51 + 0.5]
+    xs += [rng.uniform(-0.5, 0.5) for _ in range(300)]
+    xs += [rng.uniform(-1e6, 1e6) for _ in range(100)]
+    for below, above in shift_switches():
+        assert shift_count(below) + 2 == shift_count(above)
+        for delta in (below, above):
+            got, want = f_direct_array(np.array(xs), delta), all_shifts_array(np.array(xs), delta)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert [f_direct(x, delta) for x in xs] == [all_shifts_scalar(x, delta) for x in xs]
+
+
+def test_direct_form_beyond_two_to_the_53_is_the_weight_at_zero():
+    # there x - (round(x) + s) would round to x - round(x) = 0 for every
+    # shift s, summing 2 * terms + 1 copies of the peak
+    huge = [2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53), 2.0 ** 60, 1e300, -1e300]
+    for delta in (0.05, 0.3, 0.5):
+        peak = f_direct(0.0, delta)
+        assert [f_direct(x, delta) for x in huge] == [peak] * len(huge)
+        assert f_direct_array(np.array(huge + [0.0]), delta).tolist() == [
+            f_direct_array(np.array([0.0]), delta)[0]] * (len(huge) + 1)
+        # below 2^52 a half stays a half
+        assert f_direct(2.0 ** 51 + 0.5, delta) == f_direct(0.5, delta)
+        assert f_direct_array(np.array([2.0 ** 51 + 0.5, 0.5]), delta).tolist() == [
+            f_direct_array(np.array([0.5]), delta)[0]] * 2
+
+
+def test_direct_array_is_the_same_in_blocks_and_alone():
+    # the terms run ARRAY_BLOCK values at a time; no value depends on its block
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-3.0, 3.0, 2 * ARRAY_BLOCK + 3)
+    for delta in (0.05, 0.45):
+        whole = f_direct_array(xs, delta)
+        parts = np.concatenate([f_direct_array(xs[i: i + 1001], delta)
+                                for i in range(0, xs.size, 1001)])
+        assert whole.view(np.int64).tolist() == parts.view(np.int64).tolist()
+        assert whole.view(np.int64).tolist() == all_shifts_array(xs, delta).view(np.int64).tolist()
+    assert f_direct_array(np.array([]), 0.3).shape == (0,)
 
 
 def test_truncation_bound_closed_form():

@@ -9,6 +9,7 @@ and weight whole segments with numpy.
 import inspect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -111,6 +112,27 @@ def test_smoothed_sum_independent_of_segment_size(monkeypatch):
     pieces = run_smoothed_sum(config, force=True)
     assert pieces.value == whole.value
     assert pieces.bound_terms["psi_window"] == whole.bound_terms["psi_window"]
+
+
+def test_smoothed_sum_memory_does_not_grow_with_the_segments(monkeypatch):
+    # one segment's arrays are held at a time: six segments peak no higher
+    # than two, but for the slack of segments that hold a few more primes
+    # than others (a segment of 2^16 numbers near 1e9 holds about 3,200
+    # primes, each in five float64 or int64 arrays)
+    monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 2 ** 16)
+    slack = sieve_mod.SEGMENT_SIZE // 2
+
+    def peak(segments):
+        config = window_config(10 ** 9, segments * sieve_mod.SEGMENT_SIZE, 0.45, SQRT2)
+        run_smoothed_sum(config, force=True)  # the base-prime cache is grown first
+        tracemalloc.start()
+        try:
+            run_smoothed_sum(config, force=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) <= peak(2) + slack
 
 
 def test_psi_window_is_mangoldt_sum_interval(monkeypatch):
