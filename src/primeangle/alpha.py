@@ -224,20 +224,11 @@ def _floor_surd(m: int, s: int, q: int) -> int:
 
 
 def _surd_term_stream(spec: AlphaSpec) -> Iterator[int]:
-    """Infinite partial-quotient stream with state-revisit period detection."""
+    """Infinite partial-quotient stream of (m + sqrt(D))/q; q | D - m^2 at every step."""
     m, D, q = _surd_initial_state(spec)
     s = isqrt(D)
-    seen: dict = {}
-    history: list = []
     while True:
-        key = (m, q)
-        if key in seen:
-            cycle = history[seen[key]:]
-            yield from itertools.cycle(cycle)
-            return
-        seen[key] = len(history)
         a = _floor_surd(m, s, q)
-        history.append(a)
         yield a
         m = a * q - m
         q = (D - m * m) // q
@@ -528,7 +519,7 @@ def build_angle_oracle(alpha: AlphaSpec, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not (0.0 < err_target < 0.25):
-        raise ValueError("err_target must lie in (0, 1/4)")
+        raise ValueError(f"err_target must lie in (0, 1/4), got {err_target!r}")
     num, den = float(err_target).as_integer_ratio()
     chosen = None
     stream = convergent_stream(alpha)

@@ -25,19 +25,19 @@ from .config import (
     check_admissible,
     config_from_dict,
     parse_precision,
-    require_admissible,
 )
 from .experiments import (
     attach_envelope,
     run_bound_suite,
     run_prime_count,
     run_smoothed_sum,
+    run_tasks,
     sweep,
 )
 from .expsum import MinSumInstance, min_sum, standard_estimate_bound
 from .report import report_to_json, reports_to_csv
 from .sieve import mangoldt_sum_interval, sieve_segments, small_tables
-from .vaughan import SumContext, VaughanParams, t1_task, t2_task, vaughan_pieces
+from .vaughan import VaughanParams, t1_task, t2_task, vaughan_pieces
 
 OPTIONS = {
     "--format": dict(choices=FORMATS),
@@ -222,13 +222,8 @@ def cmd_minsum(args):
 def _run_task(args, make_task):
     """One task of the bound suite, on the config of the flags, with the q fields."""
     config = _build_config(args)
-    require_admissible(config, args.force)
-    ctx = SumContext(config)
-    task = make_task(ctx)
-    task.charge()
-    doc = task.run()
-    doc.update(q_used=ctx.q, q_window=list(config.q_window()), q_in_window=ctx.q_in_window)
-    _emit(args, attach_envelope(doc, config))
+    _, q_fields, [doc] = run_tasks(config, lambda ctx: [make_task(ctx)], args.force)
+    _emit(args, attach_envelope({**doc, **q_fields}, config))
     return 0
 
 

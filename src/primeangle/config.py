@@ -52,16 +52,27 @@ class QWindowMiss(ValueError):
 
 
 def parse_precision(text) -> float:
-    """Accept '2^-40' style powers of two or plain floats."""
+    """Accept '2^-40' style powers of two or plain floats; refuse one that rounds to 0.0."""
     if isinstance(text, (int, float)):
         return float(text)
     text = text.strip()
     if text.startswith("2^"):
         try:
-            return 2.0 ** int(text[2:])
+            value = 2.0 ** int(text[2:])
         except (ValueError, OverflowError):
             raise ValueError(f"precision {text!r} is not a float-sized 2^<integer>") from None
-    return float(text)
+    else:
+        value = float(text)
+    # a power of two is never zero, nor a float with a nonzero digit before its exponent
+    if value == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise ValueError(f"err_target must lie in (0, 1/4), got {text!r}, which rounds to 0.0")
+    return value
+
+
+def q_window_bounds(X: int, Y: int, delta: float, eps: float) -> tuple:
+    """(lo, hi) of the q window Y / (delta X^{1/2-2eps}) <= q <= Y / (delta X^{1/2-3eps})."""
+    Xf = float(X)
+    return Y / (delta * Xf ** (0.5 - 2 * eps)), Y / (delta * Xf ** (0.5 - 3 * eps))
 
 
 @dataclass(frozen=True)
@@ -117,9 +128,7 @@ class ExperimentConfig:
         return math.ceil(float(self.X) ** self.eps / self.delta)
 
     def q_window(self):
-        lo = self.Y / (self.delta * float(self.X) ** (0.5 - 2 * self.eps))
-        hi = self.Y / (self.delta * float(self.X) ** (0.5 - 3 * self.eps))
-        return lo, hi
+        return q_window_bounds(self.X, self.Y, self.delta, self.eps)
 
     def as_dict(self) -> dict:
         """The config echo: every config key (alpha in its grammar), then U, V and L."""

@@ -32,6 +32,7 @@ __all__ = [
     "run_smoothed_sum",
     "run_prime_count",
     "run_bound_suite",
+    "run_tasks",
     "sweep",
     "attach_envelope",
 ]
@@ -75,9 +76,9 @@ def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
             boundary += res.boundary_count
             interval_primes += primes.size
         if "smoothed_sum" in kinds:
-            n, lam = segment.mangoldt_terms(primes)
-            if n.size > primes.size:
-                x = np.concatenate([x, oracle.dists(n[primes.size:])])
+            powers, lam = segment.mangoldt_terms(primes)
+            if powers.size:
+                x = np.concatenate([x, oracle.dists(powers)])
             weights = f_direct_array(x, delta)
             weights *= lam
             value_sum.add(weights)
@@ -137,6 +138,22 @@ def run_prime_count(config: ExperimentConfig, force: bool = False) -> SumReport:
     return _window_reports(config, ("prime_count",), force)["prime_count"]
 
 
+def run_tasks(config: ExperimentConfig, make_plan, force: bool = False):
+    """Gate config, build its SumContext, charge every task of make_plan(ctx), then run them.
+
+    Returns (adm, q_fields, fragments): the AdmissibilityReport, the q_used,
+    q_window and q_in_window of the context, and the fragments in plan order.
+    """
+    adm = require_admissible(config, force)
+    ctx = SumContext(config)
+    plan = make_plan(ctx)
+    for task in plan:
+        task.charge()
+    q_fields = {"q_used": ctx.q, "q_window": list(config.q_window()),
+                "q_in_window": ctx.q_in_window}
+    return adm, q_fields, [task.run() for task in plan]
+
+
 def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
     """Dyadic grid of type I/II blocks with their bound chains: the tasks of vaughan.suite_plan.
 
@@ -144,23 +161,12 @@ def run_bound_suite(config: ExperimentConfig, force: bool = False) -> dict:
     each (H, M) with X^{1/3} <= M <= X^{2/3}, the Cauchy-Schwarz opening
     T3 = T4 + T5, the exact T2(H, M) read off its rows, quadruple-count
     samples where gamma_enumerable allows, and the closed-form chain terms.
-    Every task is charged before the first one runs, and the fragments are
-    assembled in plan order.
+    Every task is charged before the first one runs (run_tasks), and the
+    fragments are assembled in plan order.
     """
-    adm = require_admissible(config, force)
-    ctx = SumContext(config)
-    plan = suite_plan(ctx)
-    for task in plan:
-        task.charge()
-    result = {"q_used": ctx.q, "q_in_window": ctx.q_in_window, "q_window": list(config.q_window()),
-              "admissible": adm.ok, "t2_blocks": [], "notices": []}
-    for task in plan:
-        fragment = task.run()
-        if task.slot == "t2_blocks":
-            result["t2_blocks"].append(fragment)
-        else:
-            result.update(fragment)     # the type I task: s1 and t1_blocks
-    blocks = result["t2_blocks"]
+    adm, q_fields, (type_i, *blocks) = run_tasks(config, suite_plan, force)
+    result = {**q_fields, "admissible": adm.ok, **type_i,  # s1 and t1_blocks
+              "t2_blocks": blocks, "notices": []}
     if not blocks:
         result["notices"].append("empty-grid: no dyadic M with X^(1/3) <= M <= X^(2/3)")
     # a block whose rows all vanish (T3 = 0) has no pairs either: each pair's n1 lies in a row

@@ -121,16 +121,12 @@ class IntervalSieve:
 
     @property
     def odd0(self) -> int:
-        return self.lo + 1 + (self.lo & 1)
-
-    @property
-    def phase(self) -> int:
-        return (self.odd0 // 2) % _PERIOD
+        return _odd_layout(self.lo, self.hi)[0]
 
     @property
     def flags(self) -> np.ndarray:
-        size = (self.hi + 1) // 2 - (self.lo + 1) // 2
-        return self.table.reshape(-1)[self.phase: self.phase + size]
+        _, size, phase = _odd_layout(self.lo, self.hi)
+        return self.table.reshape(-1)[phase: phase + size]
 
     @cached_property
     def higher_powers(self) -> list:
@@ -151,11 +147,11 @@ class IntervalSieve:
         gather is the odd number
         odd0 + 2 * (row * 15015 + _COLUMNS[h mod 5760] - phase).
         """
-        flags = self.flags
-        if flags.size < GATHER_MIN or self.lo < GATHER_LO:
-            primes = np.flatnonzero(flags)
+        odd0, size, phase = _odd_layout(self.lo, self.hi)
+        if size < GATHER_MIN or self.lo < GATHER_LO:
+            primes = np.flatnonzero(self.flags)
             primes *= 2
-            primes += self.odd0
+            primes += odd0
             return primes
         width = _COLUMNS.size
         hits = np.flatnonzero(np.take(self.table, _COLUMNS, axis=1))
@@ -164,7 +160,7 @@ class IntervalSieve:
         hits -= primes                      # the column of each hit
         primes //= width
         primes *= 2 * _PERIOD
-        primes += self.odd0 - 2 * self.phase
+        primes += odd0 - 2 * phase
         np.take(_COLUMNS2, hits, out=hits, mode="clip")
         primes += hits
         return primes
@@ -180,20 +176,19 @@ class IntervalSieve:
         return merged
 
     def mangoldt_terms(self, primes=None):
-        """(n, Lambda(n)) as arrays over every prime power n in the window.
+        """(powers, lam): the higher powers of the window and Lambda over every prime power.
 
-        Primes come first in increasing order, then the higher powers.
-        primes, if given, is self.primes(), from a caller that has it.
+        powers holds the n = p^k, k >= 2, in increasing order.  lam holds
+        Lambda(n) = log p over the primes in increasing order, then over
+        powers.  primes, if given, is self.primes(), from a caller that has it.
         """
         if primes is None:
             primes = self.primes()
-        bases = primes
-        if self.higher_powers:
-            powers = np.array(self.higher_powers, dtype=np.int64)
-            bases = np.concatenate([primes, powers[:, 1]])
-            primes = np.concatenate([primes, powers[:, 0]])
-        lam = bases.astype(np.float64)
-        return primes, np.log(lam, out=lam)
+        powers = np.array(self.higher_powers, dtype=np.int64).reshape(-1, 3)
+        lam = np.empty(primes.size + len(powers))
+        lam[:primes.size] = primes
+        lam[primes.size:] = powers[:, 1]
+        return powers[:, 0], np.log(lam, out=lam)
 
 
 def iroot(n: int, k: int) -> int:
@@ -208,6 +203,13 @@ def iroot(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
+
+
+def _odd_layout(lo: int, hi: int) -> tuple:
+    """(odd0, size, phase) of the window (lo, hi]: its first odd number, its
+    count of odd numbers, and the slot of odd0 in the presieve tile."""
+    odd0 = lo + 1 + (lo & 1)
+    return odd0, (hi + 1) // 2 - (lo + 1) // 2, (odd0 // 2) % _PERIOD
 
 
 def _check_window(lo: int, hi: int) -> None:
@@ -235,7 +237,7 @@ class _Strikes:
         offsets = np.maximum(self.primes, (lo + self.primes) // self.primes)
         offsets |= 1
         offsets *= self.primes
-        offsets -= lo + 1 + (lo & 1)
+        offsets -= _odd_layout(lo, hi)[0]
         offsets >>= 1
         self.offsets = offsets
         self.scratch = np.empty_like(offsets)
@@ -338,13 +340,12 @@ def sieve_interval(lo: int, hi: int, strikes: _Strikes | None = None) -> Interva
     The odd flags of the whole window are laid out by phase in a table of
     presieve rows (IntervalSieve), filled with the tile in one broadcast
     copy, with one sentinel slot past them.  The wheel primes inside the
-    window are set back, and everything before the flags and past them
-    is cleared.  Strikes run one SEGMENT_SIZE piece at a time, so their
-    temporaries stay O(segment).  Each piece's sentinel is the next
-    piece's first flag, which is put back after the piece is struck.
-    strikes, from sieve_segments, carries the base primes' offsets to lo
-    from the segment before and on to hi; without it they are found
-    afresh.
+    window are set back, the base primes strike the whole window in one
+    pass of _segment_flags, and everything before the flags and past them
+    is cleared.  Its memory is the table plus O(1) arrays over the base
+    primes.  strikes, from sieve_segments, carries the base primes'
+    offsets to lo from the segment before and on to hi; without it they
+    are found afresh.
     """
     _check_window(lo, hi)
     if strikes is None:
@@ -352,10 +353,7 @@ def sieve_interval(lo: int, hi: int, strikes: _Strikes | None = None) -> Interva
     elif strikes.lo != lo or strikes.hi < hi:
         raise ValueError(f"strikes carried to {strikes.lo} for a window to {strikes.hi}, "
                          f"not to {lo} for one to {hi}")
-    below = (lo + 1) // 2  # odd numbers <= lo
-    size = (hi + 1) // 2 - below
-    odd0 = lo + 1 + (lo & 1)
-    phase = (odd0 // 2) % _PERIOD
+    odd0, size, phase = _odd_layout(lo, hi)
     table = np.empty((-(-(phase + size + 1) // _PERIOD), _PERIOD), dtype=bool)
     table[:] = _PRESIEVE
     buf = table.reshape(-1)
@@ -363,12 +361,7 @@ def sieve_interval(lo: int, hi: int, strikes: _Strikes | None = None) -> Interva
     for p in _WHEEL:
         if lo < p <= hi:
             buf[phase + (p - odd0) // 2] = True
-    for seg_lo in range(lo, hi, SEGMENT_SIZE):
-        seg_hi = min(seg_lo + SEGMENT_SIZE, hi)
-        end = phase + (seg_hi + 1) // 2 - below
-        after = buf[end]
-        _segment_flags(buf[phase + (seg_lo + 1) // 2 - below: end + 1], strikes, seg_hi)
-        buf[end] = after
+    _segment_flags(buf[phase: phase + size + 1], strikes, hi)
     buf[phase + size:] = False
     return IntervalSieve(lo=lo, hi=hi, table=table)
 

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .alpha import AngleOracle, build_angle_oracle
-from .config import ExperimentConfig, select_q
+from .config import ExperimentConfig, q_window_bounds, select_q
 from .expsum import (CHUNK, MinSumInstance, indexed_exp_sums, min_sum, phase_table,
                      standard_estimate_bound)
 from .report import SumReport
@@ -641,12 +641,12 @@ def t2_bound_chain(H: float, M: int, X: int, Y: int, delta: float, eps: float,
     active = bound1 if selected == "T2bound1" else bound2
     t2_sq_bound = amp * math.fsum(active.values())
 
+    q_lo, q_hi = q_window_bounds(X, Y, delta, eps)
     conditions = {
         "anothercond": M * Y >= X,                      # MY/X >= 1
         "newcondi": 2 * Y * H / M <= q / 2,             # 2YH/M <= q/2
         "transcond": Y >= math.sqrt(Xf) and q >= 4 * Y * H / math.sqrt(Xf),
-        "qc_window": Y / (delta * Xf ** (0.5 - 2 * eps)) <= q
-                     <= Y / (delta * Xf ** (0.5 - 3 * eps)),
+        "qc_window": q_lo <= q <= q_hi,
     }
 
     final_terms = {

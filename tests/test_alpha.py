@@ -82,6 +82,46 @@ def test_cf_terms_against_mpmath():
         assert cf_terms(spec, 20) == ref
 
 
+def mp_terms_over_periods(spec, periods):
+    """Partial quotients of spec through `periods` periods, by an mpmath floor loop.
+
+    The expansion is periodic from the first complete quotient that
+    recurs, matched on 40 digits.  A complete quotient after the
+    convergent p/q carries about 2 log10(q) digits less than the working
+    precision, so the loop starts over at twice the digits whenever that
+    leaves fewer than 60.
+    """
+    dps = 100
+    while True:
+        with mp.workdps(dps):
+            x, terms, seen, stop = mp_value(spec, dps), [], {}, None
+            q_prev, q = 0, 1
+            while (stop is None or len(terms) < stop) and 2 * len(str(q)) + 60 <= dps:
+                key = mp.nstr(x, 40)
+                if stop is None and key in seen:
+                    start = seen[key]
+                    stop = start + periods * (len(terms) - start)
+                seen.setdefault(key, len(terms))
+                a = int(mp.floor(x))
+                terms.append(a)
+                x = 1 / (x - a)
+                if len(terms) > 1:
+                    q_prev, q = q, a * q + q_prev
+        if stop is not None and len(terms) >= stop:
+            return terms
+        dps *= 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(-50, 50), st.integers(-5, 5).filter(bool), st.integers(1, 12),
+       st.integers(2, 200).filter(lambda d: isqrt(d) ** 2 != d))
+def test_surd_terms_match_mpmath_over_three_periods(a, b, c, d):
+    # the terms past the first period too, from an independent route
+    spec = AlphaSpec.surd(a, b, c, d)
+    want = mp_terms_over_periods(spec, 3)
+    assert cf_terms(spec, len(want)) == want
+
+
 # the digit-limit spec of tests/test_cli.py: one period term of 2151 digits
 # at the default limit of 4300
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300

@@ -227,13 +227,17 @@ def test_t1_t2_and_bounds(capsys):
     assert all(b["identity_residual"] <= 1e-9 for b in doc["t2_blocks"])
 
 
+Q_FIELDS = ("q_used", "q_window", "q_in_window")
+
+
 def test_t1_prints_the_t1_block_of_bounds(capsys):
     # the t1 command walks only its block's harmonics, bounds walks them all
     # once for s1 and every T1; each T1 block is the same (the command also
     # fills the q window fields, which bounds reports once, at the top)
     base = ["--x", "1000", "--y", "300", "--delta", "0.3", "--eps", "0.05",
             "--alpha", "sqrt:2", "--force"]
-    blocks = run_json(["bounds"] + base, capsys)["t1_blocks"]
+    bounds = run_json(["bounds"] + base, capsys)
+    blocks = bounds["t1_blocks"]
     hs = vaughan.dyadic_h_blocks(math.ceil(1000 ** 0.05 / 0.3))
     assert len(blocks) == len(hs) == 3
     for H, block in zip(hs, blocks):
@@ -241,6 +245,22 @@ def test_t1_prints_the_t1_block_of_bounds(capsys):
         assert (block["q_window"], block["q_in_window"]) == (None, None)
         assert {key: doc[key] for key in block if key not in ("q_window", "q_in_window")} \
             == {key: block[key] for key in block if key not in ("q_window", "q_in_window")}
+        assert {key: doc[key] for key in Q_FIELDS} == {key: bounds[key] for key in Q_FIELDS}
+
+
+def test_t2_prints_the_q_fields_and_chain_of_bounds(capsys):
+    # t2, t1 and bounds run through one task runner: the same gate, context
+    # and q fields, and t2's chain (its qc_window among the conditions) is
+    # the chain of the matching block of bounds
+    base = ["--x", "1000", "--y", "300", "--delta", "0.3", "--eps", "0.05",
+            "--alpha", "sqrt:2", "--force"]
+    bounds = run_json(["bounds"] + base, capsys)
+    assert bounds["t2_blocks"]
+    for block in bounds["t2_blocks"]:
+        doc = run_json(["t2", "--h", repr(block["H"]), "--m-block", str(block["M"])] + base, capsys)
+        assert doc["chain"] == block["chain"]
+        assert doc["chain"]["conditions"]["qc_window"] == bounds["q_in_window"]
+        assert {key: doc[key] for key in Q_FIELDS} == {key: bounds[key] for key in Q_FIELDS}
 
 
 def test_y_above_x_is_refused_by_the_config(capsys):
@@ -275,6 +295,10 @@ def test_bound_commands_run_on_the_whole_of_0_x(command, capsys):
     ("bounds", "0.9", "err_target must lie in (0, 1/4), got 0.9"),
     ("count", "2^x", "precision '2^x' is not a float-sized 2^<integer>"),
     ("angle", "2^-4.5", "precision '2^-4.5' is not a float-sized 2^<integer>"),
+    # a nonzero precision that rounds to 0.0 is named as given
+    ("count", "2^-1100", "err_target must lie in (0, 1/4), got '2^-1100', which rounds to 0.0"),
+    ("angle", "1e-400", "err_target must lie in (0, 1/4), got '1e-400', which rounds to 0.0"),
+    ("angle", "0.5", "err_target must lie in (0, 1/4), got 0.5"),
 ])
 def test_a_bad_precision_is_refused(command, precision, message, capsys):
     if command == "angle":

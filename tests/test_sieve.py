@@ -39,6 +39,10 @@ def test_sieve_50_100():
     s = sieve_interval(50, 100)
     assert list(s.primes()) == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     assert s.higher_powers == [(64, 2, 6), (81, 3, 4)]
+    # Lambda over the primes, then over the higher powers 64 and 81
+    powers, lam = s.mangoldt_terms()
+    assert powers.tolist() == [64, 81]
+    assert lam.tolist() == [math.log(p) for p in s.primes().tolist() + [2, 3]]
 
 
 def test_higher_powers_are_computed_on_first_read(monkeypatch):
@@ -309,6 +313,33 @@ def test_segment_memory_is_bounded_by_the_segment():
     assert peak < size + 48 * len(bases)
     assert walk_peak < size + 48 * len(bases)
     assert count == sieve_interval(lo, lo + 3 * size).prime_count()
+
+
+@pytest.mark.parametrize("lo", [996_854_272, sieve_mod.GATHER_LO - sieve_mod.SEGMENT_SIZE])
+def test_a_whole_window_strikes_in_one_pass_within_its_table(lo):
+    # three segments' worth of numbers in one sieve_interval: below 1e9 the
+    # squares of 31601 and 31607 lie in the second and third segment; the
+    # other window crosses GATHER_LO, so its later segments gather the
+    # candidate columns and the whole window reads every flag.  Beside its
+    # table the pass holds O(1) arrays over the base primes and at most two
+    # Python ints per slice prime: under 128 bytes a base prime, far below
+    # a temporary over the window's flags.  The base-prime cache is grown first.
+    size = sieve_mod.SEGMENT_SIZE
+    hi = lo + 3 * size
+    bases = base_primes(math.isqrt(hi))
+    tracemalloc.start()
+    try:
+        whole = sieve_interval(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole.table.nbytes + 128 * len(bases)
+    pieces = list(sieve_segments(lo, hi))
+    assert len(pieces) == 3
+    want = plain_sieve_primes(lo, hi)
+    assert whole.primes().tolist() == want
+    assert np.concatenate([s.primes() for s in pieces]).tolist() == want
+    assert whole.higher_powers == [t for s in pieces for t in s.higher_powers]
 
 
 def test_prime_powers_match_factoring():
