@@ -24,6 +24,7 @@ from .config import (
     ExperimentConfig,
     check_admissible,
     config_from_dict,
+    json_float,
     parse_precision,
 )
 from .experiments import (
@@ -60,20 +61,12 @@ FLAG_KEYS = {"--x": "X", "--y": "Y", "--delta": "delta", "--eps": "eps", "--alph
              "--seed": "seed", "--format": "format"}
 
 
-def _parent(*flags, **extra):
-    """A parent parser holding the named OPTIONS, each with the ``extra`` settings."""
-    parser = argparse.ArgumentParser(add_help=False)
-    for flag in flags:
-        parser.add_argument(flag, **OPTIONS[flag], **extra)
-    return parser
-
-
 def _build_config(args, **defaults) -> ExperimentConfig:
     """The config of --config and the flags; ``defaults`` fill keys neither gives."""
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=json_float)
         if not isinstance(data, dict):
             raise ValueError("--config must hold a single JSON object")
     for flag, key in FLAG_KEYS.items():
@@ -250,7 +243,7 @@ def cmd_sweep(args):
     if not args.runs.replace(",", "").strip():
         raise ValueError("--runs selects no runs")
     with open(args.points, "r", encoding="utf-8") as fh:
-        points = json.load(fh)
+        points = json.load(fh, parse_float=json_float)
     if not isinstance(points, list):
         raise ValueError("sweep file must hold a JSON list of config objects")
     rows = sweep(points, runs=args.runs.split(","), force=args.force)
@@ -274,77 +267,103 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+CONFIG_FLAGS = (*(flag for flag in FLAG_KEYS if flag != "--format"), "--config")
+# Each subcommand: its handler, its help line and its arguments after --format
+# and --out, in help order.  A string names an OPTIONS flag, required if it
+# ends in "!"; a pair is an argument of the subcommand's own.
+COMMANDS = {
+    "convergents": (cmd_convergents, "continued-fraction terms and convergents", (
+        "--alpha!", ("--count", dict(type=int, default=10)))),
+    "angle": (cmd_angle, "certified ||n*alpha||", (
+        "--alpha!", "--precision", ("--n", dict(type=int, required=True)),
+        ("--n-max", dict(type=int, default=None, help="oracle reach (default max(1, |n|))")))),
+    "sieve": (cmd_sieve, "primes and prime powers in (lo, hi]", (
+        ("--lo", dict(type=int, required=True)), ("--hi", dict(type=int, required=True)))),
+    "psi": (cmd_psi, "sum of Lambda(n) over the window (X-Y, X]", ("--x!", "--y!")),
+    "count": (cmd_count, "count primes with ||p*alpha|| < delta in the window",
+              (*CONFIG_FLAGS, "--force")),
+    "ssum": (cmd_ssum, "smoothed sum of Lambda(n) F(n*alpha) vs delta*Y",
+             (*CONFIG_FLAGS, "--force")),
+    "vaughan-check": (cmd_vaughan_check, "decomposition identity residuals", (
+        ("--u", dict(type=float, default=4.0)), ("--v", dict(type=float, default=4.0)),
+        ("--n-lo", dict(type=int, default=5)), ("--n-hi", dict(type=int, default=200)),
+        ("--verbose-rows", dict(action="store_true")))),
+    "minsum": (cmd_minsum, "min-sum vs the standard estimate", (
+        "--alpha!", ("--m", dict(type=int, required=True)),
+        ("--cap", dict(type=float, required=True, help="the cap N")),
+        ("--q", dict(type=int, required=True)))),
+    "t1": (cmd_t1, "dyadic type I sum with comparator chain", (
+        *CONFIG_FLAGS, "--force", ("--h", dict(type=float, required=True)))),
+    "t2": (cmd_t2, "bilinear type II block with bound chain", (
+        *CONFIG_FLAGS, "--force", ("--h", dict(type=float, required=True)),
+        ("--m-block", dict(type=int, required=True)))),
+    "bounds": (cmd_bounds, "full dyadic bound suite", (*CONFIG_FLAGS, "--force")),
+    "admissible": (cmd_admissible, "hypothesis checks and the q window", CONFIG_FLAGS),
+    "sweep": (cmd_sweep, "run a list of config points, JSON or CSV out", (
+        "--force",
+        ("--points", dict(type=str, required=True,
+                          help="JSON file holding a list of config objects")),
+        ("--runs", dict(type=str, default="prime_count,smoothed_sum",
+                        help="comma list from: prime_count,smoothed_sum,bound_suite")))),
+    "verify": (cmd_verify, "run the acceptance suite", (
+        ("--seed", dict(type=int, default=DEFAULT_SEED, help="seed of the acceptance run")),
+        ("--criteria", dict(type=str, default=None,
+                            help="comma list of criterion numbers (default: all)")))),
+}
+
+
+class _Unparsed(Exception):
+    """A parse error of a one-subcommand parser; the full parser reports it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Unparsed(message)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Building all 14 subcommands takes about 3 ms, and 4-6 ms on the
+    first call of a process, which every count or ssum call would pay;
+    building one takes about a fifth of that.  So parse_args builds only
+    the subcommand its first argument names.  That parser raises
+    _Unparsed instead of printing an error, since its usage line would
+    list one subcommand; a subcommand's own --help is the same text
+    either way.
+    """
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="primeangle", allow_abbrev=False,
         description="Desk-scale laboratory for primes p with ||p*alpha|| small "
                     "in short intervals (X-Y, X]")
     sub = parser.add_subparsers(dest="command", required=True)
-    output = _parent("--format", "--out")
-    config = _parent(*(flag for flag in FLAG_KEYS if flag != "--format"), "--config")
-    force, alpha = _parent("--force"), _parent("--alpha", required=True)
-
-    def add(name, fn, help_text, *parents):
-        p = sub.add_parser(name, help=help_text, parents=[output, *parents], allow_abbrev=False)
+    for name in COMMANDS if command is None else (command,):
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("convergents", cmd_convergents, "continued-fraction terms and convergents", alpha)
-    p.add_argument("--count", type=int, default=10)
-
-    p = add("angle", cmd_angle, "certified ||n*alpha||", alpha, _parent("--precision"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None, help="oracle reach (default max(1, |n|))")
-
-    p = add("sieve", cmd_sieve, "primes and prime powers in (lo, hi]")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-
-    add("psi", cmd_psi, "sum of Lambda(n) over the window (X-Y, X]",
-        _parent("--x", "--y", required=True))
-
-    add("count", cmd_count, "count primes with ||p*alpha|| < delta in the window",
-        config, force)
-    add("ssum", cmd_ssum, "smoothed sum of Lambda(n) F(n*alpha) vs delta*Y", config, force)
-
-    p = add("vaughan-check", cmd_vaughan_check, "decomposition identity residuals")
-    p.add_argument("--u", type=float, default=4.0)
-    p.add_argument("--v", type=float, default=4.0)
-    p.add_argument("--n-lo", type=int, default=5)
-    p.add_argument("--n-hi", type=int, default=200)
-    p.add_argument("--verbose-rows", action="store_true")
-
-    p = add("minsum", cmd_minsum, "min-sum vs the standard estimate", alpha)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cap", type=float, required=True, help="the cap N")
-    p.add_argument("--q", type=int, required=True)
-
-    p = add("t1", cmd_t1, "dyadic type I sum with comparator chain", config, force)
-    p.add_argument("--h", type=float, required=True)
-
-    p = add("t2", cmd_t2, "bilinear type II block with bound chain", config, force)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--m-block", type=int, required=True)
-
-    add("bounds", cmd_bounds, "full dyadic bound suite", config, force)
-    add("admissible", cmd_admissible, "hypothesis checks and the q window", config)
-
-    p = add("sweep", cmd_sweep, "run a list of config points, JSON or CSV out", force)
-    p.add_argument("--points", type=str, required=True,
-                   help="JSON file holding a list of config objects")
-    p.add_argument("--runs", type=str, default="prime_count,smoothed_sum",
-                   help="comma list from: prime_count,smoothed_sum,bound_suite")
-
-    p = add("verify", cmd_verify, "run the acceptance suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the acceptance run")
-    p.add_argument("--criteria", type=str, default=None,
-                   help="comma list of criterion numbers (default: all)")
-
+        for arg in ("--format", "--out", *arguments):
+            if isinstance(arg, tuple):
+                p.add_argument(arg[0], **arg[1])
+            elif arg.endswith("!"):
+                p.add_argument(arg[:-1], **OPTIONS[arg[:-1]], required=True)
+            else:
+                p.add_argument(arg, **OPTIONS[arg])
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The namespace of argv; help and errors print and exit as the full parser's do."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _Unparsed:
+            pass    # the full parser prints the error, with its own usage line
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -51,6 +51,24 @@ class QWindowMiss(ValueError):
     """strict-window policy found no convergent denominator in the window."""
 
 
+def _rounds_to_zero(text: str, value: float) -> bool:
+    """Whether ``text``, read as ``value``, is a nonzero number that rounds to 0.0."""
+    # a power of two is never zero, nor a float with a nonzero digit before its exponent
+    return value == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0])
+
+
+def json_float(text: str):
+    """A JSON number as a float, or as its text if it is nonzero and rounds to 0.0.
+
+    The parse_float of the json.load of --config and sweep files: a
+    reader then sees such a number as written, so err_target 1e-400 is
+    named as '1e-400' and not as 0.0, and X, Y, delta, eps, budget and
+    seed refuse it as text.
+    """
+    value = float(text)
+    return text if _rounds_to_zero(text, value) else value
+
+
 def parse_precision(text) -> float:
     """Accept '2^-40' style powers of two or plain floats; refuse one that rounds to 0.0."""
     if isinstance(text, (int, float)):
@@ -63,8 +81,7 @@ def parse_precision(text) -> float:
             raise ValueError(f"precision {text!r} is not a float-sized 2^<integer>") from None
     else:
         value = float(text)
-    # a power of two is never zero, nor a float with a nonzero digit before its exponent
-    if value == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+    if _rounds_to_zero(text, value):
         raise ValueError(f"err_target must lie in (0, 1/4), got {text!r}, which rounds to 0.0")
     return value
 

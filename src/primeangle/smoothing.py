@@ -46,6 +46,10 @@ MIN_DIRECT_DELTA = 2.0 ** -511
 # exp(-t) rounds to +0.0 for every t > 745.14; the margin covers a few
 # ulps of the exponent's rounding.
 EXP_ZERO = 746.0
+# f_direct_array leaves out shift +-(S+1) once e^(-2 S pi / delta^2) < 2^-55
+# (see _direct_shifts): the log of that bound, 55 ln 2 = 38.12, raised by a
+# relative 2^-30 that covers the rounding of pi / delta^2.
+ABSORBED_LOG_RATIO = 55.0 * math.log(2.0) * (1.0 + 2.0 ** -30)
 # Elements per temporary of f_direct_array and f_fourier_array: 64 kB of
 # float64.
 ARRAY_BLOCK = 2 ** 13
@@ -63,19 +67,42 @@ def check_direct_delta(delta: float) -> None:
                          f"direct form of the weight, got {delta!r}")
 
 
-def _direct_shifts(delta: float) -> list:
-    """The shifts s, |s| <= default_direct_terms(delta), whose terms can be nonzero.
+def _direct_shifts(delta: float, ordered: bool = False) -> list:
+    """The shifts s, |s| <= default_direct_terms(delta), that the direct form sums.
 
-    The direct form evaluates exp(-pi (r - s)^2 / delta^2) at the exact
+    Both direct forms evaluate exp(-pi (r - s)^2 / delta^2) at the exact
     r = x - round(x), |r| <= 1/2, so shift s has |r - s| >= |s| - 1/2.
     Where pi / delta^2 * (|s| - 1/2)^2 exceeds EXP_ZERO every such term
     is exactly +0.0, which adds nothing to a sum, so the shift is left
     out: 3 of 7 shifts stay at delta = 0.05, 5 at 0.1 and all 7 from
     about 0.16 on.
+
+    The increasing-order sum of f_direct_array (``ordered``) also stops
+    at the least S >= 1 with e^(-2 S pi / delta^2) < 2^-55, that is
+    2 S pi / delta^2 > 55 ln 2, which changes none of its results:
+
+    - the term of shift +-(S+1) is e^(-pi (2S + 1 -+ 2r) / delta^2)
+      <= e^(-2 S pi / delta^2) < 2^-55 times that of +-S, and each shift
+      farther out is smaller again by more, so all the terms beyond +-S
+      together stay below 2^-54 of the term of +-S;
+    - a positive addend below 2^-54 of a float is below half its ulp, so
+      adding it rounds back to that float.  The terms below -S form a
+      partial sum that joins the term of -S, and each term above +S joins
+      a partial sum of at least the term of +S, so every such addition
+      returns the float it joined and the sum is bit for bit that over
+      all the shifts.  The factor 2 between 2^-55 and 2^-54 covers the
+      rounding of the terms themselves.
+
+    So |s| <= 2 from delta ~ 0.406 on and |s| <= 1 below it.  The rule is
+    evaluated with ABSORBED_LOG_RATIO, whose margin errs towards keeping
+    a shift.  f_direct keeps the shifts beyond S: its math.fsum is
+    correctly rounded, so there a dropped term could move a rounding tie.
     """
     terms = default_direct_terms(delta)
     inv = math.pi / (delta * delta)
-    return [s for s in range(-terms, terms + 1) if inv * max(abs(s) - 0.5, 0.0) ** 2 <= EXP_ZERO]
+    return [s for s in range(-terms, terms + 1)
+            if inv * max(abs(s) - 0.5, 0.0) ** 2 <= EXP_ZERO
+            and not (ordered and 2.0 * (abs(s) - 1) * inv > ABSORBED_LOG_RATIO)]
 
 
 def f_direct(x: float, delta: float) -> float:
@@ -95,15 +122,20 @@ def f_direct(x: float, delta: float) -> float:
 def f_direct_array(xs: np.ndarray, delta: float) -> np.ndarray:
     """f_direct over a one-dimensional float64 array, summing the shifts in one fixed order.
 
-    Each entry adds the same Gaussian terms as f_direct, in increasing
-    shift order instead of math.fsum, so it agrees with f_direct to a few
-    ulps.  The terms are formed in place in three buffers of ARRAY_BLOCK
-    elements, one block of xs at a time, so only the result is as large
-    as xs.
+    Each entry adds the Gaussian terms of f_direct in increasing shift
+    order instead of math.fsum, so it agrees with f_direct to a few ulps.
+    It leaves out the shifts +-(S+1) and beyond once their terms are below
+    2^-55 of those of +-S (_direct_shifts with ``ordered``, which gives
+    the proof): they stay below half an ulp of the partial sums they
+    would join, so every result is bit for bit the ordered sum over all
+    the shifts, and at delta = 0.45 five shifts are summed instead of
+    seven.  The terms are formed in place in three buffers of
+    ARRAY_BLOCK elements, one block of xs at a time, so only the result
+    is as large as xs.
     """
     check_direct_delta(delta)
     xs = np.asarray(xs, dtype=np.float64)
-    shifts = _direct_shifts(delta)
+    shifts = _direct_shifts(delta, ordered=True)
     inv = math.pi / (delta * delta)
     total = np.zeros_like(xs)
     width = min(xs.size, ARRAY_BLOCK)

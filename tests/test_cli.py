@@ -669,3 +669,77 @@ def test_non_finite_eps_in_config_file_rejected(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "eps must be positive and finite" in err
+
+
+def test_an_underflowing_number_in_a_config_file_is_named_as_written(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"X": 1000000, "Y": 100000, "delta": 0.3, "eps": 0.05, '
+                    '"alpha": "sqrt:2", "err_target": 1e-400}')
+    message = "err_target must lie in (0, 1/4), got '1e-400', which rounds to 0.0"
+    code, out, err = run_cli(["count", "--config", str(path), "--force"], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    points = tmp_path / "points.json"
+    points.write_text("[" + path.read_text() + "]")
+    [row] = run_json(["sweep", "--points", str(points), "--force"], capsys)
+    assert row["error_detail"] == message
+    # the numbers of a valid config load as json.load reads them
+    for text in ("0.0", "-0.0", "0e-400", "1e-300", "2.5e9", "0.1", "1e400"):
+        assert config_mod.json_float(text) == json.loads(text)
+    assert [config_mod.json_float(t) for t in ("1e-400", "-5E-324000")] == ["1e-400", "-5E-324000"]
+
+
+# one argv per subcommand, with every kind of argument it takes
+REPRESENTATIVE = [
+    ["convergents", "--alpha", "sqrt:2", "--count", "3", "--format", "json"],
+    ["angle", "--alpha", "sqrt:3", "--n", "-7", "--precision", "2^-30", "--n-max", "9"],
+    ["sieve", "--lo=5", "--hi", "30", "--out", "sieve.json"],
+    ["psi", "--x", "100", "--y", "50"],
+    ["count"] + POINT + ["--q-policy", "strict", "--budget", "1e6", "--seed", "3"],
+    ["ssum", "--config", "c.json", "--x", "5000", "--precision", "1e-9"],
+    ["vaughan-check", "--u", "3", "--v", "5.5", "--n-lo", "2", "--n-hi", "40", "--verbose-rows"],
+    ["minsum", "--alpha", "sqrt:2", "--m", "10", "--cap", "2.5", "--q", "5"],
+    ["t1"] + POINT + ["--h", "2"],
+    ["t2"] + POINT + ["--h", "2", "--m-block", "8", "--format", "csv"],
+    ["bounds", "--config", "c.json", "--force"],
+    ["admissible", "--x", "1000", "--y", "300", "--delta", "0.3", "--eps", "0.05"],
+    ["sweep", "--points", "p.json", "--runs", "bound_suite", "--force"],
+    ["verify", "--criteria", "1,7", "--seed", "4"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of parse(argv)."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_one_subcommand_parses_as_the_full_parser(capsys, monkeypatch):
+    assert [argv[0] for argv in REPRESENTATIVE] == list(cli.COMMANDS)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or
+                        build_parser(command))
+    for argv in REPRESENTATIVE:
+        want = parsed(build_parser().parse_args, argv, capsys)
+        built.clear()
+        assert parsed(cli.parse_args, argv, capsys) == want
+        assert built == [argv[0]], argv      # only the subcommand it names was built
+        assert isinstance(want[0], dict)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["bogus", "--x", "1"],
+                                  ["count", "--x"], ["count"] + POINT + ["extra"],
+                                  ["count", "--format", "xml"], ["psi", "--x", "100"],
+                                  ["sieve", "--lo", "1"], ["angle", "--alpha", "sqrt:2"],
+                                  ["verify", "--seed", "1.5"], ["count", "--forc"]]
+                         + [[name, "--help"] for name in cli.COMMANDS],
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_help_and_errors_are_the_full_parsers(argv, capsys):
+    # a missing or unknown subcommand, help and every parse error print the
+    # full parser's text with its exit code
+    want = parsed(build_parser().parse_args, argv, capsys)
+    assert want[0] in (0, 2)
+    assert parsed(cli.parse_args, argv, capsys) == want

@@ -92,6 +92,32 @@ def test_higher_powers_float_filter_matches_exact_roots():
         assert sieve_mod._higher_powers(lo, hi, bases) == exact_higher_powers(lo, hi, bases), (lo, hi)
 
 
+def plain_sieve(limit):
+    """The primes <= limit by a sieve over every integer."""
+    flags = np.ones(max(limit + 1, 2), dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p:: p] = False
+    return np.flatnonzero(flags[:limit + 1]).tolist()
+
+
+def fresh_base_cache():
+    return mock.patch.dict(sieve_mod._BASE_CACHE, limit=0, primes=np.empty(0, dtype=np.int64))
+
+
+def test_base_primes_on_the_odd_numbers_match_a_plain_sieve():
+    for limit in [*range(2001), 10 ** 6 + 1]:
+        with fresh_base_cache():
+            got = base_primes(limit)
+            assert got.dtype == np.int64 and got.tolist() == plain_sieve(limit), limit
+    # the cache grows to the largest limit asked for and slices it for the rest
+    with fresh_base_cache():
+        for limit in (31623, 10 ** 6, 10 ** 5, 2, 1):
+            assert base_primes(limit).tolist() == plain_sieve(limit), limit
+        assert sieve_mod._BASE_CACHE["limit"] == 10 ** 6
+
+
 def test_sieve_tiny():
     s = sieve_interval(2, 4)
     assert list(s.primes()) == [3]

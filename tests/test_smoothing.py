@@ -2,17 +2,19 @@
 
 import math
 import random
+import struct
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeangle.alpha import AlphaSpec
 from primeangle.config import ExperimentConfig
 import primeangle.smoothing as smoothing_mod
 from primeangle.smoothing import (
     ARRAY_BLOCK,
-    EXP_ZERO,
     MIN_DIRECT_DELTA,
     build_kernel,
     check_direct_delta,
@@ -98,37 +100,70 @@ def all_shifts_scalar(x, delta):
                      for n in range(center - terms, center + terms + 1))
 
 
-def shift_count(delta):
-    return len(smoothing_mod._direct_shifts(delta))
+def shift_count(delta, ordered=False):
+    return len(smoothing_mod._direct_shifts(delta, ordered))
+
+
+def switch_at(count, n):
+    """(below, above): adjacent floats in [2^-511, 1/2] with count(below) < n <= count(above)."""
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+    lo, hi = (struct.unpack("<q", struct.pack("<d", d))[0] for d in (MIN_DIRECT_DELTA, 0.5))
+    assert count(as_float(lo)) < n <= count(as_float(hi))
+    while hi - lo > 1:    # positive floats are ordered as their bits
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(as_float(mid)) < n else (lo, mid)
+    return as_float(lo), as_float(hi)
 
 
 def shift_switches():
-    """(below, above): adjacent floats around each delta where the direct form gains shifts +-k."""
-    switches = []
-    for k in (1, 2, 3):
-        above = (k - 0.5) * math.sqrt(math.pi / EXP_ZERO)
-        while shift_count(above) < 2 * k + 1:
-            above = math.nextafter(above, 1.0)
-        while shift_count(math.nextafter(above, 0.0)) >= 2 * k + 1:
-            above = math.nextafter(above, 0.0)
-        switches.append((math.nextafter(above, 0.0), above))
-    return switches
+    """(ordered, below, above): adjacent floats around each delta where f_direct
+    (ordered False) gains shifts +-k, k = 1, 2, 3, or f_direct_array (True) +-1 and +-2."""
+    return ([(False, *switch_at(shift_count, 2 * k + 1)) for k in (1, 2, 3)]
+            + [(True, *switch_at(lambda d: shift_count(d, True), n)) for n in (3, 5)])
+
+
+def all_shifts_at_r(xs, delta):
+    """all_shifts_array at the exact r = x - round(x), as the direct forms evaluate it."""
+    with np.errstate(over="ignore"):    # -pi / delta^2 * (r - s) may overflow to -inf
+        return all_shifts_array(xs - np.rint(xs), delta)
 
 
 def test_direct_form_drops_only_shifts_that_underflow():
-    # shifts +-k drop out below the switch, whose terms are all +0.0 there,
-    # so the sum over the kept shifts is the sum over all seven, bit for bit
-    assert [shift_count(d) for d in (0.05, 0.1, 0.16, 0.17, 0.45)] == [3, 5, 5, 7, 7]
+    # f_direct drops shifts +-k below the switch, whose terms are all +0.0
+    # there; f_direct_array also drops the shifts +-(S+1) whose terms are
+    # below 2^-55 of those of +-S.  Either way the sum over the kept shifts
+    # is the sum over all seven, bit for bit
+    deltas = (0.05, 0.1, 0.16, 0.17, 0.45)
+    assert [shift_count(d) for d in deltas] == [3, 5, 5, 7, 7]
+    assert [shift_count(d, ordered=True) for d in deltas] == [3, 3, 3, 3, 5]
     rng = random.Random(11)
     xs = [0.5, -0.5, 0.0, -0.0, 1.5, -2.5, 2.0 ** 51 + 0.5]
     xs += [rng.uniform(-0.5, 0.5) for _ in range(300)]
     xs += [rng.uniform(-1e6, 1e6) for _ in range(100)]
-    for below, above in shift_switches():
-        assert shift_count(below) + 2 == shift_count(above)
+    switches = shift_switches()
+    assert 0.4059 < switches[-1][1] < switches[-1][2] < 0.4060
+    for ordered, below, above in switches:
+        assert shift_count(below, ordered) + 2 == shift_count(above, ordered)
         for delta in (below, above):
             got, want = f_direct_array(np.array(xs), delta), all_shifts_array(np.array(xs), delta)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
             assert [f_direct(x, delta) for x in xs] == [all_shifts_scalar(x, delta) for x in xs]
+
+
+SWITCH_DELTAS = [delta for _, below, above in shift_switches() for delta in (below, above)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(st.floats(-511.0, -1.0).map(lambda e: 2.0 ** e), st.sampled_from(SWITCH_DELTAS)),
+       st.lists(st.one_of(st.sampled_from([0.5, -0.5, 0.0, -0.0, 2.0 ** 51 + 0.5, 1e300, -1e300]),
+                          st.floats(-0.5, 0.5), st.floats(-1e6, 1e6), st.floats(-1e300, 1e300)),
+                min_size=1, max_size=40))
+def test_direct_array_is_the_ordered_sum_over_every_shift(delta, xs):
+    # the shifts f_direct_array leaves out never move a rounded value
+    xs = np.array(xs)
+    got, want = f_direct_array(xs, delta), all_shifts_at_r(xs, delta)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_direct_form_beyond_two_to_the_53_is_the_weight_at_zero():
