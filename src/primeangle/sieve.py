@@ -10,9 +10,15 @@ the phase of the presieve tile, which has the multiples of 3, 5, 7, 11 and
 at its phase in a table of rows of one period each, filled with the tile
 from its first slot on.  Every odd number coprime to the wheel then lies in
 one of the tile's 5760 columns, so the primes are read off those columns
-alone.  Larger primes strike by slice when they have many multiples in the
-segment, the rest together in rounds of one vectorised strike each, round
-r over the prefix of primes small enough to have an r-th multiple there.
+alone, each hit mapped back to its number by one gather from a
+process-level offset table (_column_offsets): int32, 4 bytes a candidate
+slot, so 0.83 MB for the 36 rows of a full segment, grown on demand to
+the longest gathered window like the base-prime cache, and int64 only
+once rows * 30030 reaches 2^31.  Larger primes strike by slice when they
+have many multiples in the segment, the rest together in rounds of one
+vectorised strike each, round r over the prefix of primes small enough to
+have an r-th multiple there; every strike assigns one shared, read-only
+0-d False (_FALSE).
 Streaming callers take the window one SEGMENT_SIZE segment at a time
 (sieve_segments), so their memory does not grow with the window length.
 Each base prime's first multiple is found once per window, and its next
@@ -67,7 +73,6 @@ _WHEEL = (3, 5, 7, 11, 13)
 _PERIOD = math.prod(_WHEEL)
 _PRESIEVE = np.gcd(2 * np.arange(_PERIOD) + 1, _PERIOD) == 1
 _COLUMNS = np.flatnonzero(_PRESIEVE)
-_COLUMNS2 = 2 * _COLUMNS
 # IntervalSieve.primes gathers the candidate columns only for windows of
 # at least GATHER_MIN odd numbers above GATHER_LO.  Below about e^20 = 4.9e8
 # more than one odd number in ten is prime, and np.flatnonzero takes its
@@ -77,6 +82,12 @@ _COLUMNS2 = 2 * _COLUMNS
 # so no wheel prime lies in a gathered window.
 GATHER_MIN = 2 ** 16
 GATHER_LO = 2 ** 29
+# The value that every strike assigns: a 0-d array, which numpy copies
+# into a slice or an index list as it is, where a Python False is
+# converted anew by each of the segment's ~1,000 slice strikes.  It views
+# an immutable bytes object, so it is read-only for good: no caller can
+# set it to True and turn the strikes into no-ops.
+_FALSE = np.frombuffer(bytes(1), dtype=bool).reshape(())
 
 
 class SieveCeilingExceeded(ValueError):
@@ -84,6 +95,7 @@ class SieveCeilingExceeded(ValueError):
 
 
 _BASE_CACHE: dict = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
+_OFFSETS_CACHE: dict = {"rows": 0, "offsets": np.empty(0, dtype=np.int32)}
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -111,6 +123,28 @@ def base_primes(limit: int) -> np.ndarray:
         _BASE_CACHE["limit"] = limit
     primes = _BASE_CACHE["primes"]
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
+
+
+def _column_offsets(rows: int) -> np.ndarray:
+    """offsets[row * 5760 + col] = row * 30030 + 2 * _COLUMNS[col] for at least rows rows.
+
+    Entry h is the distance, in numbers, from the first slot of a table
+    laid out by phase to the h-th slot of its candidate columns.  The
+    table is built on first use and grown on demand, like the base-prime
+    cache, and never to fewer rows than a full segment needs at any
+    phase, 36 rows and 0.83 MB, so that a window's segments do not grow
+    it one row at a time.  It is int32 while rows * 30030 < 2^31, which
+    holds every entry, and int64 past that.
+    """
+    if rows > _OFFSETS_CACHE["rows"]:
+        rows = max(rows, -(-(_PERIOD + SEGMENT_SIZE // 2) // _PERIOD))
+        step = 2 * _PERIOD  # the numbers of one row
+        dtype = np.int32 if rows * step < 2 ** 31 else np.int64
+        offsets = np.arange(0, rows * step, step, dtype=dtype)[:, None] \
+            + (2 * _COLUMNS).astype(dtype)
+        _OFFSETS_CACHE["offsets"] = offsets.reshape(-1)
+        _OFFSETS_CACHE["rows"] = rows
+    return _OFFSETS_CACHE["offsets"]
 
 
 @dataclass
@@ -156,7 +190,9 @@ class IntervalSieve:
         the tile's candidate columns first and look for the True flags
         among them only (38% of the flags); hit h of that (rows, 5760)
         gather is the odd number
-        odd0 + 2 * (row * 15015 + _COLUMNS[h mod 5760] - phase).
+        odd0 - 2 * phase + row * 30030 + 2 * _COLUMNS[h mod 5760], read
+        as odd0 - 2 * phase plus entry h of _column_offsets: one gather,
+        a widening copy and an add.
         """
         odd0, size, phase = _odd_layout(self.lo, self.hi)
         if size < GATHER_MIN or self.lo < GATHER_LO:
@@ -164,16 +200,12 @@ class IntervalSieve:
             primes *= 2
             primes += odd0
             return primes
-        width = _COLUMNS.size
         hits = np.flatnonzero(np.take(self.table, _COLUMNS, axis=1))
-        primes = hits // width
-        primes *= width
-        hits -= primes                      # the column of each hit
-        primes //= width
-        primes *= 2 * _PERIOD
+        # every hit is below rows * 5760, so "clip" never acts; it only
+        # spares the gather numpy's bounds check
+        offsets = np.take(_column_offsets(self.table.shape[0]), hits, mode="clip")
+        primes = offsets.astype(np.int64)
         primes += odd0 - 2 * phase
-        np.take(_COLUMNS2, hits, out=hits, mode="clip")
-        primes += hits
         return primes
 
     def prime_count(self) -> int:
@@ -300,12 +332,12 @@ def _segment_flags(buf: np.ndarray, strikes: _Strikes, hi: int) -> None:
         late_next = offsets[late:] - size
     head = offsets[:split]
     for start, p in zip(head.tolist(), slice_primes):
-        flags[start:: p] = False
+        flags[start:: p] = _FALSE
     rest, rest_primes = offsets[split:], primes[split:]
     index = strikes.scratch[split:]
     for k, k_next in zip(counts, counts[1:]):
         np.minimum(rest[:k], size, out=index[:k])
-        buf[index[:k]] = False
+        buf[index[:k]] = _FALSE
         rest[:k_next] += rest_primes[:k_next]
     strikes.lo = hi
     if carry:

@@ -406,6 +406,53 @@ def test_oracle_frac_negative_n():
     assert d_pos == d_neg
 
 
+@st.composite
+def residue_cases(draw):
+    """(oracle, ns): an oracle on a drawn P/Q and an int64 or uint64 array of n, |n| <= n_max.
+
+    Q lies just below INT64_EXACT_Q with n_max < Q, mostly near Q, or is
+    small with n_max >= Q, which takes the pre-reduction.  ns holds
+    |n| = n_max, 0 and other multiples of Q beside drawn n and 200
+    uniform ones, negative ones in int64 only.  Near 2^53 the uniform n
+    and a uniform P make a*P/Q large enough for est to miss its floor
+    both ways, so r = a*P - est*Q takes negative values too.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        Q = draw(st.integers(alpha_mod.INT64_EXACT_Q - 2 ** 20, alpha_mod.INT64_EXACT_Q - 1))
+        n_max = Q - draw(st.integers(1, Q - 1))
+    else:
+        Q = draw(st.integers(2, 2 ** 20))
+        n_max = draw(st.integers(Q, 2 ** 62))
+    P = draw(st.one_of(st.integers(0, Q - 1), st.just(int(rng.integers(Q)))))
+    unsigned = draw(st.booleans())
+    low = 0 if unsigned else -n_max
+    ns = draw(st.lists(st.integers(low, n_max), max_size=40))
+    ns += rng.integers(low, n_max, size=200, endpoint=True, dtype=np.int64).tolist()
+    most = n_max // Q
+    ns += [n_max, 0] + [k * Q for k in draw(st.lists(st.integers(-most if low else 0, most),
+                                                         max_size=4))]
+    if not unsigned:
+        ns.append(-n_max)
+    oracle = alpha_mod.AngleOracle(alpha=SQRT2, anchor=alpha_mod.Convergent(n=0, p=P, q=Q),
+                                   residue=P, n_max=n_max, ebound=1.0)
+    return oracle, np.array(ns, dtype=np.uint64 if unsigned else np.int64)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(residue_cases())
+def test_residues_are_floor_residues_and_leave_the_input_alone(case):
+    # every residue lies in [0, Q): a reduction that truncates toward zero
+    # (np.fmod) leaves the negative ones of r = a*P - est*Q negative
+    oracle, ns = case
+    before = ns.copy()
+    t = oracle.residues(ns)
+    assert t.dtype == np.int64
+    Q, P = oracle.anchor.q, oracle.residue
+    assert t.tolist() == [int(n) * P % Q for n in ns.tolist()]
+    assert ns.dtype == before.dtype and np.array_equal(ns, before)
+
+
 def test_classify_against_threshold():
     assert classify_against_threshold(0.10, 1e-12, 0.2) == "below"
     assert classify_against_threshold(0.30, 1e-12, 0.2) == "above"

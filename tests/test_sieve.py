@@ -277,6 +277,70 @@ def test_primes_on_both_sides_of_the_gather_height_match_a_plain_sieve():
             assert s.primes().tolist() == (s.odd0 + 2 * np.flatnonzero(s.flags)).tolist()
 
 
+ROW = WHEEL_PERIOD // 2  # odd numbers in one row of a sieve's table
+
+
+def gathered_window(phase, size):
+    """(lo, hi) above GATHER_LO holding size odd numbers, the first at the given tile phase."""
+    k = -(-sieve_mod.GATHER_LO // WHEEL_PERIOD)
+    lo = 2 * (k * ROW + phase)  # even, so odd0 // 2 = lo // 2
+    return lo, lo + 2 * size
+
+
+@pytest.mark.parametrize("phase,size,rows", [
+    (0, 2 ** 19, 35),               # a full segment
+    (0, 35 * ROW, 36),              # the sentinel slot opens a 36th row
+    (ROW - 1, 2 ** 19, 36),         # a full segment
+    (ROW - 1, 34 * ROW, 35),
+])
+def test_gathered_primes_read_off_the_offset_table_match_a_plain_sieve(monkeypatch, phase,
+                                                                       size, rows):
+    # each window first on a fresh table, built to the 36 rows that any
+    # full segment fits, then again after a longer, three-segment window
+    # has grown that table
+    lo, hi = gathered_window(phase, size)
+    want = plain_sieve_primes(lo, hi)
+    monkeypatch.setattr(sieve_mod, "_OFFSETS_CACHE", {"rows": 0, "offsets": None})
+    s = sieve_interval(lo, hi)
+    assert s.table.shape[0] == rows and s.flags.size == size
+    assert s.primes().tolist() == want
+    assert sieve_mod._OFFSETS_CACHE["rows"] == 36
+    longer = sieve_interval(lo, lo + 3 * sieve_mod.SEGMENT_SIZE)
+    assert longer.primes().tolist() == plain_sieve_primes(lo, lo + 3 * sieve_mod.SEGMENT_SIZE)
+    grown = sieve_mod._OFFSETS_CACHE["offsets"]
+    assert sieve_mod._OFFSETS_CACHE["rows"] == longer.table.shape[0] > rows
+    primes = s.primes()
+    assert primes.dtype == np.int64 and primes.tolist() == want
+    assert sieve_mod._OFFSETS_CACHE["offsets"] is grown  # read, not rebuilt
+
+
+def test_offset_table_entries_and_width(monkeypatch):
+    monkeypatch.setattr(sieve_mod, "_OFFSETS_CACHE", {"rows": 0, "offsets": None})
+    offsets = sieve_mod._column_offsets(1)
+    columns = np.flatnonzero(sieve_mod._PRESIEVE)
+    assert offsets.dtype == np.int32
+    rows = np.arange(offsets.size // columns.size)
+    assert rows.size == 36 and sieve_mod._column_offsets(36) is offsets
+    assert np.array_equal(offsets.reshape(rows.size, columns.size),
+                          rows[:, None] * WHEEL_PERIOD + 2 * columns)
+    # int32 holds every entry of a table while rows * 30030 < 2^31
+    most = (2 ** 31 - 1) // WHEEL_PERIOD
+    assert (most - 1) * WHEEL_PERIOD + 2 * int(columns[-1]) < 2 ** 31
+
+
+def test_strikes_assign_a_shared_read_only_false():
+    # a caller that could set it to True would turn every strike into a no-op
+    false = sieve_mod._FALSE
+    assert false.shape == () and false.dtype == bool and not false
+    with pytest.raises(ValueError):
+        false[()] = True
+    with pytest.raises(ValueError):
+        false.fill(True)
+    with pytest.raises(ValueError):
+        false.flags.writeable = True
+    assert not false
+
+
 def strikes_in(p, segment):
     """Whether the odd prime p strikes an odd multiple m * p, m >= p, in the segment."""
     m = max(p, segment.lo // p + 1)
