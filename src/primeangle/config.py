@@ -86,12 +86,6 @@ def parse_precision(text) -> float:
     return value
 
 
-def q_window_bounds(X: int, Y: int, delta: float, eps: float) -> tuple:
-    """(lo, hi) of the q window Y / (delta X^{1/2-2eps}) <= q <= Y / (delta X^{1/2-3eps})."""
-    Xf = float(X)
-    return Y / (delta * Xf ** (0.5 - 2 * eps)), Y / (delta * Xf ** (0.5 - 3 * eps))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment point; U, V and the Fourier length L are derived."""
@@ -144,8 +138,10 @@ class ExperimentConfig:
     def L(self) -> int:
         return math.ceil(float(self.X) ** self.eps / self.delta)
 
-    def q_window(self):
-        return q_window_bounds(self.X, self.Y, self.delta, self.eps)
+    def q_window(self) -> tuple:
+        """(lo, hi) of the q window Y / (delta X^{1/2-2eps}) <= q <= Y / (delta X^{1/2-3eps})."""
+        Xf, Y, delta, eps = float(self.X), self.Y, self.delta, self.eps
+        return Y / (delta * Xf ** (0.5 - 2 * eps)), Y / (delta * Xf ** (0.5 - 3 * eps))
 
     def as_dict(self) -> dict:
         """The config echo: every config key (alpha in its grammar), then U, V and L."""

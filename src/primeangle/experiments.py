@@ -37,83 +37,92 @@ __all__ = [
     "attach_envelope",
 ]
 
-WINDOW_KINDS = ("prime_count", "smoothed_sum")
+
+class _PrimeCount:
+    """The window stage of run_prime_count: verdicts on the pass's primes and dists."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.count = self.boundary = self.interval_primes = 0
+
+    def add(self, segment, oracle, primes, x) -> None:
+        res = primes_with_small_angle(segment, oracle, self.config.delta, (primes, x))
+        self.count += res.count
+        self.boundary += res.boundary_count
+        self.interval_primes += primes.size
+
+    def fields(self) -> dict:
+        X, Y, delta = self.config.X, self.config.Y, self.config.delta
+        return {"value": float(self.count), "main_term": 2 * delta * Y / math.log(X),
+                "bound_terms": {"boundary_count": float(self.boundary),
+                                "interval_primes": float(self.interval_primes)}}
+
+
+class _SmoothedSum:
+    """The window stage of run_smoothed_sum: F over the pass's dists and its higher powers'."""
+
+    def __init__(self, config: ExperimentConfig):
+        check_direct_delta(config.delta)
+        self.config = config
+        self.value_sum, self.psi_sum = ExactSum(), ExactSum()
+
+    def add(self, segment, oracle, primes, x) -> None:
+        powers, lam = segment.mangoldt_terms(primes)
+        if powers.size:
+            x = np.concatenate([x, oracle.dists(powers)])
+        weights = f_direct_array(x, self.config.delta)
+        weights *= lam
+        self.value_sum.add(weights)
+        self.psi_sum.add(lam)
+
+    def fields(self) -> dict:
+        X, Y, delta = self.config.X, self.config.Y, self.config.delta
+        value, psi_window = self.value_sum.value(), self.psi_sum.value()
+        error_sum = value - delta * psi_window
+        err_ratio = abs(error_sum) / (delta * Y)
+        return {"value": value, "main_term": delta * Y,
+                "measured_exponent": -math.log(err_ratio) / math.log(X) if err_ratio else None,
+                "bound_terms": {"psi_window": psi_window, "error_sum": error_sum,
+                                "error_over_main": err_ratio}}
+
+
+WINDOW_KINDS = {"prime_count": _PrimeCount, "smoothed_sum": _SmoothedSum}
 
 
 def _window_reports(config: ExperimentConfig, kinds, force: bool) -> dict:
     """One pass over the window (X-Y, X]: {kind: SumReport} for each of ``kinds``.
 
-    An empty window (Y = 0) gives empty reports.  Otherwise a smoothed sum
-    checks that its delta has a finite direct form, the point passes the
-    admissibility gate, a forced window reaching below 2 (X - Y < 2, never
-    admissible) is refused, the budget is checked, q is selected and the
-    angle oracle built, once for all kinds; the window is then sieved
-    one segment at a time.  The primes of a segment and their dists are
-    computed once and shared: the count takes its verdicts from them, and
-    the smoothed sum adds the dists of the higher powers only.  A kind not
-    asked for costs nothing: a count alone never builds the prime powers.
+    An empty window (Y = 0) gives empty reports.  Otherwise each kind's
+    stage, WINDOW_KINDS[kind](config), is built and makes its own check (a
+    smoothed sum's delta must have a finite direct form).  Then, once for
+    all kinds: the admissibility gate, the refusal of a forced window
+    reaching below 2 (X - Y < 2), the budget, q and the angle oracle.  Each
+    segment's primes and their dists are computed once and handed to every
+    stage's add(segment, oracle, primes, x); each report takes its stage's
+    fields().  A kind not asked for costs nothing.
     """
-    X, Y, delta = config.X, config.Y, config.delta
+    X, Y = config.X, config.Y
     if Y == 0:
         return {kind: SumReport(kind=kind, value=0.0, main_term=0.0, ratio=None,
                                 flags=["empty-window"]) for kind in kinds}
-    if "smoothed_sum" in kinds:
-        check_direct_delta(delta)
+    stages = {kind: WINDOW_KINDS[kind](config) for kind in kinds}
     adm = require_admissible(config, force)
     if X - Y < 2:    # the window sieve needs its left end X - Y >= 2
         raise ValueError(f"need X - Y >= 2 to sieve the window, got X={X} and Y={Y}")
     charge("window", Y, config.budget)
     conv, in_window = select_q(config)
     oracle = build_angle_oracle(config.alpha, n_max=X, err_target=config.err_target)
-    count = boundary = interval_primes = 0
-    value_sum, psi_sum = ExactSum(), ExactSum()
     for segment in sieve_segments(X - Y, X):
         primes = segment.primes()
         x = oracle.dists(primes)
-        if "prime_count" in kinds:
-            res = primes_with_small_angle(segment, oracle, delta, (primes, x))
-            count += res.count
-            boundary += res.boundary_count
-            interval_primes += primes.size
-        if "smoothed_sum" in kinds:
-            powers, lam = segment.mangoldt_terms(primes)
-            if powers.size:
-                x = np.concatenate([x, oracle.dists(powers)])
-            weights = f_direct_array(x, delta)
-            weights *= lam
-            value_sum.add(weights)
-            psi_sum.add(lam)
+        for stage in stages.values():
+            stage.add(segment, oracle, primes, x)
     flags = [] if in_window else ["q-out-of-window"]
     if not adm.ok:
         flags.append("inadmissible-forced")
-    fields = {}
-    if "prime_count" in kinds:
-        fields["prime_count"] = {
-            "value": float(count),
-            "main_term": 2 * delta * Y / math.log(X),
-            "bound_terms": {
-                "boundary_count": float(boundary),
-                "interval_primes": float(interval_primes),
-            },
-            "flags": list(flags),
-        }
-    if "smoothed_sum" in kinds:
-        value, psi_window = value_sum.value(), psi_sum.value()
-        error_sum = value - delta * psi_window
-        err_ratio = abs(error_sum) / (delta * Y)
-        fields["smoothed_sum"] = {
-            "value": value,
-            "main_term": delta * Y,
-            "measured_exponent": -math.log(err_ratio) / math.log(X) if err_ratio else None,
-            "bound_terms": {
-                "psi_window": psi_window,
-                "error_sum": error_sum,
-                "error_over_main": err_ratio,
-            },
-            "flags": list(flags),
-        }
     return {kind: SumReport(kind=kind, q_used=conv.q, q_window=config.q_window(),
-                            q_in_window=in_window, **fields[kind]) for kind in kinds}
+                            q_in_window=in_window, flags=list(flags), **stage.fields())
+            for kind, stage in stages.items()}
 
 
 def run_smoothed_sum(config: ExperimentConfig, force: bool = False) -> SumReport:
@@ -182,7 +191,7 @@ ERROR_CODES = {
 }
 
 
-def sweep(configs, runs=WINDOW_KINDS, force: bool = False) -> list:
+def sweep(configs, runs=tuple(WINDOW_KINDS), force: bool = False) -> list:
     """Run each config point in order; failures become error rows.
 
     Returns one row per input: {"index", "config", "reports" | "error"}.
@@ -190,7 +199,7 @@ def sweep(configs, runs=WINDOW_KINDS, force: bool = False) -> list:
     ``runs`` (duplicates collapsed), and its window kinds share one pass.
     """
     runs = tuple(dict.fromkeys(runs))
-    unknown = [r for r in runs if r not in WINDOW_KINDS + ("bound_suite",)]
+    unknown = [r for r in runs if r not in WINDOW_KINDS and r != "bound_suite"]
     if unknown:
         raise ValueError(f"unknown runs: {unknown}")
     window_kinds = tuple(r for r in runs if r in WINDOW_KINDS)

@@ -218,15 +218,12 @@ class IntervalSieve:
         merged.sort()
         return merged
 
-    def mangoldt_terms(self, primes=None):
+    def mangoldt_terms(self, primes: np.ndarray):
         """(powers, lam): the higher powers of the window and Lambda over every prime power.
 
-        powers holds the n = p^k, k >= 2, in increasing order.  lam holds
-        Lambda(n) = log p over the primes in increasing order, then over
-        powers.  primes, if given, is self.primes(), from a caller that has it.
+        primes is self.primes().  powers holds the n = p^k, k >= 2, in
+        increasing order; lam holds Lambda(n) = log p over primes, then powers.
         """
-        if primes is None:
-            primes = self.primes()
         powers = np.array(self.higher_powers, dtype=np.int64).reshape(-1, 3)
         lam = np.empty(primes.size + len(powers))
         lam[:primes.size] = primes
@@ -495,7 +492,7 @@ def mangoldt_sum_interval(X: int, Y: int) -> float:
         raise ValueError("need 2 <= Y <= X/2")
     psi = ExactSum()
     for segment in sieve_segments(X - Y, X):
-        psi.add(segment.mangoldt_terms()[1])
+        psi.add(segment.mangoldt_terms(segment.primes())[1])
     return psi.value()
 
 
@@ -547,21 +544,17 @@ class SmallAngleCount:
 
 
 def primes_with_small_angle(sieve: IntervalSieve, oracle: AngleOracle,
-                            delta: float, angles=None) -> SmallAngleCount:
+                            delta: float, angles: tuple) -> SmallAngleCount:
     """Count primes p in the sieve window with ||p*alpha|| < delta, exactly.
 
     Verdicts come from AngleOracle.verdicts, exact at every oracle
-    precision.  angles is (primes, x) with primes = sieve.primes() and
-    x = oracle.dists(primes), computed here unless a caller that needs
-    them for other sums passes them.
+    precision.  angles is (primes, x), the window pass's primes =
+    sieve.primes() and their dists x = oracle.dists(primes).
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
     if sieve.hi > oracle.n_max:
         raise ValueError("oracle does not cover the sieve window")
-    if angles is None:
-        primes = sieve.primes()
-        angles = primes, oracle.dists(primes)
     below, exact = oracle.verdicts(*angles, delta)
     return SmallAngleCount(count=int(np.count_nonzero(below)),
                            boundary_count=int(np.count_nonzero(exact)))

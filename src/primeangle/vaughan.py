@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .alpha import AngleOracle, build_angle_oracle
-from .config import ExperimentConfig, q_window_bounds, select_q
+from .config import ExperimentConfig, select_q
 from .expsum import (CHUNK, MinSumInstance, indexed_exp_sums, min_sum, phase_table,
                      standard_estimate_bound)
 from .report import SumReport
@@ -341,17 +341,15 @@ def _type_i_walk(ctx: SumContext, weight_sets) -> list:
     return _suffix_maxima(ctx.oracle, _type_i_rows(ctx, phases), weight_sets)
 
 
-def s1_type_i(ctx: SumContext, maxima=None) -> SumReport:
+def s1_type_i(ctx: SumContext, maxima) -> SumReport:
     """Exact type I sum with the full Fourier range 0 < l <= L.
 
     S1' = sum_{m <= X^{2/3}} max_w |sum_{w < n <= X/m} sum_l c(l) e(l m n alpha)|,
     the max running over the integer breakpoints of w in [(X-Y)/m, X].
     ``maxima`` are the rows' maxima as the suite's type I walk gives
-    them; without them the rows are walked here.  The comparator
-    assembles the k = h*m min-sum chain over dyadic blocks.
+    them.  The comparator assembles the k = h*m min-sum chain over
+    dyadic blocks.
     """
-    if maxima is None:
-        maxima, = _type_i_walk(ctx, [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)])
     value = math.fsum(maxima)
 
     bound_terms = {}
@@ -605,7 +603,7 @@ def gamma_counts(labels, H: int, M: int, X: int, Y: int) -> list:
 # ---------------------------------------------------------------------------
 
 def t2_bound_chain(H: float, M: int, X: int, Y: int, delta: float, eps: float,
-                   q: int) -> dict:
+                   q: int, q_in_window: bool) -> dict:
     """All closed-form terms and condition flags of the type II chain.
 
     Terms carry coefficient 1 with the X^{4 eps} factor explicit; the
@@ -613,7 +611,7 @@ def t2_bound_chain(H: float, M: int, X: int, Y: int, delta: float, eps: float,
     are both reported, with `selected` naming the one in force.  The
     final-condition block compares the max of its eight terms against
     delta^2 Y^2 X^{-6 eps} (decay exponent set to zero; implied_eta
-    reports how much slack remains).
+    reports how much slack remains).  qc_window is q_in_window, select_q's verdict on q.
     """
     Xf = float(X)
     amp = Xf ** (4 * eps)
@@ -641,12 +639,11 @@ def t2_bound_chain(H: float, M: int, X: int, Y: int, delta: float, eps: float,
     active = bound1 if selected == "T2bound1" else bound2
     t2_sq_bound = amp * math.fsum(active.values())
 
-    q_lo, q_hi = q_window_bounds(X, Y, delta, eps)
     conditions = {
         "anothercond": M * Y >= X,                      # MY/X >= 1
         "newcondi": 2 * Y * H / M <= q / 2,             # 2YH/M <= q/2
         "transcond": Y >= math.sqrt(Xf) and q >= 4 * Y * H / math.sqrt(Xf),
-        "qc_window": q_lo <= q <= q_hi,
+        "qc_window": q_in_window,
     }
 
     final_terms = {
@@ -727,11 +724,16 @@ def t1_task(ctx: SumContext, H: float) -> Task:
 
 
 def t2_task(ctx: SumContext, H: float, M: int) -> Task:
-    """T2(H, M) alone, with its bound chain: the rows of the prime powers m, and no pair band."""
+    """T2(H, M) alone, with its bound chain: the rows of the prime powers m, and no pair band.
+
+    Its T2 equals the suite block's to rounding, not bit for bit: _type_ii_rows sums each row
+    over a tile padded to the widest row packed with it, and the block packs every m's rows.
+    """
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
     return Task("t2", lambda: _type_ii_n_range(ctx, hcs, ms[ctx.tables.lam[ms] != 0]),
                 lambda: {**t2_sum(H, M, ctx).as_dict(),
-                         "chain": t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)})
+                         "chain": t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q,
+                                                 ctx.q_in_window)})
 
 
 def _block_task(ctx: SumContext, H: float, M: int) -> Task:
@@ -741,7 +743,7 @@ def _block_task(ctx: SumContext, H: float, M: int) -> Task:
     def run() -> dict:
         split = t3_t4_t5_split(H, M, ctx)
         t2 = t2_sum(H, M, ctx, split.rows)
-        chain = t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q)
+        chain = t2_bound_chain(H, M, ctx.X, ctx.Y, ctx.delta, ctx.eps, ctx.q, ctx.q_in_window)
         block = {"H": H, "M": M, "t2": t2.as_dict(), "t3": split.t3, "t4_re": split.t4.real,
                  "t5_re": split.t5.real, "identity_residual": split.identity_residual,
                  "lambda_sq_sum": split.lambda_sq_sum, "cauchy_ok": split.cauchy_ok(t2.value),

@@ -263,6 +263,17 @@ def test_t2_prints_the_q_fields_and_chain_of_bounds(capsys):
         assert {key: doc[key] for key in Q_FIELDS} == {key: bounds[key] for key in Q_FIELDS}
 
 
+@pytest.mark.parametrize("command", [["bounds"], ["t2", "--h", "1", "--m-block", "32"]])
+def test_the_chains_q_window_verdict_is_the_documents(command, capsys):
+    # Y = 0 puts the raw q window at [0, 0], below 1; select_q looks in [1, 1]
+    # and finds q = 1 there, and every chain must give that same verdict
+    doc = run_json(command + ["--x", "20000", "--y", "0", "--delta", "0.45", "--eps", "0.01",
+                              "--alpha", "sqrt:2", "--force"], capsys)
+    chains = [block["chain"] for block in doc.get("t2_blocks", [doc])]
+    assert (doc["q_used"], doc["q_window"], doc["q_in_window"]) == (1, [0.0, 0.0], True)
+    assert chains and all(chain["conditions"]["qc_window"] is True for chain in chains)
+
+
 def test_y_above_x_is_refused_by_the_config(capsys):
     # the sieve's own "need 2 <= lo < hi" used to leak out of count
     code, out, err = run_cli(["count", "--x", "1000000", "--y", "10000000", "--delta", "0.1",

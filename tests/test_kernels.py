@@ -236,7 +236,9 @@ def test_the_type_i_task_gives_s1_and_each_t1_as_walked_alone(chunk):
     ctx = SumContext(CONFIG)
     task, = [task for task in vaughan.suite_plan(ctx) if task.slot == "type_i"]
     fragment = with_chunk(chunk, task.run)
-    assert fragment["s1"] == with_chunk(chunk, s1_type_i, ctx).as_dict()
+    s1_weights = [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)]
+    alone = with_chunk(chunk, lambda: s1_type_i(ctx, *vaughan._type_i_walk(ctx, s1_weights)))
+    assert fragment["s1"] == alone.as_dict()
     assert fragment["t1_blocks"] == [with_chunk(chunk, t1_sum, H, ctx).as_dict()
                                      for H in dyadic_h_blocks(ctx.L)]
 

@@ -35,12 +35,18 @@ SQRT2 = AlphaSpec.sqrt(2)
 WHEEL_PERIOD = 30030  # 2*3*5*7*11*13: the presieve tile repeats with it
 
 
+def angles(sieve, oracle):
+    """(primes, dists) of a sieve window, as the window pass hands them on."""
+    primes = sieve.primes()
+    return primes, oracle.dists(primes)
+
+
 def test_sieve_50_100():
     s = sieve_interval(50, 100)
     assert list(s.primes()) == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     assert s.higher_powers == [(64, 2, 6), (81, 3, 4)]
     # Lambda over the primes, then over the higher powers 64 and 81
-    powers, lam = s.mangoldt_terms()
+    powers, lam = s.mangoldt_terms(s.primes())
     assert powers.tolist() == [64, 81]
     assert lam.tolist() == [math.log(p) for p in s.primes().tolist() + [2, 3]]
 
@@ -505,7 +511,7 @@ def test_primes_small_angle_delta_max():
     # delta = 1/2 counts every prime: ||.|| <= 1/2 with equality impossible
     s = sieve_interval(50, 100)
     oracle = build_angle_oracle(SQRT2, n_max=100)
-    res = primes_with_small_angle(s, oracle, 0.5)
+    res = primes_with_small_angle(s, oracle, 0.5, angles(s, oracle))
     assert res.count == 10
     assert res.boundary_count == 0
 
@@ -514,13 +520,14 @@ def test_primes_small_angle_hand_checked():
     # ||p sqrt2|| < 0.1 for p in (2, 30]: exactly p = 5, 17, 29
     s = sieve_interval(2, 30)
     oracle = build_angle_oracle(SQRT2, n_max=30)
-    res = primes_with_small_angle(s, oracle, 0.1)
+    res = primes_with_small_angle(s, oracle, 0.1, angles(s, oracle))
     assert res.count == 3
     primes = s.primes()
     assert primes[oracle.verdicts(primes, oracle.dists(primes), 0.1)[0]].tolist() == [5, 17, 29]
     assert res.boundary_count == 0
     # at delta = 1/2 every prime in (2, 100] counts; the endpoint 2 is excluded
-    res = primes_with_small_angle(sieve_interval(2, 100), build_angle_oracle(SQRT2, n_max=100), 0.5)
+    s, oracle = sieve_interval(2, 100), build_angle_oracle(SQRT2, n_max=100)
+    res = primes_with_small_angle(s, oracle, 0.5, angles(s, oracle))
     assert res.count == 24
 
 
@@ -529,7 +536,7 @@ def test_primes_small_angle_equidistribution():
     X, Y, delta = 10 ** 6, 10 ** 5, 0.05
     s = sieve_interval(X - Y, X)
     oracle = build_angle_oracle(SQRT2, n_max=X)
-    res = primes_with_small_angle(s, oracle, delta)
+    res = primes_with_small_angle(s, oracle, delta, angles(s, oracle))
     predicted = 2 * delta * Y / math.log(X)
     assert abs(res.count - predicted) <= 0.15 * predicted
     assert res.boundary_count == 0
@@ -550,8 +557,11 @@ def test_all_integer_equidistribution():
 def test_oracle_window_guard():
     s = sieve_interval(50, 100)
     oracle = build_angle_oracle(SQRT2, n_max=80)
-    with pytest.raises(ValueError):
-        primes_with_small_angle(s, oracle, 0.1)
+    # the angles come from an oracle that reaches 100, so the check that
+    # raises is the function's own
+    reaching = angles(s, build_angle_oracle(SQRT2, n_max=100))
+    with pytest.raises(ValueError, match="oracle does not cover the sieve window"):
+        primes_with_small_angle(s, oracle, 0.1, reaching)
 
 
 def test_sieve_multi_segment_window():

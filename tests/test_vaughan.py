@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,12 @@ SQRT2 = AlphaSpec.sqrt(2)
 TABLES_5K = small_tables(5000)
 # the bound-suite instance of the T-sum tests; others replace X, Y or the budget
 CONFIG = ExperimentConfig(X=200, Y=60, delta=0.3, eps=0.05, alpha=SQRT2)
+
+
+def lone_walk(ctx):
+    """The rows' maxima of s1's weights alone, as s1_type_i takes them."""
+    maxima, = vaughan._type_i_walk(ctx, [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)])
+    return maxima
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,7 @@ def test_sum_context_derives_from_config():
 
 def test_s1_matches_naive():
     ctx = SumContext(CONFIG)
-    report = s1_type_i(ctx)
+    report = s1_type_i(ctx, lone_walk(ctx))
     coeffs = ctx.kernel.coeffs.tolist()
     naive_total = 0.0
     for m in range(1, ctx.m_max_type_i() + 1):
@@ -204,7 +211,7 @@ def test_s1_matches_naive():
 
 def test_s1_degenerate_empty_window():
     ctx = SumContext(replace(CONFIG, Y=0))
-    report = s1_type_i(ctx)
+    report = s1_type_i(ctx, lone_walk(ctx))
     assert report.value == 0.0
     assert report.ratio is None
 
@@ -270,7 +277,7 @@ def test_chains_evaluated_once_per_context(monkeypatch):
     counted = vaughan.min_sum
     monkeypatch.setattr(vaughan, "min_sum", lambda inst: calls.append(inst.M) or counted(inst))
     ctx = SumContext(CONFIG)
-    s1 = s1_type_i(ctx)
+    s1 = s1_type_i(ctx, lone_walk(ctx))
     assert len(calls) == sum(key.startswith("chain.") for key in s1.bound_terms)
     before = len(calls)
     for H in dyadic_h_blocks(ctx.L):
@@ -311,6 +318,22 @@ def test_t2_matches_naive(X, Y, H, M):
     for report in reports:
         assert abs(report.value - abs(naive)) <= 1e-8 * max(1.0, abs(naive))
         assert report.bound_terms["t2_re"] == pytest.approx(naive.real, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [SQRT2, AlphaSpec.sqrt(5), AlphaSpec.golden()])
+def test_t2_alone_equals_the_suite_block_to_rounding(alpha):
+    # the t2 command walks the rows of the prime powers m and the suite's block
+    # those of every m, packed into other tiles, so their T2 agree to rounding
+    # only: at these 36 blocks per alpha most differ in the last bits
+    for X in (1000, 4012, 16027):
+        ctx = SumContext(ExperimentConfig(X=X, Y=X // 4, delta=0.3, eps=0.05, alpha=alpha))
+        blocks = [task.run() for task in vaughan.suite_plan(ctx) if task.slot == "t2_blocks"]
+        assert blocks
+        for block in blocks:
+            alone = vaughan.t2_task(ctx, block["H"], block["M"]).run()
+            got, want = (complex(doc["bound_terms"]["t2_re"], doc["bound_terms"]["t2_im"])
+                         for doc in (alone, block["t2"]))
+            assert abs(got - want) <= 1e-13 * abs(want), (X, block["H"], block["M"])
 
 
 def test_t2_empty_block_is_zero():
@@ -432,21 +455,21 @@ def test_gamma_guards():
 # ---------------------------------------------------------------------------
 
 def test_chain_condition_flags():
-    chain = t2_bound_chain(4, 10 ** 3, 10 ** 6, 10 ** 5, 0.45, 0.01, 300)
+    chain = t2_bound_chain(4, 10 ** 3, 10 ** 6, 10 ** 5, 0.45, 0.01, 300, True)
     assert chain["conditions"]["anothercond"] is True     # MY/X = 100 >= 1
     assert chain["conditions"]["newcondi"] is False       # 800 > 150
 
 
 def test_chain_branch_selection():
-    chain_hi = t2_bound_chain(3, 10 ** 4, 10 ** 6, 10 ** 5, 0.45, 0.01, 300)
+    chain_hi = t2_bound_chain(3, 10 ** 4, 10 ** 6, 10 ** 5, 0.45, 0.01, 300, True)
     assert chain_hi["selected"] == "T2bound1"              # M = 10^4 > X^{1/2}
-    chain_lo = t2_bound_chain(3, 10 ** 2, 10 ** 6, 10 ** 5, 0.45, 0.01, 300)
+    chain_lo = t2_bound_chain(3, 10 ** 2, 10 ** 6, 10 ** 5, 0.45, 0.01, 300, True)
     assert chain_lo["selected"] == "T2bound2"
 
 
 def test_chain_terms_plugin():
     X, Y, delta, H, M, q = 10 ** 6, 10 ** 5, 0.45, 3, 10 ** 4, 300
-    chain = t2_bound_chain(H, M, X, Y, delta, 0.01, q)
+    chain = t2_bound_chain(H, M, X, Y, delta, 0.01, q, True)
     t = chain["t2bound1"]
     assert t["Y2H2_over_q"] == pytest.approx(Y * Y * H * H / q)
     assert t["Xq"] == pytest.approx(X * q)
@@ -486,4 +509,4 @@ def test_coeffs_build_matches_b_coeff(V):
 def test_s1_budget_guard():
     ctx = SumContext(replace(CONFIG, budget=10))
     with pytest.raises(BudgetExceeded, match="type I cost"):
-        s1_type_i(ctx)
+        s1_type_i(ctx, lone_walk(ctx))

@@ -46,6 +46,12 @@ PANEL = [SQRT2, AlphaSpec.golden(), parse_alpha("sqrt:7"), parse_alpha("cf:0;;1,
 SQRT10 = parse_alpha("sqrt:10")
 
 
+def small_angle_count(sieve, oracle, delta):
+    """primes_with_small_angle on the window's primes and dists, as the window pass calls it."""
+    primes = sieve.primes()
+    return primes_with_small_angle(sieve, oracle, delta, (primes, oracle.dists(primes)))
+
+
 def scalar_window(X, Y, delta, alpha, err_target=2.0 ** -40):
     """(count, boundary, interval_primes, value, psi) one item at a time."""
     oracle = build_angle_oracle(alpha, n_max=X, err_target=err_target)
@@ -313,7 +319,7 @@ def test_threshold_within_one_ulp_is_decided_in_alpha(monkeypatch):
                 if not 0.0 < delta <= 0.5:
                     continue
                 calls.clear()
-                res = primes_with_small_angle(sieve_interval(p - 1, p), oracle, delta)
+                res = small_angle_count(sieve_interval(p - 1, p), oracle, delta)
                 assert calls == [[p]]
                 assert (res.count, res.boundary_count) == (true_below(SQRT2, p, delta), 1)
                 disagreements += (classify_against_threshold(*oracle.dist(p), delta)
@@ -322,7 +328,7 @@ def test_threshold_within_one_ulp_is_decided_in_alpha(monkeypatch):
     assert disagreements > 0
     # away from the thresholds the filter decides every prime
     calls.clear()
-    assert primes_with_small_angle(sieve_interval(X - 2000, X), oracle, 0.1).boundary_count == 0
+    assert small_angle_count(sieve_interval(X - 2000, X), oracle, 0.1).boundary_count == 0
     assert calls == []
 
 
@@ -532,7 +538,7 @@ def test_benchmark_entry_points():
     assert list(inspect.signature(primes_with_small_angle).parameters)[:3] == [
         "sieve", "oracle", "delta"]
     oracle = build_angle_oracle(SQRT2, n_max=100)
-    assert primes_with_small_angle(s, oracle, 0.1).boundary_count == 0
+    assert small_angle_count(s, oracle, 0.1).boundary_count == 0
     assert list(inspect.signature(classify_against_threshold).parameters) == [
         "value", "err", "threshold"]
     assert callable(f_direct) and callable(mangoldt_sum_interval)
