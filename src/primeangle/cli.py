@@ -64,7 +64,7 @@ FLAG_KEYS = {"--x": "X", "--y": "Y", "--delta": "delta", "--eps": "eps", "--alph
 def _build_config(args, **defaults) -> ExperimentConfig:
     """The config of --config and the flags; ``defaults`` fill keys neither gives."""
     data = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=json_float)
         if not isinstance(data, dict):
@@ -86,7 +86,7 @@ def _emit(args, payload, rows_for_csv=None) -> None:
         text = reports_to_csv(rows_for_csv if rows_for_csv is not None else [payload])
     else:
         text = report_to_json(payload) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -120,7 +120,7 @@ def cmd_convergents(args):
 def cmd_angle(args):
     alpha = parse_alpha(args.alpha)
     n_max = max(1, abs(args.n)) if args.n_max is None else args.n_max
-    err = parse_precision(args.precision) if args.precision else DEFAULT_ERR_TARGET
+    err = DEFAULT_ERR_TARGET if args.precision is None else parse_precision(args.precision)
     oracle = build_angle_oracle(alpha, n_max=n_max, err_target=err)
     value, ebound = oracle.dist(args.n)
     _emit(args, {

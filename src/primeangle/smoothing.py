@@ -36,7 +36,7 @@ __all__ = [
     "f_fourier_array",
     "truncation_bound",
     "truncation_bound_log10",
-    "default_direct_terms",
+    "DIRECT_TERMS",
 ]
 
 LOG10_FLOAT_MIN = math.log10(5e-324)  # below this the closed form underflows to 0
@@ -53,11 +53,10 @@ ABSORBED_LOG_RATIO = 55.0 * math.log(2.0) * (1.0 + 2.0 ** -30)
 # Elements per temporary of f_direct_array and f_fourier_array: 64 kB of
 # float64.
 ARRAY_BLOCK = 2 ** 13
-
-
-def default_direct_terms(delta: float) -> int:
-    """Integer-shift radius keeping the dropped direct tail below 1e-30."""
-    return max(3, math.ceil(delta * math.sqrt(30.0 / math.pi)))
+# Integer-shift radius of the direct form.  For delta <= 1/2 a dropped shift
+# |s| >= 4 has |r - s| >= 7/2 >= 7 delta, so its term is at most e^(-49 pi),
+# and the dropped tail stays below 1e-66, far under the 1e-30 it must meet.
+DIRECT_TERMS = 3
 
 
 def check_direct_delta(delta: float) -> None:
@@ -68,7 +67,7 @@ def check_direct_delta(delta: float) -> None:
 
 
 def _direct_shifts(delta: float, ordered: bool = False) -> list:
-    """The shifts s, |s| <= default_direct_terms(delta), that the direct form sums.
+    """The shifts s, |s| <= DIRECT_TERMS, that the direct form sums.
 
     Both direct forms evaluate exp(-pi (r - s)^2 / delta^2) at the exact
     r = x - round(x), |r| <= 1/2, so shift s has |r - s| >= |s| - 1/2.
@@ -98,9 +97,8 @@ def _direct_shifts(delta: float, ordered: bool = False) -> list:
     a shift.  f_direct keeps the shifts beyond S: its math.fsum is
     correctly rounded, so there a dropped term could move a rounding tie.
     """
-    terms = default_direct_terms(delta)
     inv = math.pi / (delta * delta)
-    return [s for s in range(-terms, terms + 1)
+    return [s for s in range(-DIRECT_TERMS, DIRECT_TERMS + 1)
             if inv * max(abs(s) - 0.5, 0.0) ** 2 <= EXP_ZERO
             and not (ordered and 2.0 * (abs(s) - 1) * inv > ABSORBED_LOG_RATIO)]
 

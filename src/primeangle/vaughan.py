@@ -256,16 +256,16 @@ def dyadic_m_blocks(X: int):
 # type I sums
 # ---------------------------------------------------------------------------
 
-def _type_i_rows(ctx: SumContext, phases: int) -> list:
-    """The rows (m, n_lo, n_hi) of a type I sum, charged one cell per (m, n, phase).
+def _type_i_rows(ctx: SumContext, phases: int):
+    """The int64 arrays (m, n_lo, n_hi) of the type I rows, charged one cell per (m, n, phase).
 
     m runs over m <= X^{2/3} and n over (X-Y)/m < n <= X/m; ``phases`` is
     the number of phases summed at each n.
     """
-    X, Y = ctx.X, ctx.Y
-    rows = [(m, (X - Y) // m + 1, X // m) for m in range(1, ctx.m_max_type_i() + 1)]
-    charge("type I", sum(n_hi - n_lo + 1 for _, n_lo, n_hi in rows) * phases, ctx.budget)
-    return rows
+    m = np.arange(1, ctx.m_max_type_i() + 1, dtype=np.int64)
+    n_lo, n_hi = (ctx.X - ctx.Y) // m + 1, ctx.X // m
+    charge("type I", int((n_hi - n_lo + 1).sum()) * phases, ctx.budget)
+    return m, n_lo, n_hi
 
 
 def _tiles(lengths):
@@ -293,52 +293,43 @@ def _e(oracle: AngleOracle, ns) -> np.ndarray:
     return np.exp(2j * np.pi * oracle.fracs(ns))
 
 
-def _suffix_maxima(oracle: AngleOracle, rows, weight_sets) -> list:
-    """Per weight set (ls, cs) and type I row (m, n_lo, n_hi), the max over n_lo <= k <= n_hi + 1 of
+def _type_i_walk(ctx: SumContext, ls, coeffs=None) -> np.ndarray:
+    """The type I rows' suffix maxima: per harmonic l of ``ls`` and type I row (m, n_lo, n_hi),
+    the max over n_lo <= k <= n_hi + 1 of
 
-        |sum_{(l, c) in zip(ls, cs)} c sum_{k<=n<=n_hi} e(n l m alpha)|.
+        |sum_{k<=n<=n_hi} e(n l m alpha)|,
 
-    The sets share their harmonics: each tile forms e(n l m alpha) once
-    for every l of any set, l ascending, and adds c e to the terms of
-    each set that holds l (so a set's own sum runs in its order, ls
-    ascending); a set's terms are summed up as soon as its last l is in.
+    one table row per l; given ``coeffs``, a last row holds those of
+    sum_i coeffs[i] e(n ls[i] m alpha).  Charged one cell per (m, n, l).
+    Each tile forms e(n l m alpha) once per l, in the order of ls, and the
+    weighted row sums them in that order; one fold then serves every row.
     Each row is summed from n = n_hi downwards, so its running sums are
     the suffix sums; k = n_hi + 1 is the empty suffix, worth 0.  Phases
     come from the exact residues of n l m.
     """
-    m, n_lo, n_hi = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    m, n_lo, n_hi = _type_i_rows(ctx, len(ls))
     lengths = n_hi - n_lo + 1
-    holders, last = {}, {}
-    for k, (ls, cs) in enumerate(weight_sets):
-        for l, c in zip(ls, cs):
-            holders.setdefault(l, []).append((k, c))
-        last.setdefault(max(ls), []).append(k)
-    best = [np.zeros(len(rows)) for _ in weight_sets]
+    best = np.zeros((len(ls) + (coeffs is not None), len(m)))
+    # one buffer holds every tile's table: with a fresh table per tile, glibc's heap kept
+    # the freed ones, and a bounds run peaked about 1 MB higher
+    table = np.empty(len(best) * CHUNK, dtype=np.complex128)
     for r0, r1, j0, j1 in _tiles(lengths.tolist()):
         if j0 == 0:
-            run = [np.zeros((r1 - r0, 1), dtype=np.complex128)] * len(weight_sets)
+            run = np.zeros((len(best), r1 - r0, 1), dtype=np.complex128)
         j = np.arange(j0, j1)
         live = j < lengths[r0:r1, None]
         mn = m[r0:r1, None] * np.where(live, n_hi[r0:r1, None] - j, 0)
-        terms = [0] * len(weight_sets)
-        for l in sorted(holders):
-            e = _e(oracle, l * mn)
-            for k, c in holders[l]:
-                terms[k] = terms[k] + c * e
-            del e                   # tile-sized arrays are freed as soon as they are used
-            for k in last.get(l, ()):
-                sums = np.cumsum(terms[k] * live, axis=1)
-                terms[k] = None
-                sums += run[k]
-                best[k][r0:r1] = np.maximum(best[k][r0:r1], np.abs(sums).max(axis=1))
-                run[k] = sums[:, -1:].copy()    # a view would keep all of sums alive
+        sums = table[:len(best) * (r1 - r0) * (j1 - j0)].reshape(len(best), r1 - r0, j1 - j0)
+        for i, l in enumerate(ls):
+            sums[i] = _e(ctx.oracle, l * mn)
+        if coeffs is not None:
+            sums[-1] = sum(c * e for c, e in zip(coeffs, sums))
+        sums *= live
+        np.cumsum(sums, axis=2, out=sums)
+        sums += run
+        best[:, r0:r1] = np.maximum(best[:, r0:r1], np.abs(sums).max(axis=2))
+        run = sums[:, :, -1:].copy()    # the next tile overwrites sums
     return best
-
-
-def _type_i_walk(ctx: SumContext, weight_sets) -> list:
-    """_suffix_maxima of the type I rows, charged one cell per (m, n, l) for each l it forms."""
-    phases = len({int(l) for ls, _ in weight_sets for l in ls})
-    return _suffix_maxima(ctx.oracle, _type_i_rows(ctx, phases), weight_sets)
 
 
 def s1_type_i(ctx: SumContext, maxima) -> SumReport:
@@ -346,9 +337,9 @@ def s1_type_i(ctx: SumContext, maxima) -> SumReport:
 
     S1' = sum_{m <= X^{2/3}} max_w |sum_{w < n <= X/m} sum_l c(l) e(l m n alpha)|,
     the max running over the integer breakpoints of w in [(X-Y)/m, X].
-    ``maxima`` are the rows' maxima as the suite's type I walk gives
-    them.  The comparator assembles the k = h*m min-sum chain over
-    dyadic blocks.
+    ``maxima`` are the rows' maxima, the weighted row of _type_i_walk
+    over 1..L with the kernel's coefficients.  The comparator assembles
+    the k = h*m min-sum chain over dyadic blocks.
     """
     value = math.fsum(maxima)
 
@@ -386,7 +377,7 @@ def t1_sum(H: float, ctx: SumContext, maxima=None) -> SumReport:
     hcs = _h_weights(ctx.kernel, H)
     if maxima is None:
         hs = hcs[0].tolist()
-        maxima = dict(zip(hs, _type_i_walk(ctx, [([h], [1.0]) for h in hs])))
+        maxima = dict(zip(hs, _type_i_walk(ctx, hs)))
     value = math.fsum(abs(c) * math.fsum(maxima[h]) for h, c in zip(*hcs))
 
     bound_terms = {}
@@ -708,8 +699,7 @@ def _type_i_task(ctx: SumContext, Hs) -> Task:
     0 < h <= L, so every harmonic T1 reads is one s1 forms."""
     def run() -> dict:
         hs = range(1, ctx.L + 1)
-        s1, *singles = _type_i_walk(ctx, [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)]
-                                    + [([h], [1.0]) for h in hs])
+        *singles, s1 = _type_i_walk(ctx, hs, ctx.kernel.coeffs)
         per_h = dict(zip(hs, singles))
         return {"s1": s1_type_i(ctx, s1).as_dict(),
                 "t1_blocks": [t1_sum(H, ctx, per_h).as_dict() for H in Hs]}

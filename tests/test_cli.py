@@ -310,6 +310,8 @@ def test_bound_commands_run_on_the_whole_of_0_x(command, capsys):
     ("count", "2^-1100", "err_target must lie in (0, 1/4), got '2^-1100', which rounds to 0.0"),
     ("angle", "1e-400", "err_target must lie in (0, 1/4), got '1e-400', which rounds to 0.0"),
     ("angle", "0.5", "err_target must lie in (0, 1/4), got 0.5"),
+    # an empty precision is parsed, not taken for an absent flag
+    ("angle", "", "could not convert string to float: ''"),
 ])
 def test_a_bad_precision_is_refused(command, precision, message, capsys):
     if command == "angle":
@@ -366,6 +368,18 @@ def test_config_file_aliases_and_format(tmp_path, capsys):
     doc = run_json(["count", "--config", str(path), "--format", "json"], capsys)
     assert doc["config_echo"]["format"] == "json"
     assert rows[0]["value"] == str(doc["value"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--x", "500", "--y", "150", "--delta", "0.3", "--eps", "0.05", "--alpha", "sqrt:2",
+     "--force", "--config", ""],
+    ["sieve", "--lo", "50", "--hi", "60", "--out", ""],
+], ids=["config", "out"])
+def test_an_empty_path_is_refused(argv, capsys):
+    # an empty --config or --out names no file; it is not taken for an absent flag
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "No such file or directory: ''" in err
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -7,8 +7,9 @@ reference.brute_force_quadruples, and the banded T4/T5 split against a
 plain (n1, n2) enumeration and the direct T3 route.  The shared-work
 forms are checked bit for bit against the plain ones: the closed form
 read from a phase table against the closed form at each phase, and the
-type I walk over several weight sets against each set walked alone.  Hypothesis runs
-derandomized, so the examples are the same on every run.
+type I walk over s1's weights and every harmonic against each harmonic
+walked alone.  Hypothesis runs derandomized, so the examples are the
+same on every run.
 """
 
 import math
@@ -207,9 +208,9 @@ def test_indexed_closed_form_is_the_closed_form_at_each_phase(phases, cases, chu
        st.sampled_from([1, 7, 64, 4096]))
 def test_type_i_kernel_matches_naive_block(X, y_pct, alpha, coeffs, chunk):
     ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
-    rows = vaughan._type_i_rows(ctx, len(coeffs))
-    got, = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows,
-                      [(np.arange(1, len(coeffs) + 1), np.array(coeffs))])
+    rows = zip(*(a.tolist() for a in vaughan._type_i_rows(ctx, len(coeffs))))
+    *_, got = with_chunk(chunk, vaughan._type_i_walk, ctx, range(1, len(coeffs) + 1),
+                         np.array(coeffs))
     for (m, n_lo, n_hi), g in zip(rows, got.tolist()):
         want = naive_type_i_block(m, n_lo, n_hi, coeffs, lambda j: ctx.oracle.frac(j)[0])
         assert abs(g - want) <= 1e-10 * max(1.0, want), (m, n_lo, n_hi)
@@ -220,14 +221,12 @@ def test_type_i_kernel_matches_naive_block(X, y_pct, alpha, coeffs, chunk):
        st.sampled_from([1, 7, 64, 4096]))
 def test_one_type_i_walk_is_each_weight_set_walked_alone(X, y_pct, alpha, chunk):
     # s1's weights and every single harmonic h <= L share one walk; each
-    # set's maxima are those of the set walked alone, to the bit
+    # harmonic's maxima are those of the harmonic walked alone, to the bit
     ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
-    rows = vaughan._type_i_rows(ctx, ctx.L)
-    sets = [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)] + [([h], [1.0])
-                                                             for h in range(1, ctx.L + 1)]
-    shared = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows, sets)
-    for weights, got in zip(sets, shared):
-        alone, = with_chunk(chunk, vaughan._suffix_maxima, ctx.oracle, rows, [weights])
+    hs = range(1, ctx.L + 1)
+    *shared, _s1 = with_chunk(chunk, vaughan._type_i_walk, ctx, hs, ctx.kernel.coeffs)
+    for h, got in zip(hs, shared):
+        alone, = with_chunk(chunk, vaughan._type_i_walk, ctx, [h])
         assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
 
 
@@ -236,8 +235,8 @@ def test_the_type_i_task_gives_s1_and_each_t1_as_walked_alone(chunk):
     ctx = SumContext(CONFIG)
     task, = [task for task in vaughan.suite_plan(ctx) if task.slot == "type_i"]
     fragment = with_chunk(chunk, task.run)
-    s1_weights = [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)]
-    alone = with_chunk(chunk, lambda: s1_type_i(ctx, *vaughan._type_i_walk(ctx, s1_weights)))
+    *_, s1 = with_chunk(chunk, vaughan._type_i_walk, ctx, range(1, ctx.L + 1), ctx.kernel.coeffs)
+    alone = with_chunk(chunk, s1_type_i, ctx, s1)
     assert fragment["s1"] == alone.as_dict()
     assert fragment["t1_blocks"] == [with_chunk(chunk, t1_sum, H, ctx).as_dict()
                                      for H in dyadic_h_blocks(ctx.L)]
@@ -343,8 +342,8 @@ def _spy(monkeypatch):
     """Counters of the cells charged and the cells built per stage, filled as kernels run.
 
     Type I and type II count the live cells of each tile times the phases
-    the kernel forms over it (type I: the distinct harmonics of all its
-    weight sets); the pairs count the elements handed to indexed_exp_sums.
+    the kernel forms over it (type I: one per harmonic it is given); the
+    pairs count the elements handed to indexed_exp_sums.
     """
     charged, built, phases = Counter(), Counter(), []
     charge, tiles, sums = vaughan.charge, vaughan._tiles, vaughan.indexed_exp_sums
@@ -376,9 +375,8 @@ def _spy(monkeypatch):
     monkeypatch.setattr(vaughan, "charge", spy_charge)
     monkeypatch.setattr(vaughan, "_tiles", spy_tiles)
     monkeypatch.setattr(vaughan, "indexed_exp_sums", spy_sums)
-    monkeypatch.setattr(vaughan, "_suffix_maxima",
-                        kernel("type I", vaughan._suffix_maxima,
-                               lambda args: len({int(l) for ls, _ in args[2] for l in ls})))
+    monkeypatch.setattr(vaughan, "_type_i_walk",
+                        kernel("type I", vaughan._type_i_walk, lambda args: len(args[1])))
     monkeypatch.setattr(vaughan, "_type_ii_rows",
                         kernel("type II", vaughan._type_ii_rows, lambda args: len(args[1][0])))
     return charged, built
@@ -453,7 +451,7 @@ def test_bounds_charges_every_stage_before_its_first_kernel(monkeypatch):
     def kernel(*args):
         raise AssertionError("a kernel ran before the budget was charged")
 
-    for name in ("_suffix_maxima", "min_sum", "_type_ii_rows", "phase_table", "indexed_exp_sums"):
+    for name in ("_type_i_walk", "min_sum", "_type_ii_rows", "phase_table", "indexed_exp_sums"):
         monkeypatch.setattr(vaughan, name, kernel)
     with pytest.raises(BudgetExceeded, match="^pairs cost"):
         run_bound_suite(replace(config, budget=type_i), force=True)

@@ -15,10 +15,10 @@ from primeangle.config import ExperimentConfig
 import primeangle.smoothing as smoothing_mod
 from primeangle.smoothing import (
     ARRAY_BLOCK,
+    DIRECT_TERMS,
     MIN_DIRECT_DELTA,
     build_kernel,
     check_direct_delta,
-    default_direct_terms,
     f_direct,
     f_direct_array,
     f_fourier,
@@ -75,18 +75,18 @@ def test_indicator_imitation_properties():
 def test_default_direct_terms_tail():
     # dropped tail below 1e-30: compare f_direct against the sum at radius + 8
     for delta in (0.05, 0.1, 0.5):
-        wide, inv = default_direct_terms(delta) + 8, math.pi / (delta * delta)
+        wide, inv = DIRECT_TERMS + 8, math.pi / (delta * delta)
         for x in (0.0, 0.25, 0.49):  # round(x) = 0
             want = math.fsum(math.exp(-inv * (x - n) * (x - n)) for n in range(-wide, wide + 1))
             assert abs(f_direct(x, delta) - want) < 1e-30
 
 
 def all_shifts_array(xs, delta):
-    """The direct form over every shift |s| <= default_direct_terms(delta), in increasing order.
+    """The direct form over every shift |s| <= DIRECT_TERMS, in increasing order.
 
     Each term is formed at x - (round(x) + s), exact below 2^52.
     """
-    terms, inv = default_direct_terms(delta), math.pi / (delta * delta)
+    terms, inv = DIRECT_TERMS, math.pi / (delta * delta)
     center, total = np.rint(xs), np.zeros_like(xs)
     for shift in range(-terms, terms + 1):
         d = xs - (center + shift)
@@ -95,7 +95,7 @@ def all_shifts_array(xs, delta):
 
 
 def all_shifts_scalar(x, delta):
-    terms, inv, center = default_direct_terms(delta), math.pi / (delta * delta), round(x)
+    terms, inv, center = DIRECT_TERMS, math.pi / (delta * delta), round(x)
     return math.fsum(math.exp(-inv * (x - n) * (x - n))
                      for n in range(center - terms, center + terms + 1))
 

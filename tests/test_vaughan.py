@@ -4,7 +4,6 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -46,9 +45,8 @@ CONFIG = ExperimentConfig(X=200, Y=60, delta=0.3, eps=0.05, alpha=SQRT2)
 
 
 def lone_walk(ctx):
-    """The rows' maxima of s1's weights alone, as s1_type_i takes them."""
-    maxima, = vaughan._type_i_walk(ctx, [(np.arange(1, ctx.L + 1), ctx.kernel.coeffs)])
-    return maxima
+    """The rows' maxima of s1's weights, as s1_type_i takes them."""
+    return vaughan._type_i_walk(ctx, range(1, ctx.L + 1), ctx.kernel.coeffs)[-1]
 
 
 # ---------------------------------------------------------------------------
