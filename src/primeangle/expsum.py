@@ -47,6 +47,9 @@ __all__ = [
 # kernels in vaughan and of the criterion 4 batches: keeps their
 # temporaries within a few hundred kB.
 CHUNK = 2 ** 12
+# Harmonics vaughan's type I walk forms per tile table: the table holds at
+# most HARMONIC_GROUP + 1 tiles of CHUNK complex cells, whatever its L.
+HARMONIC_GROUP = 16
 
 
 def linear_exp_sum(w: float, z: float, x: float) -> complex:

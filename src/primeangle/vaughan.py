@@ -18,9 +18,10 @@ whose exact values and theoretical comparators are computed side by side
 below.
 
 All summation ranges are resolved with integer comparisons (n > X^{1/3} as
-n^3 > X, n <= X/m as n*m <= X, ...), so rearranged routes such as the
-Cauchy-Schwarz opening T3 = T4 + T5 run over identical index sets and agree
-to floating-point rounding.
+n^3 > X, n <= X/m as n*m <= X, ...), so rearranged routes agree with the
+direct ones to floating-point rounding.  The Cauchy-Schwarz opening
+T3 = T4 + T5 sums its pairs n1 <= n2 and takes the pairs n1 > n2 as their
+complex conjugates, which together cover the index set of the direct T3.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .alpha import AngleOracle, build_angle_oracle
 from .config import ExperimentConfig, select_q
-from .expsum import (CHUNK, MinSumInstance, indexed_exp_sums, min_sum, phase_table,
-                     standard_estimate_bound)
+from .expsum import (CHUNK, HARMONIC_GROUP, MinSumInstance, indexed_exp_sums, min_sum,
+                     phase_table, standard_estimate_bound)
 from .report import SumReport
 from .sieve import SmallTables, iroot, small_tables
 from .smoothing import SmoothingKernel, build_kernel
@@ -229,7 +230,7 @@ def dyadic_h_blocks(L: int):
 def _h_weights(kernel: SmoothingKernel, H: float):
     """The arrays (h, c(h)) over the dyadic block H/2 < h <= H, for 1 <= H <= L."""
     if not (1 <= H <= kernel.L):
-        raise ValueError("need 1 <= H <= L")
+        raise ValueError(f"need 1 <= H <= L, got H={H} and L={kernel.L}")
     h = np.arange(int(H / 2) + 1, int(H) + 1)
     return h, kernel.coeffs[h - 1]
 
@@ -237,7 +238,7 @@ def _h_weights(kernel: SmoothingKernel, H: float):
 def _m_block(ctx: SumContext, M: int) -> np.ndarray:
     """The m of the block M/2 < m <= M, for X^{1/3} <= M <= X^{2/3}."""
     if not (M ** 3 >= ctx.X and M ** 3 <= ctx.X * ctx.X):
-        raise ValueError("need X^(1/3) <= M <= X^(2/3)")
+        raise ValueError(f"need X^(1/3) <= M <= X^(2/3), got M={M} and X={ctx.X}")
     return np.arange(M // 2 + 1, M + 1)
 
 
@@ -301,35 +302,57 @@ def _type_i_walk(ctx: SumContext, ls, coeffs=None) -> np.ndarray:
 
     one table row per l; given ``coeffs``, a last row holds those of
     sum_i coeffs[i] e(n ls[i] m alpha).  Charged one cell per (m, n, l).
-    Each tile forms e(n l m alpha) once per l, in the order of ls, and the
-    weighted row sums them in that order; one fold then serves every row.
-    Each row is summed from n = n_hi downwards, so its running sums are
-    the suffix sums; k = n_hi + 1 is the empty suffix, worth 0.  Phases
-    come from the exact residues of n l m.
+    Each tile forms e(n l m alpha) once per l, HARMONIC_GROUP harmonics at
+    a time in the order of ls, adds each c e to the weighted row in that
+    order and folds the group; the weighted row is folded last.  Each row
+    is summed from n = n_hi downwards, so its running sums are the suffix
+    sums; k = n_hi + 1 is the empty suffix, worth 0.  Phases come from the
+    exact residues of n l m.
     """
     m, n_lo, n_hi = _type_i_rows(ctx, len(ls))
     lengths = n_hi - n_lo + 1
-    best = np.zeros((len(ls) + (coeffs is not None), len(m)))
+    weighted = int(coeffs is not None)
+    best = np.zeros((len(ls) + weighted, len(m)))
+    run = np.zeros((len(best), 1, 1), dtype=np.complex128)
     # one buffer holds every tile's table: with a fresh table per tile, glibc's heap kept
     # the freed ones, and a bounds run peaked about 1 MB higher
-    table = np.empty(len(best) * CHUNK, dtype=np.complex128)
+    table = np.empty((min(len(ls), HARMONIC_GROUP) + weighted) * CHUNK, dtype=np.complex128)
     for r0, r1, j0, j1 in _tiles(lengths.tolist()):
         if j0 == 0:
-            run = np.zeros((len(best), r1 - r0, 1), dtype=np.complex128)
+            run[...] = 0
         j = np.arange(j0, j1)
         live = j < lengths[r0:r1, None]
         mn = m[r0:r1, None] * np.where(live, n_hi[r0:r1, None] - j, 0)
-        sums = table[:len(best) * (r1 - r0) * (j1 - j0)].reshape(len(best), r1 - r0, j1 - j0)
-        for i, l in enumerate(ls):
-            sums[i] = _e(ctx.oracle, l * mn)
-        if coeffs is not None:
-            sums[-1] = sum(c * e for c, e in zip(coeffs, sums))
-        sums *= live
-        np.cumsum(sums, axis=2, out=sums)
-        sums += run
-        best[:, r0:r1] = np.maximum(best[:, r0:r1], np.abs(sums).max(axis=2))
-        run = sums[:, :, -1:].copy()    # the next tile overwrites sums
+        size = (r1 - r0) * (j1 - j0)
+        combined = table[:size * weighted].reshape(weighted, r1 - r0, j1 - j0)
+        combined[...] = 0
+        for g0 in range(0, len(ls), HARMONIC_GROUP):
+            group = ls[g0:g0 + HARMONIC_GROUP]
+            sums = table[size * weighted:size * (weighted + len(group))].reshape(
+                len(group), r1 - r0, j1 - j0)
+            for i, l in enumerate(group):
+                sums[i] = _e(ctx.oracle, l * mn)
+            if weighted:
+                for c, e in zip(coeffs[g0:g0 + HARMONIC_GROUP], sums):
+                    combined[0] += c * e
+            _fold(sums, live, run[g0:g0 + len(group)], best[g0:g0 + len(group), r0:r1])
+        if weighted:
+            _fold(combined, live, run[-1:], best[-1:, r0:r1])
     return best
+
+
+def _fold(sums, live, run, best) -> None:
+    """Fold a tile's tables into their rows' suffix maxima, in place.
+
+    Masks the dead cells, sums each row cumulatively, adds the run carried
+    from the tile before, and raises best to the largest modulus.  Then it
+    carries the last cell: only a block of one row is cut into column tiles.
+    """
+    sums *= live
+    np.cumsum(sums, axis=2, out=sums)
+    sums += run
+    np.maximum(best, np.abs(sums).max(axis=2), out=best)
+    run[...] = sums[:, -1:, -1:]
 
 
 def s1_type_i(ctx: SumContext, maxima) -> SumReport:
@@ -445,7 +468,11 @@ def t2_sum(H: float, M: int, ctx: SumContext, rows=None) -> SumReport:
 
 @dataclass
 class TypeIISplit:
-    """Cauchy-Schwarz opening of one block: T3 real, T4/T5 its two halves."""
+    """Cauchy-Schwarz opening of one block: T3 real, T4/T5 its two halves.
+
+    T4 sums the pairs n1 <= n2 and T5 those with n1 > n2, the complex
+    conjugate of T4's pairs off the diagonal.
+    """
 
     t3: float
     t4: complex
@@ -467,28 +494,23 @@ class TypeIISplit:
 
 
 def _pair_bands(ctx: SumContext, hcs, M: int):
-    """The non-empty pairs (n1, n2) of the block M, charged one cell per (n1, n2, h1, h2).
+    """The non-empty pairs n1 <= n2 of the block M, charged one cell per (n1, n2, h1, h2).
 
     outer holds the n of max{X^{1/3}, (X-Y)/M} < n <= 2X/M with b(n) != 0, and
-    the n2 of outer[i] are outer[start[i]:start[i] + widths[i]].
-    The m-range of a pair is max{M/2, (X-Y)/min} < m <= min{M, X/max}.
-    With n2 >= n1 its floor lo1 = max{M/2, (X-Y)/n1} is fixed and it is
-    non-empty iff n2 (lo1 + 1) <= X (lo1 < M, as n1 > (X-Y)/M); with
-    n2 <= n1 its ceiling hi1 = min{M, X/n1} is fixed and it is non-empty
-    iff M/2 < hi1 and X - Y < hi1 n2.  So the n2 of one n1 form the band
-    (X-Y)/hi1 < n2 <= X/(lo1 + 1), which is empty when (n1, n1) is.
+    the n2 of outer[i] are outer[i:i + widths[i]].
+    The m-range of a pair is max{M/2, (X-Y)/n1} < m <= min{M, X/n2}.  Its
+    floor lo1 = max{M/2, (X-Y)/n1} is fixed by n1 and lies below M (as
+    n1 > (X-Y)/M), so it is non-empty iff n2 (lo1 + 1) <= X: the n2 of one
+    n1 form the band n1 <= n2 <= X/(lo1 + 1), which is empty when (n1, n1)
+    is.  The pairs n1 > n2 are their mirror images, with the same m-ranges.
     """
     X, Y = ctx.X, ctx.Y
     outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
     outer = np.flatnonzero(ctx.coeffs.b[outer_lo:2 * X // M + 1]) + outer_lo
-    lo1 = np.maximum(M // 2, (X - Y) // outer)
-    hi1 = np.minimum(M, X // outer)
-    top = X // (lo1 + 1)
-    bottom = np.where(M // 2 < hi1, (X - Y) // np.maximum(hi1, 1) + 1, X + 1)
-    start = np.searchsorted(outer, bottom, side="left")
-    widths = np.maximum(np.searchsorted(outer, top, side="right") - start, 0)
+    top = X // (np.maximum(M // 2, (X - Y) // outer) + 1)
+    widths = np.maximum(np.searchsorted(outer, top, side="right") - np.arange(len(outer)), 0)
     charge("pairs", int(widths.sum()) * len(hcs[0]) ** 2, ctx.budget)
-    return outer, start, widths
+    return outer, widths
 
 
 def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
@@ -498,48 +520,56 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     directly, and its rows are kept, so that T2 of the same block is read
     off them; T4 (n1 <= n2) and T5 (n1 > n2) re-sum the expansion with the
     closed-form m-sum over max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
-    Only the pairs of the bands of _pair_bands are built, CHUNK at a time,
-    and their phases {(h1 n1 - h2 n2) alpha} come from one table of exact
-    residues per block.  Both routes are charged before either runs.
-    T3 = T4 + T5 exactly; floating point leaves ~1e-12 relative residue.
+    Only the pairs n1 <= n2 of the bands of _pair_bands are built, CHUNK at
+    a time: their diagonal D (n1 = n2) and strict part U (n1 < n2) give
+    T4 = D + U, and T5 = conj(U), since b and c are real and swapping
+    (n1, h1) with (n2, h2) keeps the m-range and negates the label.  The
+    phases {(h1 n1 - h2 n2) alpha} come from one table of exact residues
+    per block, over the labels n1 <= n2 can take.  Both routes are charged
+    before either runs.  T3 = T4 + T5 exactly; floating point leaves
+    ~1e-12 relative residue.
     """
     X, Y = ctx.X, ctx.Y
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
     b = ctx.coeffs.b
     ranges = _type_ii_n_range(ctx, hcs, ms)
-    outer, start, widths = _pair_bands(ctx, hcs, M)
+    outer, widths = _pair_bands(ctx, hcs, M)
 
     # direct route
     rows = _type_ii_rows(ctx, hcs, ranges)
     t3 = math.fsum(abs(row) ** 2 for row in rows.tolist())
     lam_sq = math.fsum((ctx.tables.lam[ms] ** 2).tolist())
 
-    # rearranged route: the non-empty (n1, n2) pairs, closed-form m-sums
-    t4 = t5 = 0j
+    # rearranged route: the non-empty pairs n1 <= n2, closed-form m-sums
+    diagonal = upper = 0j
     max_len = 0
     if outer.size:
-        l_top = int(hcs[0][-1]) * int(outer[-1]) - int(hcs[0][0]) * int(outer[0])
-        table = phase_table(ctx.oracle.fracs(np.arange(-l_top, l_top + 1)))  # l at l + l_top
+        # h1 n1 - h2 n2 with n1 <= n2 lies in [h_lo n_min - h_hi n_max, (h_hi - h_lo) n_max]
+        h_lo, h_hi, n_min, n_max = int(hcs[0][0]), int(hcs[0][-1]), int(outer[0]), int(outer[-1])
+        l_min = h_lo * n_min - h_hi * n_max
+        table = phase_table(ctx.oracle.fracs(np.arange(l_min, (h_hi - h_lo) * n_max + 1)))
     for r0, r1, j0, j1 in _tiles(widths.tolist()):
         j = np.arange(j0, j1)
         live = j < widths[r0:r1, None]
-        i1 = np.broadcast_to(np.arange(r0, r1)[:, None], live.shape)[live]
-        n1 = outer[i1]
-        n2 = outer[(start[r0:r1, None] + j)[live]]
-        lo = np.maximum(M // 2, (X - Y) // np.minimum(n1, n2))
-        hi = np.minimum(M, X // np.maximum(n1, n2))
+        i1 = np.arange(r0, r1)[:, None]
+        n1 = outer[np.broadcast_to(i1, live.shape)[live]]
+        n2 = outer[(i1 + j)[live]]
+        lo = np.maximum(M // 2, (X - Y) // n1)
+        hi = np.minimum(M, X // n2)
         max_len = max(max_len, int((hi - lo).max()))
-        cell = sum(c1 * c2 * indexed_exp_sums(lo, hi, table, h1 * n1 - h2 * n2 + l_top)
+        cell = sum(c1 * c2 * indexed_exp_sums(lo, hi, table, h1 * n1 - h2 * n2 - l_min)
                    for h1, c1 in zip(*hcs) for h2, c2 in zip(*hcs))
         contribution = b[n1] * b[n2] * cell
-        lower = n1 <= n2
-        t4 += complex(contribution[lower].sum())
-        t5 += complex(contribution[~lower].sum())
+        on_diagonal = n1 == n2
+        diagonal += complex(contribution[on_diagonal].sum())
+        upper += complex(contribution[~on_diagonal].sum())
+    # emptiness is symmetric: a band of width w > 0 holds the diagonal and w - 1 mirrored pairs
+    nonempty = 2 * int(widths.sum()) - int(np.count_nonzero(widths))
     return TypeIISplit(
-        t3=t3, t4=t4, t5=t5,
+        t3=t3, t4=diagonal + upper, t5=upper.conjugate(),
         lambda_sq_sum=lam_sq,
         max_m_range_len=max_len,
-        empty_pair_count=outer.size ** 2 - int(widths.sum()),
+        empty_pair_count=outer.size ** 2 - nonempty,
         rows=rows,
     )
 

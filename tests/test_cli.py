@@ -301,6 +301,20 @@ def test_bound_commands_run_on_the_whole_of_0_x(command, capsys):
     assert doc["config_echo"]["Y"] == 100
 
 
+@pytest.mark.parametrize("block,message", [
+    (["t2", "--h", "100", "--m-block", "16"], "need 1 <= H <= L, got H=100.0 and L=5"),
+    (["t1", "--h", "0.5"], "need 1 <= H <= L, got H=0.5 and L=5"),
+    (["t2", "--h", "2", "--m-block", "2000"],
+     "need X^(1/3) <= M <= X^(2/3), got M=2000 and X=2000"),
+    (["t2", "--h", "2", "--m-block", "8"], "need X^(1/3) <= M <= X^(2/3), got M=8 and X=2000"),
+])
+def test_a_block_outside_its_range_is_refused_with_its_values(block, message, capsys):
+    code, out, err = run_cli(block + ["--x", "2000", "--y", "500", "--delta", "0.3",
+                                      "--eps", "0.05", "--alpha", "sqrt:2", "--force"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command,precision,message", [
     ("admissible", "5", "err_target must lie in (0, 1/4), got 5.0"),
     ("bounds", "0.9", "err_target must lie in (0, 1/4), got 0.9"),

@@ -14,6 +14,7 @@ same on every run.
 
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -230,6 +231,41 @@ def test_one_type_i_walk_is_each_weight_set_walked_alone(X, y_pct, alpha, chunk)
         assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
 
 
+# eps = 1/2 gives this instance L = 106 harmonics, several groups of the walk
+WIDE = replace(CONFIG, eps=0.5)
+
+
+@pytest.mark.parametrize("group", [1, 3, 16])
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_the_type_i_walk_is_independent_of_its_harmonic_group(group, chunk, monkeypatch):
+    # the weighted row adds each c e in the order of ls across the groups, so
+    # every float is the one a single group of all the harmonics gives
+    ctx = SumContext(WIDE)
+    hs = range(1, ctx.L + 1)
+    monkeypatch.setattr(vaughan, "HARMONIC_GROUP", ctx.L)
+    whole = with_chunk(chunk, vaughan._type_i_walk, ctx, hs, ctx.kernel.coeffs)
+    monkeypatch.setattr(vaughan, "HARMONIC_GROUP", group)
+    grouped = with_chunk(chunk, vaughan._type_i_walk, ctx, hs, ctx.kernel.coeffs)
+    assert np.array_equal(grouped.view(np.uint64), whole.view(np.uint64))
+
+
+def test_the_type_i_walk_memory_does_not_grow_with_its_harmonics():
+    # apart from its result, the walk holds a table of HARMONIC_GROUP + 1 tiles
+    # however many harmonics it forms; one table of every harmonic took
+    # CHUNK complex cells per harmonic
+    ctx = SumContext(WIDE)
+    work = []
+    for k in (vaughan.HARMONIC_GROUP, ctx.L):
+        tracemalloc.start()
+        try:
+            best = vaughan._type_i_walk(ctx, range(1, k + 1), ctx.kernel.coeffs[:k])
+            work.append(tracemalloc.get_traced_memory()[1] - best.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert ctx.L >= 6 * vaughan.HARMONIC_GROUP
+    assert work[1] - work[0] < 16 * vaughan.CHUNK
+
+
 @pytest.mark.parametrize("chunk", [7, 64, 4096])
 def test_the_type_i_task_gives_s1_and_each_t1_as_walked_alone(chunk):
     ctx = SumContext(CONFIG)
@@ -279,6 +315,39 @@ def _brute_pairs(ctx, M):
     return empties, longest, len(outer) ** 2 - empties
 
 
+def _brute_half_band(ctx, M):
+    """The non-empty pairs n1 <= n2 of the block M, pair by pair."""
+    X, Y = ctx.X, ctx.Y
+    outer_lo = max(ctx.n_cut_type_ii(), (X - Y) // M) + 1
+    outer = [n for n in range(outer_lo, 2 * X // M + 1) if ctx.coeffs.b[n]]
+    return sum(min(M, X // n2) > max(M // 2, (X - Y) // n1)
+               for n1 in outer for n2 in outer if n1 <= n2)
+
+
+def _brute_halves(ctx, H, M):
+    """(T4, T5) of the block (H, M), from every m, every ordered (n1, n2) and every (h1, h2).
+
+    Opens |sum_n b(n) sum_h c(h) e(hmn alpha)|^2 term by term over the type II
+    n-range of each m, with the phase of each term from the exact residue of
+    (h1 n1 - h2 n2) m, and sorts the terms by n1 <= n2 and n1 > n2.
+    """
+    X, Y, b = ctx.X, ctx.Y, ctx.coeffs.b
+    hs, cs = vaughan._h_weights(ctx.kernel, H)
+    t4, t5 = [], []
+    for m in range(M // 2 + 1, M + 1):
+        n = np.arange(max(ctx.n_cut_type_ii(), (X - Y) // m) + 1, X // m + 1)
+        n1, n2 = n[:, None], n[None, :]
+        weight = b[n1] * b[n2]
+        for h1, c1 in zip(hs.tolist(), cs.tolist()):
+            for h2, c2 in zip(hs.tolist(), cs.tolist()):
+                phase = ctx.oracle.fracs((h1 * n1 - h2 * n2) * m)
+                terms = c1 * c2 * weight * np.exp(2j * np.pi * phase)
+                t4.append(terms[n1 <= n2])
+                t5.append(terms[n1 > n2])
+    return tuple(complex(math.fsum(np.concatenate(t).real), math.fsum(np.concatenate(t).imag))
+                 for t in (t4, t5))
+
+
 @PROPERTY
 @given(st.integers(100, 3000), st.integers(0, 100), st.sampled_from(ALPHAS),
        st.sampled_from([7, 4096]), st.data())
@@ -289,6 +358,19 @@ def test_banded_split_matches_pair_enumeration(X, y_pct, alpha, chunk, data):
     split = with_chunk(chunk, t3_t4_t5_split, H, M, ctx)
     assert (split.empty_pair_count, split.max_m_range_len) == _brute_pairs(ctx, M)[:2]
     assert split.identity_residual <= SPLIT_RESIDUAL_TOL
+
+
+@PROPERTY
+@given(st.integers(100, 3000), st.integers(0, 100), st.sampled_from(ALPHAS), st.data())
+def test_each_half_of_the_split_matches_the_opened_square(X, y_pct, alpha, data):
+    # T4 and T5 apart: T5 is read as the conjugate of T4's pairs off the diagonal
+    ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
+    M = data.draw(st.sampled_from(dyadic_m_blocks(X)))
+    H = data.draw(st.sampled_from(dyadic_h_blocks(ctx.L)))
+    split = t3_t4_t5_split(H, M, ctx)
+    t4, t5 = _brute_halves(ctx, H, M)
+    assert abs(split.t4 - t4) <= 1e-12 * split.t3
+    assert abs(split.t5 - t5) <= 1e-12 * split.t3
 
 
 def test_split_is_independent_of_the_chunk():
@@ -431,10 +513,10 @@ def test_criterion_6_walks_the_type_ii_rows_once_per_block(monkeypatch):
 
 
 def test_the_split_is_charged_its_band_not_its_box():
-    # the (n1, n2) box of this block holds 6724 pairs, its band 303
+    # the (n1, n2) box of this block holds 676 pairs, 303 of them non-empty, 163 with n1 <= n2
     H, M = 5, 16
     ctx = SumContext(CONFIG)
-    cost = _brute_pairs(ctx, M)[2] * (int(H) - int(H / 2)) ** 2
+    cost = _brute_half_band(ctx, M) * (int(H) - int(H / 2)) ** 2
     split = t3_t4_t5_split(H, M, SumContext(replace(CONFIG, budget=cost)))
     assert split.identity_residual <= SPLIT_RESIDUAL_TOL
     with pytest.raises(BudgetExceeded, match=re.escape(f"pairs cost {cost:.3g} exceeds budget")):
@@ -443,7 +525,7 @@ def test_the_split_is_charged_its_band_not_its_box():
 
 def test_bounds_charges_every_stage_before_its_first_kernel(monkeypatch):
     # the type I cost of s1 fits this budget, the band of some block does not
-    X, Y = 30000, 7500
+    X, Y = 30000, 15000
     config = replace(CONFIG, X=X, Y=Y)
     ctx = SumContext(config)
     type_i = sum(X // m - (X - Y) // m for m in range(1, ctx.m_max_type_i() + 1)) * ctx.L
