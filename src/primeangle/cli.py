@@ -194,9 +194,9 @@ def cmd_vaughan_check(args):
 
 def cmd_minsum(args):
     alpha = parse_alpha(args.alpha)
-    oracle = build_angle_oracle(alpha, n_max=args.m)
-    inst = MinSumInstance(M=args.m, N=args.cap, oracle=oracle, q=args.q)
-    res = min_sum(inst)
+    # an M below 1 is refused by MinSumInstance, by its name, not by the oracle
+    oracle = build_angle_oracle(alpha, n_max=max(args.m, 1))
+    res = min_sum(MinSumInstance(M=args.m, N=args.cap, oracle=oracle, q=args.q))
     branch, bound = standard_estimate_bound(args.m, args.cap, args.q)
     _emit(args, {
         "alpha": alpha.canonical(),
@@ -286,7 +286,8 @@ COMMANDS = {
              (*CONFIG_FLAGS, "--force")),
     "vaughan-check": (cmd_vaughan_check, "decomposition identity residuals", (
         ("--u", dict(type=float, default=4.0)), ("--v", dict(type=float, default=4.0)),
-        ("--n-lo", dict(type=int, default=5)), ("--n-hi", dict(type=int, default=200)),
+        ("--n-lo", dict(type=int, default=5)),
+        ("--n-hi", dict(type=int, default=200, help="last n; the tables run to X = max(n_hi, 16)")),
         ("--verbose-rows", dict(action="store_true")))),
     "minsum": (cmd_minsum, "min-sum vs the standard estimate", (
         "--alpha!", ("--m", dict(type=int, required=True)),

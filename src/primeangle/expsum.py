@@ -218,7 +218,7 @@ class MinSumInstance:
         if not math.isfinite(self.N):
             raise ValueError(f"the cap N must be finite, got {self.N!r}")
         if self.M < 1 or self.N < 1 or self.q < 1:
-            raise ValueError("need M, N, q >= 1")
+            raise ValueError(f"need M, N, q >= 1, got M={self.M}, N={self.N} and q={self.q}")
         if self.M > self.oracle.n_max:
             raise ValueError("oracle does not cover m <= M")
 
@@ -260,7 +260,7 @@ def standard_estimate_bound(M: int, N: float, q: int):
     log q is replaced by max(1, log q) so q in {1, 2} stays nondegenerate.
     """
     if M < 1 or N < 1 or q < 1:
-        raise ValueError("need M, N, q >= 1")
+        raise ValueError(f"need M, N, q >= 1, got M={M}, N={N} and q={q}")
     logq = max(1.0, math.log(q))
     if M <= q / 2:
         return "small-M", q * logq

@@ -254,7 +254,7 @@ def _odd_layout(lo: int, hi: int) -> tuple:
 
 def _check_window(lo: int, hi: int) -> None:
     if not (2 <= lo < hi):
-        raise ValueError("need 2 <= lo < hi")
+        raise ValueError(f"need 2 <= lo < hi, got lo={lo} and hi={hi}")
     if hi > SIEVE_CEILING:
         raise SieveCeilingExceeded(f"hi={hi} exceeds ceiling {SIEVE_CEILING}")
 
@@ -489,7 +489,7 @@ def mangoldt_sum_interval(X: int, Y: int) -> float:
     exactly (ExactSum), so the result is the correctly rounded sum.
     """
     if not (2 <= Y <= X / 2):
-        raise ValueError("need 2 <= Y <= X/2")
+        raise ValueError(f"need 2 <= Y <= X/2, got X={X} and Y={Y}")
     psi = ExactSum()
     for segment in sieve_segments(X - Y, X):
         psi.add(segment.mangoldt_terms(segment.primes())[1])

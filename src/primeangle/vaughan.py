@@ -88,9 +88,9 @@ class VaughanParams:
             if not math.isfinite(cut):
                 raise ValueError(f"need a finite cut, got {name}={cut}")
         if self.U < 1 or self.V < 1:
-            raise ValueError("need U, V >= 1")
+            raise ValueError(f"need U, V >= 1, got U={self.U} and V={self.V}")
         if self.U * self.V > self.X:
-            raise ValueError("need U*V <= X")
+            raise ValueError(f"need U*V <= X, got U={self.U}, V={self.V} and X={self.X}")
 
 
 def vaughan_pieces(params: VaughanParams, tables: SmallTables):
@@ -344,13 +344,15 @@ def _type_i_walk(ctx: SumContext, ls, coeffs=None) -> np.ndarray:
 def _fold(sums, live, run, best) -> None:
     """Fold a tile's tables into their rows' suffix maxima, in place.
 
-    Masks the dead cells, sums each row cumulatively, adds the run carried
-    from the tile before, and raises best to the largest modulus.  Then it
-    carries the last cell: only a block of one row is cut into column tiles.
+    Masks the dead cells, adds the run carried from the tile before into
+    the first column, sums each row cumulatively, and raises best to the
+    largest modulus.  Then it carries the last cell: only a block of one
+    row is cut into column tiles, so each running sum continues one
+    sequence over its row, whatever the tiling.
     """
     sums *= live
+    sums[:, :, :1] += run
     np.cumsum(sums, axis=2, out=sums)
-    sums += run
     np.maximum(best, np.abs(sums).max(axis=2), out=best)
     run[...] = sums[:, -1:, -1:]
 
@@ -434,7 +436,12 @@ def _type_ii_n_range(ctx: SumContext, hcs, ms):
 
 
 def _type_ii_rows(ctx: SumContext, hcs, ranges) -> np.ndarray:
-    """sum_n b(n) sum_h c(h) e(hmn alpha) over the rows (m, n_lo, n_hi) of _type_ii_n_range."""
+    """sum_n b(n) sum_h c(h) e(hmn alpha) over the rows (m, n_lo, n_hi) of _type_ii_n_range.
+
+    Each row is summed n ascending, from 0 and continuing from the value
+    carried into each of its tiles, so a row depends only on its own cells:
+    not on the tiling, nor on which other rows are walked with it.
+    """
     b = ctx.coeffs.b
     m, n_lo, n_hi = ranges
     rows = np.zeros(len(m), dtype=np.complex128)
@@ -443,8 +450,8 @@ def _type_ii_rows(ctx: SumContext, hcs, ranges) -> np.ndarray:
         live = n <= n_hi[r0:r1, None]
         n = np.where(live, n, 0)
         mn = m[r0:r1, None] * n
-        rows[r0:r1] += (b[n] * live * sum(c * _e(ctx.oracle, h * mn)
-                                          for h, c in zip(*hcs))).sum(axis=1)
+        cells = b[n] * live * sum(c * _e(ctx.oracle, h * mn) for h, c in zip(*hcs))
+        rows[r0:r1] = np.hstack((rows[r0:r1, None], cells)).cumsum(axis=1)[:, -1]
     return rows
 
 
@@ -452,14 +459,15 @@ def t2_sum(H: float, M: int, ctx: SumContext, rows=None) -> SumReport:
     """Exact bilinear block T2(H, M) with a(m) = Lambda(m), b(n) = beta(n).
 
     T2(H,M) = sum_{M/2<m<=M} sum_{n} a(m) b(n) sum_{H/2<h<=H} c(h) e(hmn alpha),
-    where n runs over max{X^{1/3}, (X-Y)/m} < n <= X/m.  ``rows`` are the
-    rows of every m of the block, as the split walks them; without them
-    the rows of the prime powers m are walked here.  The reported value
-    is |T2|; real and imaginary parts land in bound_terms.
+    where n runs over max{X^{1/3}, (X-Y)/m} < n <= X/m.  The sum runs over
+    the prime powers m of the block.  ``rows`` are their rows, as the split
+    hands them over; without them they are walked here, to the same bits.
+    The reported value is |T2|; real and imaginary parts land in
+    bound_terms.
     """
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
+    ms = ms[ctx.tables.lam[ms] != 0]
     if rows is None:
-        ms = ms[ctx.tables.lam[ms] != 0]
         rows = _type_ii_rows(ctx, hcs, _type_ii_n_range(ctx, hcs, ms))
     total = complex((ctx.tables.lam[ms] * rows).sum())
     return _report("t2_sum", ctx, abs(total), {"t2_re": total.real, "t2_im": total.imag,
@@ -480,7 +488,7 @@ class TypeIISplit:
     lambda_sq_sum: float       # sum of Lambda(m)^2 over the m-block
     max_m_range_len: int       # longest nonempty rearranged m-range
     empty_pair_count: int      # (n1, n2) pairs whose m-range vanished
-    rows: np.ndarray           # row(m) of the direct route, M/2 < m <= M
+    rows: np.ndarray           # row(m) of the direct route, prime powers M/2 < m <= M
 
     @property
     def identity_residual(self) -> float:
@@ -517,17 +525,20 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
     """Open |.|^2 over the m-block and re-sum by (n1, n2) order.
 
     T3 = sum_m |sum_n b(n) sum_h c(h) e(hmn alpha)|^2 is evaluated
-    directly, and its rows are kept, so that T2 of the same block is read
-    off them; T4 (n1 <= n2) and T5 (n1 > n2) re-sum the expansion with the
-    closed-form m-sum over max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
+    directly, and the rows of the prime powers m are kept, so that T2 of
+    the same block is read off them; T4 (n1 <= n2) and T5 (n1 > n2) re-sum
+    the expansion with the closed-form m-sum over
+    max{M/2,(X-Y)/min(n1,n2)} < m <= min{M,X/max(n1,n2)}.
     Only the pairs n1 <= n2 of the bands of _pair_bands are built, CHUNK at
     a time: their diagonal D (n1 = n2) and strict part U (n1 < n2) give
     T4 = D + U, and T5 = conj(U), since b and c are real and swapping
-    (n1, h1) with (n2, h2) keeps the m-range and negates the label.  The
-    phases {(h1 n1 - h2 n2) alpha} come from one table of exact residues
-    per block, over the labels n1 <= n2 can take.  Both routes are charged
-    before either runs.  T3 = T4 + T5 exactly; floating point leaves
-    ~1e-12 relative residue.
+    (n1, h1) with (n2, h2) keeps the m-range and negates the label.  D and
+    U are each summed in one sequence, n1 ascending and n2 ascending within
+    it, every tile continuing from the running value, so neither depends
+    on the tiling.  The phases {(h1 n1 - h2 n2) alpha} come from one table
+    of exact residues per block, over the labels n1 <= n2 can take.  Both
+    routes are charged before either runs.  T3 = T4 + T5 exactly; floating
+    point leaves ~1e-12 relative residue.
     """
     X, Y = ctx.X, ctx.Y
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
@@ -561,8 +572,8 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
                    for h1, c1 in zip(*hcs) for h2, c2 in zip(*hcs))
         contribution = b[n1] * b[n2] * cell
         on_diagonal = n1 == n2
-        diagonal += complex(contribution[on_diagonal].sum())
-        upper += complex(contribution[~on_diagonal].sum())
+        diagonal = complex(np.cumsum(np.append(diagonal, contribution[on_diagonal]))[-1])
+        upper = complex(np.cumsum(np.append(upper, contribution[~on_diagonal]))[-1])
     # emptiness is symmetric: a band of width w > 0 holds the diagonal and w - 1 mirrored pairs
     nonempty = 2 * int(widths.sum()) - int(np.count_nonzero(widths))
     return TypeIISplit(
@@ -570,7 +581,7 @@ def t3_t4_t5_split(H: float, M: int, ctx: SumContext) -> TypeIISplit:
         lambda_sq_sum=lam_sq,
         max_m_range_len=max_len,
         empty_pair_count=outer.size ** 2 - nonempty,
-        rows=rows,
+        rows=rows[ctx.tables.lam[ms] != 0],
     )
 
 
@@ -746,8 +757,8 @@ def t1_task(ctx: SumContext, H: float) -> Task:
 def t2_task(ctx: SumContext, H: float, M: int) -> Task:
     """T2(H, M) alone, with its bound chain: the rows of the prime powers m, and no pair band.
 
-    Its T2 equals the suite block's to rounding, not bit for bit: _type_ii_rows sums each row
-    over a tile padded to the widest row packed with it, and the block packs every m's rows.
+    Its T2 is the suite block's, bit for bit: each row is summed in one order, whatever rows
+    _type_ii_rows packs it with.
     """
     hcs, ms = _h_weights(ctx.kernel, H), _m_block(ctx, M)
     return Task("t2", lambda: _type_ii_n_range(ctx, hcs, ms[ctx.tables.lam[ms] != 0]),

@@ -315,6 +315,31 @@ def test_a_block_outside_its_range_is_refused_with_its_values(block, message, ca
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sieve", "--lo", "1", "--hi", "10"], "need 2 <= lo < hi, got lo=1 and hi=10"),
+    (["sieve", "--lo", "10", "--hi", "10"], "need 2 <= lo < hi, got lo=10 and hi=10"),
+    (["psi", "--x", "100", "--y", "60"], "need 2 <= Y <= X/2, got X=100 and Y=60"),
+    (["psi", "--x", "100", "--y", "1"], "need 2 <= Y <= X/2, got X=100 and Y=1"),
+    # M is checked before an oracle is built for m <= M
+    (["minsum", "--alpha", "sqrt:2", "--m", "0", "--cap", "5", "--q", "3"],
+     "need M, N, q >= 1, got M=0, N=5.0 and q=3"),
+    (["minsum", "--alpha", "sqrt:2", "--m", "4", "--cap", "0.5", "--q", "3"],
+     "need M, N, q >= 1, got M=4, N=0.5 and q=3"),
+    (["minsum", "--alpha", "sqrt:2", "--m", "4", "--cap", "5", "--q", "0"],
+     "need M, N, q >= 1, got M=4, N=5.0 and q=0"),
+    # X is the table limit max(n_hi, 16)
+    (["vaughan-check", "--u", "100", "--v", "100", "--n-hi", "50"],
+     "need U*V <= X, got U=100.0, V=100.0 and X=50"),
+    (["vaughan-check", "--u", "5", "--v", "5", "--n-hi", "10"],
+     "need U*V <= X, got U=5.0, V=5.0 and X=16"),
+    (["vaughan-check", "--u", "0.5"], "need U, V >= 1, got U=0.5 and V=4.0"),
+])
+def test_a_refusal_names_its_values(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command,precision,message", [
     ("admissible", "5", "err_target must lie in (0, 1/4), got 5.0"),
     ("bounds", "0.9", "err_target must lie in (0, 1/4), got 0.9"),

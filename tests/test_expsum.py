@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -222,6 +223,15 @@ def test_standard_estimate_branches():
     branch, value = standard_estimate_bound(100, 50, 29)
     assert branch == "large-M"
     assert abs(value - (100 * 50 / 29 + 100 * math.log(29))) < 1e-9
+
+
+@pytest.mark.parametrize("M,N,q", [(0, 5, 3), (4, 0.5, 3), (4, 5, 0)])
+def test_a_min_sum_below_one_is_refused_with_its_values(M, N, q):
+    message = f"need M, N, q >= 1, got M={M}, N={N} and q={q}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        standard_estimate_bound(M, N, q)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MinSumInstance(M=M, N=N, oracle=build_angle_oracle(SQRT2, n_max=4), q=q)
 
 
 def test_standard_estimate_q1_guard():

@@ -34,6 +34,7 @@ from primeangle.experiments import run_bound_suite
 from primeangle.expsum import (MinSumInstance, indexed_exp_sums, linear_exp_sum,
                                linear_exp_sums, min_sum, phase_table)
 from primeangle.reference import brute_force_quadruples, naive_type_i_block
+from primeangle.report import report_to_json
 from primeangle.vaughan import (
     BudgetExceeded,
     SumContext,
@@ -236,14 +237,16 @@ WIDE = replace(CONFIG, eps=0.5)
 
 
 @pytest.mark.parametrize("group", [1, 3, 16])
-@pytest.mark.parametrize("chunk", [64, 4096])
+@pytest.mark.parametrize("chunk", [7, 64, 4096])
 def test_the_type_i_walk_is_independent_of_its_harmonic_group(group, chunk, monkeypatch):
-    # the weighted row adds each c e in the order of ls across the groups, so
-    # every float is the one a single group of all the harmonics gives
+    # the weighted row adds each c e in the order of ls across the groups, and
+    # a row cut into column tiles continues its running sums from the carried
+    # one, so every float is the one a single group of all the harmonics gives
+    # in tiles of 4096
     ctx = SumContext(WIDE)
     hs = range(1, ctx.L + 1)
     monkeypatch.setattr(vaughan, "HARMONIC_GROUP", ctx.L)
-    whole = with_chunk(chunk, vaughan._type_i_walk, ctx, hs, ctx.kernel.coeffs)
+    whole = with_chunk(4096, vaughan._type_i_walk, ctx, hs, ctx.kernel.coeffs)
     monkeypatch.setattr(vaughan, "HARMONIC_GROUP", group)
     grouped = with_chunk(chunk, vaughan._type_i_walk, ctx, hs, ctx.kernel.coeffs)
     assert np.array_equal(grouped.view(np.uint64), whole.view(np.uint64))
@@ -377,12 +380,40 @@ def test_split_is_independent_of_the_chunk():
     ctx = SumContext(CONFIG)
     small = with_chunk(7, t3_t4_t5_split, 4, 16, ctx)
     large = with_chunk(4096, t3_t4_t5_split, 4, 16, ctx)
-    assert small.t3 == pytest.approx(large.t3, rel=1e-13)
-    assert abs(small.t4 - large.t4) <= 1e-12 * large.t3
+    assert (small.t3, small.t4, small.t5) == (large.t3, large.t4, large.t5)
+    assert small.rows.tobytes() == large.rows.tobytes()
     assert (small.empty_pair_count, small.max_m_range_len) == \
         (large.empty_pair_count, large.max_m_range_len)
-    assert with_chunk(7, t2_sum, 4, 16, ctx).value == \
-        pytest.approx(with_chunk(4096, t2_sum, 4, 16, ctx).value, rel=1e-13)
+    assert with_chunk(7, t2_sum, 4, 16, ctx).as_dict() == \
+        with_chunk(4096, t2_sum, 4, 16, ctx).as_dict()
+
+
+@PROPERTY
+@given(st.integers(100, 3000), st.integers(0, 100), st.sampled_from(ALPHAS),
+       st.sampled_from([7, 64, 4096]), st.data())
+def test_a_type_ii_row_depends_only_on_its_own_cells(X, y_pct, alpha, chunk, data):
+    # any subset of a block's m, walked on its own, gives the full walk's rows
+    # of that subset bit for bit, though its rows are packed into other tiles
+    ctx = SumContext(replace(CONFIG, X=X, Y=X * y_pct // 100, alpha=alpha))
+    M = data.draw(st.sampled_from(dyadic_m_blocks(X)))
+    hcs = vaughan._h_weights(ctx.kernel, data.draw(st.sampled_from(dyadic_h_blocks(ctx.L))))
+    ranges = vaughan._type_ii_n_range(ctx, hcs, np.arange(M // 2 + 1, M + 1))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(ranges[0]),
+                                       max_size=len(ranges[0]))), dtype=bool)
+    whole = with_chunk(chunk, vaughan._type_ii_rows, ctx, hcs, ranges)
+    part = with_chunk(chunk, vaughan._type_ii_rows, ctx, hcs, tuple(a[keep] for a in ranges))
+    assert part.tobytes() == whole[keep].tobytes()
+
+
+@pytest.mark.parametrize("X", [1000, 4000, 16000])
+@pytest.mark.parametrize("alpha", [ALPHAS[0], AlphaSpec.sqrt(5)])
+def test_the_bounds_document_is_independent_of_the_chunk(X, alpha):
+    # every row and band is summed in one order, each tile continuing from the
+    # sum carried into it, so CHUNK bounds memory and never moves a value
+    config = replace(CONFIG, X=X, Y=X // 4, alpha=alpha)
+    docs = {with_chunk(chunk, lambda: report_to_json(run_bound_suite(config, force=True)))
+            for chunk in (7, 64, 4096)}
+    assert len(docs) == 1
 
 
 # ---------------------------------------------------------------------------

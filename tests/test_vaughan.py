@@ -298,7 +298,7 @@ def test_t1_budget_guard():
 def test_t2_matches_naive(X, Y, H, M):
     ctx = SumContext(replace(CONFIG, X=X, Y=Y))
     # the t2 command walks the rows of the prime powers m; the suite's block
-    # reads T2 off the rows of every m, which its split walks
+    # reads T2 off the rows of the prime powers that its split hands over
     reports = [t2_sum(H, M, ctx), t2_sum(H, M, ctx, t3_t4_t5_split(H, M, ctx).rows)]
     hs = list(range(H // 2 + 1, H + 1))
     coeffs_b = {n: naive_b(n, ctx.n_cut_type_ii())
@@ -319,19 +319,18 @@ def test_t2_matches_naive(X, Y, H, M):
 
 
 @pytest.mark.parametrize("alpha", [SQRT2, AlphaSpec.sqrt(5), AlphaSpec.golden()])
-def test_t2_alone_equals_the_suite_block_to_rounding(alpha):
-    # the t2 command walks the rows of the prime powers m and the suite's block
-    # those of every m, packed into other tiles, so their T2 agree to rounding
-    # only: at these 36 blocks per alpha most differ in the last bits
+def test_t2_alone_equals_the_suite_block(alpha):
+    # the t2 command walks the rows of the prime powers m, packed into its own
+    # tiles, and the suite's block those of every m; each row is summed in one
+    # order whatever it is packed with, so the two print the same T2, bit for bit
     for X in (1000, 4012, 16027):
         ctx = SumContext(ExperimentConfig(X=X, Y=X // 4, delta=0.3, eps=0.05, alpha=alpha))
         blocks = [task.run() for task in vaughan.suite_plan(ctx) if task.slot == "t2_blocks"]
         assert blocks
         for block in blocks:
             alone = vaughan.t2_task(ctx, block["H"], block["M"]).run()
-            got, want = (complex(doc["bound_terms"]["t2_re"], doc["bound_terms"]["t2_im"])
-                         for doc in (alone, block["t2"]))
-            assert abs(got - want) <= 1e-13 * abs(want), (X, block["H"], block["M"])
+            assert {key: alone[key] for key in block["t2"]} == block["t2"], \
+                (X, block["H"], block["M"])
 
 
 def test_t2_empty_block_is_zero():
